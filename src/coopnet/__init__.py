@@ -18,7 +18,6 @@ from .graph import (
     CollaborationGraph,
     FirmFilter,
     build_collaboration_graph,
-    induced_by_firms,
     merge_graphs,
 )
 from .identity import (
@@ -35,17 +34,16 @@ from .ingest import (
     ValidationReport,
     convert_vcs_log,
     parse_commit_log,
-    validate_commits,
 )
 from .metrics import (
     EvolutionRow,
-    GraphMetrics,
+    FirmMixing,
     HomophilyReport,
     degree_centrality,
     density,
     evolution_series,
     firm_assortativity,
-    graph_metrics,
+    firm_mixing,
     homophily_report,
     same_firm_edge_fraction,
 )

@@ -26,7 +26,7 @@ _CONFIG_ERRORS = (
     ReleaseConfigError,
     RevenueModelError,
     ConfigError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
@@ -41,19 +41,18 @@ def main():
 @click.option("--affiliations", "affiliations_path", required=True, type=click.Path(path_type=Path))
 @click.option("--firms", "firms_path", type=click.Path(path_type=Path), default=None)
 @click.option("--revenue-models", "revenue_path", type=click.Path(path_type=Path), default=None)
-@click.option("--backbone-k", type=int, default=5, show_default=True)
-@click.option("--backbone-min-embeddedness", type=int, default=1, show_default=True)
+@click.option("--backbone-k", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--backbone-min-embeddedness", type=click.IntRange(min=0), default=1,
+              show_default=True)
 @click.option("--community-min-size", type=int, default=3, show_default=True)
 @click.option("--time-field", type=click.Choice(["committer", "author"]), default="committer",
               show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Number of release windows to process concurrently.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--formats", default="graphml,dot,csv,json", show_default=True,
               help="Comma-separated subset of graphml,dot,csv,json.")
 def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path,
             backbone_k, backbone_min_embeddedness, community_min_size, time_field,
-            jobs, out_dir, formats):
+            out_dir, formats):
     """Run the full pipeline and write analysis artifacts."""
     try:
         cfg = RunConfig(
@@ -69,7 +68,6 @@ def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path
             community_min_size=community_min_size,
             time_field=time_field,
             formats=frozenset(f.strip() for f in formats.split(",") if f.strip()),
-            jobs=jobs,
             out_dir=out_dir,
         )
         result = run_pipeline(cfg)

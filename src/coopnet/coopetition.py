@@ -1,9 +1,9 @@
 """Revenue-stream coopetition analysis.
 
 For each revenue stream, cohesion of the firms competing for it is
-compared against cohesion of the remaining firms: both node-induced
-subgraphs are measured independently, so cross-group edges count toward
-neither side.
+compared against cohesion of the remaining firms of the universe: both
+node-induced subgraphs are measured independently from the graph's
+firm-mixing count, so cross-group edges count toward neither side.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .graph import CollaborationGraph, induced_by_firms
-from .metrics import density
+from .metrics import FirmMixing, group_counts, pair_density
 
 
 class RevenueModelError(Exception):
@@ -66,29 +65,31 @@ def load_revenue_models(config: str, universe: set[str]) -> list[RevenueStream]:
 
 
 def compare_revenue_stream(
-    g: CollaborationGraph, stream: RevenueStream, universe: set[str]
+    mix: FirmMixing, stream: RevenueStream, universe: set[str]
 ) -> DensityComparison:
     """Edge counts and densities of competing vs non-competing subgraphs.
 
-    When the stream covers every firm the complement is empty: n_beta is 0
-    and den_beta undefined.
+    The non-competing group is the rest of the universe, so developers of
+    firms outside it (Unaffiliated, without a firm filter) belong to
+    neither side. When the stream covers every firm the complement is
+    empty: n_beta is 0 and den_beta undefined.
     """
     if not stream.competing_firms <= universe:
         raise RevenueModelError(
             f"stream {stream.name} names firms outside the universe: "
             f"{sorted(stream.competing_firms - universe)}"
         )
-    alpha = induced_by_firms(g, set(stream.competing_firms))
+    alpha_nodes, alpha_edges = group_counts(mix, stream.competing_firms)
     complement = universe - stream.competing_firms
     if complement:
-        beta = induced_by_firms(g, complement)
-        n_beta, den_beta = beta.edge_count, density(beta)
+        beta_nodes, beta_edges = group_counts(mix, complement)
+        den_beta = pair_density(beta_nodes, beta_edges)
     else:
-        n_beta, den_beta = 0, None
+        beta_edges, den_beta = 0, None
     return DensityComparison(
         stream=stream.name,
-        n_alpha=alpha.edge_count,
-        den_alpha=density(alpha),
-        n_beta=n_beta,
+        n_alpha=alpha_edges,
+        den_alpha=pair_density(alpha_nodes, alpha_edges),
+        n_beta=beta_edges,
         den_beta=den_beta,
     )

@@ -95,15 +95,6 @@ def build_collaboration_graph(
     return CollaborationGraph(window=window, firms=firms, edges=frozenset(edges))
 
 
-def induced_by_firms(g: CollaborationGraph, firms: set[str]) -> CollaborationGraph:
-    """Node-induced subgraph on developers whose firm is in ``firms``."""
-    if not firms:
-        raise GraphError("induced_by_firms requires a non-empty firm set")
-    kept = {node: firm for node, firm in g.firms.items() if firm in firms}
-    edges = frozenset(e for e in g.edges if e[0] in kept and e[1] in kept)
-    return CollaborationGraph(window=g.window, firms=kept, edges=edges)
-
-
 def merge_graphs(graphs: Iterable[CollaborationGraph], window: str = "merged") -> CollaborationGraph:
     """Union of nodes and edges across windows (firms must agree per node)."""
     firms: dict[str, str] = {}

@@ -50,6 +50,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
     domain_rules: dict[str, str] = {}
     email_overrides: dict[str, str] = {}
     alias_groups: list[frozenset[str]] = []
+    aliased: set[str] = set()  # emails of every alias group so far
     bot_emails: set[str] = set()
     section = None
     for line_number, raw_line in enumerate(config.splitlines(), start=1):
@@ -80,13 +81,13 @@ def load_affiliation_map(config: str) -> AffiliationMap:
                 raise AffiliationError(
                     f"line {line_number}: alias group needs at least two emails"
                 )
-            for group in alias_groups:
-                overlap = members & group
-                if overlap:
-                    raise AffiliationError(
-                        f"line {line_number}: {sorted(overlap)[0]} appears in two alias groups"
-                    )
+            overlap = members & aliased
+            if overlap:
+                raise AffiliationError(
+                    f"line {line_number}: {min(overlap)} appears in two alias groups"
+                )
             alias_groups.append(members)
+            aliased |= members
         else:
             bot_emails.add(line.lower())
     return AffiliationMap(
@@ -111,13 +112,6 @@ def resolve_affiliation(email: str, amap: AffiliationMap) -> str:
     if domain in amap.domain_rules:
         return amap.domain_rules[domain]
     return UNAFFILIATED
-
-
-def _group_of(email: str, amap: AffiliationMap) -> frozenset[str]:
-    for group in amap.alias_groups:
-        if email in group:
-            return group
-    return frozenset({email})
 
 
 def _group_firm(group: frozenset[str], amap: AffiliationMap) -> str:
@@ -153,6 +147,7 @@ def canonicalize_identities(
     email of a resolved alias group maps to the same identity, whose
     canonical id is the group's lexicographically smallest email.
     """
+    group_of = {email: group for group in amap.alias_groups for email in group}
     identities: dict[str, DeveloperIdentity] = {}
     excluded: list[str] = []
     for record in records:
@@ -167,7 +162,7 @@ def canonicalize_identities(
             continue
         if email in identities:
             continue
-        group = _group_of(email, amap)
+        group = group_of.get(email) or frozenset({email})
         firm = _group_firm(group, amap)
         identity = DeveloperIdentity(
             canonical_id=min(group),

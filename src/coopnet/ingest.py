@@ -169,26 +169,6 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
     return records, report
 
 
-def validate_commits(records: list[CommitRecord]) -> ValidationReport:
-    """Classify each record's email as ok, fixable, or invalid.
-
-    Pure classification: invalid-email records are retained (marked in
-    ``cleaned``) so identity resolution can still apply explicit overrides.
-    """
-    report = ValidationReport(accepted=len(records))
-    for record in records:
-        if record.author_email == "":
-            report.cleaned.append((record.sha, "missing email"))
-            continue
-        kind = classify_email(record.author_email)
-        if kind == INVALID_EMAIL:
-            report.cleaned.append((record.sha, "invalid email"))
-        elif kind == FIXABLE:
-            fixed = normalize_email(record.author_email)
-            report.cleaned.append((record.sha, f"email normalized to {fixed}"))
-    return report
-
-
 def convert_vcs_log(raw: str) -> tuple[str, int]:
     """Convert raw extraction-recipe output into canonical NDJSON.
 

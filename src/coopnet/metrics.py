@@ -1,5 +1,9 @@
 """Cohesion and homophily measures on collaboration graphs.
 
+Homophily and revenue-stream cohesion are read off one integer
+firm-mixing count per graph (Newman, "Mixing patterns in networks",
+PRE 67, 026126, 2003): nodes per firm and edges per unordered firm pair.
+
 Undefined values (density of a < 2 node graph, homophily of an edgeless
 graph) are None, never 0 -- downstream serialization renders them as the
 explicit "UND" literal.
@@ -7,19 +11,21 @@ explicit "UND" literal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .graph import CollaborationGraph
 
+FirmPair = tuple[str, str]  # firm names, lexicographically ordered
+
 
 @dataclass(frozen=True)
-class GraphMetrics:
-    node_count: int
-    edge_count: int
-    density: float | None
-    degree: dict[str, int]
-    normalized_degree: dict[str, float | None]
+class FirmMixing:
+    """Node count per firm and edge count per unordered firm pair."""
+
+    nodes: dict[str, int]
+    edges: dict[FirmPair, int]
 
 
 @dataclass(frozen=True)
@@ -35,12 +41,16 @@ class EvolutionRow(NamedTuple):
     density: float | None
 
 
+def pair_density(nodes: int, edges: int) -> float | None:
+    """2e / (n (n-1)); None when fewer than 2 nodes."""
+    if nodes < 2:
+        return None
+    return 2.0 * edges / (nodes * (nodes - 1))
+
+
 def density(g: CollaborationGraph) -> float | None:
     """2|E| / (|V| (|V|-1)); None when fewer than 2 nodes."""
-    n = g.node_count
-    if n < 2:
-        return None
-    return 2.0 * g.edge_count / (n * (n - 1))
+    return pair_density(g.node_count, g.edge_count)
 
 
 def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
@@ -53,55 +63,61 @@ def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | Non
     }
 
 
-def graph_metrics(g: CollaborationGraph) -> GraphMetrics:
-    centrality = degree_centrality(g)
-    return GraphMetrics(
-        node_count=g.node_count,
-        edge_count=g.edge_count,
-        density=density(g),
-        degree={node: deg for node, (deg, _) in centrality.items()},
-        normalized_degree={node: norm for node, (_, norm) in centrality.items()},
-    )
+def firm_mixing(g: CollaborationGraph) -> FirmMixing:
+    """Count nodes per firm and edges per firm pair in one pass over the graph."""
+    firms = g.firms
+    edges: dict[FirmPair, int] = {}
+    for u, v in g.edges:
+        fu, fv = firms[u], firms[v]
+        pair = (fu, fv) if fu <= fv else (fv, fu)
+        edges[pair] = edges.get(pair, 0) + 1
+    return FirmMixing(nodes=Counter(firms.values()), edges=edges)
 
 
-def same_firm_edge_fraction(g: CollaborationGraph) -> float | None:
+def group_counts(mix: FirmMixing, group: AbstractSet[str]) -> tuple[int, int]:
+    """(nodes, edges) of the subgraph induced by the developers of ``group``'s firms."""
+    nodes = sum(mix.nodes.get(firm, 0) for firm in group)
+    edges = sum(c for (f, h), c in mix.edges.items() if f in group and h in group)
+    return nodes, edges
+
+
+def same_firm_edge_fraction(mix: FirmMixing) -> float | None:
     """Share of edges whose endpoints belong to the same firm; None if no edges."""
-    if not g.edges:
+    m = sum(mix.edges.values())
+    if m == 0:
         return None
-    same = sum(1 for u, v in g.edges if g.firms[u] == g.firms[v])
-    return same / len(g.edges)
+    return sum(c for (f, h), c in mix.edges.items() if f == h) / m
 
 
-def firm_assortativity(g: CollaborationGraph) -> float | None:
+def firm_assortativity(mix: FirmMixing) -> float | None:
     """Categorical assortativity over the firm attribute.
 
     r = (sum_i e_ii - sum_i a_i^2) / (1 - sum_i a_i^2), where e_ii is the
     fraction of edges within firm i and a_i the fraction of edge ends in
-    firm i. None when there are no edges or only one firm touches edges.
+    firm i. Scaled by 4m^2 this is (4mW - S) / (4m^2 - S) over integers,
+    with W the within-firm edges and S the sum of squared edge-end counts,
+    so the one division is correctly rounded. None when there are no
+    edges or only one firm touches edges.
     """
-    m = len(g.edges)
-    if m == 0:
+    m = within = 0
+    ends: dict[str, int] = {}
+    for (f, h), c in mix.edges.items():
+        m += c
+        if f == h:
+            within += c
+        ends[f] = ends.get(f, 0) + c
+        ends[h] = ends.get(h, 0) + c
+    squares = sum(c * c for c in ends.values())
+    denominator = 4 * m * m - squares
+    if denominator == 0:
         return None
-    within = 0
-    end_counts: dict[str, int] = {}
-    for u, v in g.edges:
-        fu, fv = g.firms[u], g.firms[v]
-        if fu == fv:
-            within += 1
-        end_counts[fu] = end_counts.get(fu, 0) + 1
-        end_counts[fv] = end_counts.get(fv, 0) + 1
-    sum_eii = within / m
-    sum_ab = sum((c / (2 * m)) ** 2 for c in end_counts.values())
-    denominator = 1.0 - sum_ab
-    if denominator == 0.0:
-        return None
-    return (sum_eii - sum_ab) / denominator
+    return (4 * m * within - squares) / denominator
 
 
-def homophily_report(g: CollaborationGraph) -> HomophilyReport:
+def homophily_report(mix: FirmMixing) -> HomophilyReport:
     return HomophilyReport(
-        same_firm_edge_fraction=same_firm_edge_fraction(g),
-        assortativity=firm_assortativity(g),
+        same_firm_edge_fraction=same_firm_edge_fraction(mix),
+        assortativity=firm_assortativity(mix),
     )
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
@@ -22,7 +20,7 @@ from .coopetition import DensityComparison, RevenueStream, compare_revenue_strea
 from .graph import CollaborationGraph, FirmFilter, build_collaboration_graph, merge_graphs
 from .identity import UNAFFILIATED, canonicalize_identities, load_affiliation_map
 from .ingest import CommitRecord, ValidationReport, parse_commit_log
-from .metrics import EvolutionRow, density, evolution_series, homophily_report
+from .metrics import EvolutionRow, FirmMixing, density, evolution_series, firm_mixing, homophily_report
 from .slicing import POST_RELEASE, assign_release, load_releases
 
 ALL_FORMATS = frozenset({"graphml", "dot", "csv", "json"})
@@ -48,7 +46,6 @@ class RunConfig:
     community_min_size: int = 3
     time_field: str = "committer"
     formats: frozenset[str] = ALL_FORMATS
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.formats:
@@ -134,27 +131,6 @@ def export_graphml(g: CollaborationGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graphml(text: str) -> CollaborationGraph:
-    """Internal GraphML reader, used to check export round-trips."""
-    ns = "{http://graphml.graphdrawing.org/xmlns}"
-    root = ElementTree.fromstring(text)
-    graph = root.find(f"{ns}graph")
-    if graph is None:
-        raise ValueError("no <graph> element")
-    firms: dict[str, str] = {}
-    edges = set()
-    for node in graph.findall(f"{ns}node"):
-        firm = ""
-        for data in node.findall(f"{ns}data"):
-            if data.get("key") == "firm":
-                firm = data.text or ""
-        firms[node.get("id")] = firm
-    for edge in graph.findall(f"{ns}edge"):
-        u, v = edge.get("source"), edge.get("target")
-        edges.add((u, v) if u < v else (v, u))
-    return CollaborationGraph(window=graph.get("id"), firms=firms, edges=frozenset(edges))
-
-
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -206,6 +182,7 @@ def _community_payload(release: str, communities: list[SubCommunity]) -> dict:
 @dataclass
 class _WindowResult:
     graph: CollaborationGraph
+    mixing: FirmMixing
     backbone: CollaborationGraph
     communities: list[SubCommunity]
     comparisons: list[DensityComparison]
@@ -218,12 +195,14 @@ def _analyze_graph(
     params: BackboneParams,
     min_size: int,
 ) -> _WindowResult:
+    mixing = firm_mixing(g)
     bb = extract_backbone(g, params)
     return _WindowResult(
         graph=g,
+        mixing=mixing,
         backbone=bb,
         communities=detect_subcommunities(bb, min_size),
-        comparisons=[compare_revenue_stream(g, s, universe) for s in streams],
+        comparisons=[compare_revenue_stream(mixing, s, universe) for s in streams],
     )
 
 
@@ -267,16 +246,11 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             per_window[label].append(record)
             analyzed += 1
 
-    def build_window(name: str) -> _WindowResult:
-        g = build_collaboration_graph(name, per_window[name], identities, firm_filter)
-        return _analyze_graph(g, streams, universe, cfg.backbone, cfg.community_min_size)
-
     names = [w.name for w in windows]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(zip(names, pool.map(build_window, names)))
-    else:
-        results = {name: build_window(name) for name in names}
+    results: dict[str, _WindowResult] = {}
+    for name in names:
+        g = build_collaboration_graph(name, per_window[name], identities, firm_filter)
+        results[name] = _analyze_graph(g, streams, universe, cfg.backbone, cfg.community_min_size)
 
     window_graphs = [results[name].graph for name in names]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
@@ -299,7 +273,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     homophily_rows = []
     comparison_rows = []
     for name in names:
-        hom = homophily_report(results[name].graph)
+        hom = homophily_report(results[name].mixing)
         homophily_rows.append((name, hom.same_firm_edge_fraction, hom.assortativity))
         for cmp in results[name].comparisons:
             comparison_rows.append(

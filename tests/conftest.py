@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -17,6 +18,27 @@ def make_graph(firms: dict[str, str], edges=(), window: str = "w") -> Collaborat
         assert u in firms and v in firms, "edge endpoint missing from node map"
         assert u != v, "self-loop in test input"
     return CollaborationGraph(window=window, firms=dict(firms), edges=normalized)
+
+
+def read_graphml(text: str) -> CollaborationGraph:
+    """Read back a GraphML export, to check round-trips."""
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    root = ElementTree.fromstring(text)
+    graph = root.find(f"{ns}graph")
+    if graph is None:
+        raise ValueError("no <graph> element")
+    firms: dict[str, str] = {}
+    edges = set()
+    for node in graph.findall(f"{ns}node"):
+        firm = ""
+        for data in node.findall(f"{ns}data"):
+            if data.get("key") == "firm":
+                firm = data.text or ""
+        firms[node.get("id")] = firm
+    for edge in graph.findall(f"{ns}edge"):
+        u, v = edge.get("source"), edge.get("target")
+        edges.add((u, v) if u < v else (v, u))
+    return CollaborationGraph(window=graph.get("id"), firms=firms, edges=frozenset(edges))
 
 
 @pytest.fixture

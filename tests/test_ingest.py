@@ -14,7 +14,6 @@ from coopnet.ingest import (
     classify_email,
     convert_vcs_log,
     parse_commit_log,
-    validate_commits,
 )
 
 SHA_A = "a" * 40
@@ -115,25 +114,6 @@ def test_parse_is_deterministic():
 def test_classify_email(email, expected):
     assert classify_email(email) == expected
 
-
-def test_validate_commits_marks_invalid_and_missing():
-    records, _ = parse_commit_log(
-        "\n".join(
-            [
-                make_line(),
-                make_line(sha=SHA_B, author_email="dev_at_hp"),
-                make_line(sha="c" * 40, author_email=""),
-            ]
-        )
-    )
-    report = validate_commits(records)
-    assert report.accepted == 3
-    assert not report.rejected
-    assert (SHA_B, "invalid email") in report.cleaned
-    assert ("c" * 40, "missing email") in report.cleaned
-
-
-# --- converter ------------------------------------------------------------
 
 def raw_record(sha=SHA_A, name="Dev One", email="dev1@hp.example",
                date="2011-03-01T10:00:00+00:00", files=("a.py", "b.py")):

@@ -11,10 +11,12 @@ from coopnet.metrics import (
     density,
     evolution_series,
     firm_assortativity,
-    graph_metrics,
+    firm_mixing,
+    group_counts,
     homophily_report,
     same_firm_edge_fraction,
 )
+from coopnet.report import format_real
 
 
 def complete_graph(n, firm="HP"):
@@ -78,15 +80,15 @@ def test_same_firm_fraction():
         {"a": "HP", "b": "HP", "c": "IBM", "d": "IBM"},
         [("a", "b"), ("c", "d"), ("a", "c"), ("b", "d")],
     )
-    assert same_firm_edge_fraction(g) == pytest.approx(0.5)
+    assert same_firm_edge_fraction(firm_mixing(g)) == pytest.approx(0.5)
 
 
 def test_same_firm_fraction_extremes():
     within = make_graph({"a": "HP", "b": "HP"}, [("a", "b")])
-    assert same_firm_edge_fraction(within) == 1.0
+    assert same_firm_edge_fraction(firm_mixing(within)) == 1.0
     across = make_graph({"a": "HP", "b": "IBM"}, [("a", "b")])
-    assert same_firm_edge_fraction(across) == 0.0
-    assert same_firm_edge_fraction(make_graph({"a": "HP"})) is None
+    assert same_firm_edge_fraction(firm_mixing(across)) == 0.0
+    assert same_firm_edge_fraction(firm_mixing(make_graph({"a": "HP"}))) is None
 
 
 def test_assortativity_perfect_homophily():
@@ -94,7 +96,7 @@ def test_assortativity_perfect_homophily():
         {"a": "HP", "b": "HP", "c": "IBM", "d": "IBM"},
         [("a", "b"), ("c", "d")],
     )
-    assert firm_assortativity(g) == pytest.approx(1.0, abs=1e-12)
+    assert firm_assortativity(firm_mixing(g)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_assortativity_complete_bipartite():
@@ -103,13 +105,13 @@ def test_assortativity_complete_bipartite():
     firms = {**{n: "HP" for n in hp}, **{n: "IBM" for n in ibm}}
     g = make_graph(firms, [(u, v) for u in hp for v in ibm])
     # mixing matrix is e12 = e21 = 0.5, so r = (0 - 0.5) / (1 - 0.5)
-    assert firm_assortativity(g) == pytest.approx(-1.0, abs=1e-12)
+    assert firm_assortativity(firm_mixing(g)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_assortativity_undefined_cases():
-    assert firm_assortativity(make_graph({"a": "HP", "b": "HP"})) is None
+    assert firm_assortativity(firm_mixing(make_graph({"a": "HP", "b": "HP"}))) is None
     single_firm = make_graph({"a": "HP", "b": "HP"}, [("a", "b")])
-    assert firm_assortativity(single_firm) is None
+    assert firm_assortativity(firm_mixing(single_firm)) is None
 
 
 def test_evolution_series_composition():
@@ -118,13 +120,6 @@ def test_evolution_series_composition():
     rows = evolution_series([empty, k3])
     assert rows[0] == ("r1", 0, 0, None)
     assert rows[1][1:] == (3, 3, 1.0)
-
-
-def test_graph_metrics_bundles_consistently():
-    g = complete_graph(4)
-    m = graph_metrics(g)
-    assert m.node_count == 4 and m.edge_count == 6
-    assert sum(m.degree.values()) == 2 * m.edge_count
 
 
 # --- properties and brute-force oracle ------------------------------------
@@ -169,15 +164,44 @@ def test_exhaustive_oracle_equivalence_up_to_five_nodes():
         else:
             assert abs(density(g) - dens) < 1e-12
         assert {v: d for v, (d, _) in degree_centrality(g).items()} == degs
-        report = homophily_report(g)
+        report = homophily_report(firm_mixing(g))
         for got, expected in [
             (report.same_firm_edge_fraction, same),
             (report.assortativity, assort),
         ]:
-            if expected is None:
-                assert got is None
-            else:
-                assert abs(got - expected) < 1e-12
+            # one integer division: the correctly rounded exact value
+            assert got == (None if expected is None else float(expected))
+
+
+# r = -5/128 lies on a six-decimal rounding tie; summing float fractions in
+# hash order missed it by one ulp, so the written value depended on the seed
+TIE_FIRMS = "d0:D d1:D d2:A d3:D d4:C d5:B d6:A d7:A d8:A"
+TIE_EDGES = (
+    "d0-d1 d0-d3 d0-d4 d0-d5 d0-d6 d0-d8 d1-d3 d1-d4 d1-d5 d1-d7 "
+    "d2-d4 d2-d6 d3-d4 d3-d5 d4-d5 d4-d7 d4-d8 d5-d7 d6-d8"
+)
+
+
+def test_assortativity_on_rounding_tie_is_exact():
+    firms = dict(item.split(":") for item in TIE_FIRMS.split())
+    g = make_graph(firms, [edge.split("-") for edge in TIE_EDGES.split()])
+    assortativity = firm_assortativity(firm_mixing(g))
+    assert brute_force_metrics(g.firms, set(g.edges))[3] == Fraction(-5, 128)
+    assert assortativity == -5 / 128
+    assert format_real(assortativity) == "-0.039062"
+
+
+def test_firm_mixing_counts_nodes_per_firm_and_edges_per_firm_pair():
+    g = make_graph(
+        {"a": "HP", "b": "HP", "c": "IBM", "d": "RedHat", "e": "RedHat"},
+        [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")],
+    )
+    mix = firm_mixing(g)
+    assert mix.nodes == {"HP": 2, "IBM": 1, "RedHat": 2}
+    assert mix.edges == {("HP", "HP"): 1, ("HP", "IBM"): 2, ("IBM", "RedHat"): 1}
+    assert group_counts(mix, {"HP", "IBM"}) == (3, 3)
+    assert group_counts(mix, {"RedHat"}) == (2, 0)
+    assert group_counts(mix, {"Citrix"}) == (0, 0)
 
 
 edge_masks = st.integers(min_value=0, max_value=2 ** 15 - 1)
@@ -206,9 +230,4 @@ def test_metrics_invariant_under_relabeling(mask, labels, perm):
         [(renamed[u], renamed[v]) for u, v in g.edges],
     )
     assert density(g) == density(g2)
-    assert same_firm_edge_fraction(g) == same_firm_edge_fraction(g2)
-    r1, r2 = firm_assortativity(g), firm_assortativity(g2)
-    if r1 is None:
-        assert r2 is None
-    else:
-        assert r1 == pytest.approx(r2, abs=1e-12)
+    assert homophily_report(firm_mixing(g)) == homophily_report(firm_mixing(g2))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, make_graph
+from conftest import FIXTURE_DIR, make_graph, read_graphml
 from coopnet.backbone import BackboneParams
 from coopnet.metrics import EvolutionRow
 from coopnet.report import (
@@ -16,7 +16,6 @@ from coopnet.report import (
     export_metrics_csv,
     format_real,
     homophily_csv,
-    read_graphml,
     run_pipeline,
 )
 
