@@ -9,6 +9,7 @@ size.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -48,18 +49,19 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
     preserved.
     """
     embeddedness = edge_embeddedness(g)
-    adj = g.neighbors()
-    top: dict[str, set[str]] = {}
-    for node, nbrs in adj.items():
-        ranked = sorted(
-            nbrs,
-            key=lambda other: (-embeddedness[_edge(node, other)], other),
-        )
-        top[node] = set(ranked[: params.max_rank_k])
+    # each node's strongest ties as ascending (-strength, neighbor), at most k
+    top: dict[str, list[tuple[int, str]]] = {node: [] for node in g.firms}
+    for (u, v), strength in embeddedness.items():
+        for node, other in ((u, v), (v, u)):
+            ties = top[node]
+            insort(ties, (-strength, other))
+            del ties[params.max_rank_k :]
     kept = frozenset(
         (u, v)
         for (u, v), strength in embeddedness.items()
-        if strength >= params.min_embeddedness and v in top[u] and u in top[v]
+        if strength >= params.min_embeddedness
+        and (-strength, v) in top[u]
+        and (-strength, u) in top[v]
     )
     return CollaborationGraph(window=g.window, firms=dict(g.firms), edges=kept)
 
@@ -104,7 +106,3 @@ def firm_overlap(communities: list[SubCommunity]) -> dict[str, int]:
         for firm in community.firms:
             counts[firm] = counts.get(firm, 0) + 1
     return counts
-
-
-def _edge(u: str, v: str) -> Edge:
-    return (u, v) if u < v else (v, u)

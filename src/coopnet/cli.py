@@ -30,6 +30,18 @@ _CONFIG_ERRORS = (
 )
 
 
+def _read_input(path: Path) -> str:
+    """Read a UTF-8 input file, exiting 2 if it is missing or undecodable, 3 on I/O errors."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except OSError as exc:
+        click.echo(f"i/o error: {exc}", err=True)
+        sys.exit(EXIT_IO)
+
+
 @click.group()
 def main():
     """Reconstruct firm-level collaboration networks from commit history."""
@@ -91,14 +103,7 @@ def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def convert(raw_path, out_path):
     """Convert raw extraction-recipe output to the canonical NDJSON log."""
-    try:
-        raw = raw_path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    raw = _read_input(raw_path)
     try:
         ndjson, merges_dropped = convert_vcs_log(raw)
     except CommitLogError as exc:
@@ -117,15 +122,7 @@ def convert(raw_path, out_path):
 @click.option("--log", "log_path", required=True, type=click.Path(path_type=Path))
 def validate(log_path):
     """Parse a commit log and report acceptance, rejections, and fixes."""
-    try:
-        text = log_path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    _, report = parse_commit_log(text)
+    _, report = parse_commit_log(_read_input(log_path))
     click.echo(f"accepted: {report.accepted}")
     click.echo(f"rejected: {len(report.rejected)}")
     for line_number, reason in report.rejected:

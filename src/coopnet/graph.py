@@ -55,12 +55,6 @@ class CollaborationGraph:
         return adj
 
 
-def make_edge(u: str, v: str) -> Edge:
-    if u == v:
-        raise GraphError(f"self-loop on {u}")
-    return (u, v) if u < v else (v, u)
-
-
 def build_collaboration_graph(
     window: str,
     records: Iterable[CommitRecord],

@@ -20,6 +20,12 @@ from datetime import datetime, timezone
 from typing import Iterable
 
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
+# RFC 3339 section 5.6 date-time. fromisoformat checks the date and time
+# ranges but reads a +00:60 offset as +01:00, so offset minutes are checked here.
+RFC3339_RE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.([0-9]+))?"
+    r"([Zz]|[+-][0-9]{2}:[0-5][0-9])"
+)
 RECORD_SENTINEL = "\x01COMMIT\x01"
 
 CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
@@ -52,15 +58,19 @@ class ValidationReport:
 
 
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp and normalize it to UTC.
+    """Parse an RFC 3339 date-time and normalize it to UTC.
 
-    Raises ValueError for naive timestamps or anything fromisoformat
-    rejects.
+    The grammar is checked here, so every supported Python accepts the
+    same strings; the fraction is padded or truncated to microseconds.
+    Raises ValueError for anything else, including naive timestamps.
     """
-    ts = datetime.fromisoformat(text.replace("Z", "+00:00").replace("z", "+00:00"))
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {text!r} has no UTC offset")
-    return ts.astimezone(timezone.utc)
+    match = RFC3339_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"timestamp {text!r} is not an RFC 3339 date-time")
+    date, time, fraction, offset = match.groups()
+    micros = f".{fraction[:6]:0<6}" if fraction else ""
+    offset = "+00:00" if offset in ("Z", "z") else offset
+    return datetime.fromisoformat(f"{date}T{time}{micros}{offset}").astimezone(timezone.utc)
 
 
 def format_rfc3339(ts: datetime) -> str:
@@ -147,13 +157,15 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
     """Parse a canonical NDJSON commit log.
 
     Records come back in input order. Malformed lines are rejected with a
-    reason in the report; blank lines are ignored. Emails are lowercased
-    and trimmed, file lists deduplicated and sorted.
+    reason in the report; blank lines are ignored, and every occurrence of
+    a sha after the first accepted one is rejected as a duplicate. Emails
+    are lowercased and trimmed, file lists deduplicated and sorted.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
     records: list[CommitRecord] = []
     report = ValidationReport()
+    seen: set[str] = set()
     for line_number, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -162,6 +174,10 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
         except ValueError as exc:
             report.rejected.append((line_number, str(exc)))
             continue
+        if record.sha in seen:
+            report.rejected.append((line_number, "duplicate sha"))
+            continue
+        seen.add(record.sha)
         records.append(record)
         report.accepted += 1
         for fix in fixes:

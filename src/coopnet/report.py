@@ -16,11 +16,11 @@ from typing import Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
-from .coopetition import DensityComparison, RevenueStream, compare_revenue_stream, load_revenue_models
+from .coopetition import compare_revenue_stream, load_revenue_models
 from .graph import CollaborationGraph, FirmFilter, build_collaboration_graph, merge_graphs
 from .identity import UNAFFILIATED, canonicalize_identities, load_affiliation_map
-from .ingest import CommitRecord, ValidationReport, parse_commit_log
-from .metrics import EvolutionRow, FirmMixing, density, evolution_series, firm_mixing, homophily_report
+from .ingest import CommitRecord, parse_commit_log
+from .metrics import EvolutionRow, density, evolution_series, firm_mixing, homophily_report
 from .slicing import POST_RELEASE, assign_release, load_releases
 
 ALL_FORMATS = frozenset({"graphml", "dot", "csv", "json"})
@@ -179,33 +179,6 @@ def _community_payload(release: str, communities: list[SubCommunity]) -> dict:
     }
 
 
-@dataclass
-class _WindowResult:
-    graph: CollaborationGraph
-    mixing: FirmMixing
-    backbone: CollaborationGraph
-    communities: list[SubCommunity]
-    comparisons: list[DensityComparison]
-
-
-def _analyze_graph(
-    g: CollaborationGraph,
-    streams: list[RevenueStream],
-    universe: set[str],
-    params: BackboneParams,
-    min_size: int,
-) -> _WindowResult:
-    mixing = firm_mixing(g)
-    bb = extract_backbone(g, params)
-    return _WindowResult(
-        graph=g,
-        mixing=mixing,
-        backbone=bb,
-        communities=detect_subcommunities(bb, min_size),
-        comparisons=[compare_revenue_stream(mixing, s, universe) for s in streams],
-    )
-
-
 def run_pipeline(cfg: RunConfig) -> RunResult:
     """Run the full analysis and write all artifacts under cfg.out_dir.
 
@@ -246,51 +219,80 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             per_window[label].append(record)
             analyzed += 1
 
-    names = [w.name for w in windows]
-    results: dict[str, _WindowResult] = {}
-    for name in names:
-        g = build_collaboration_graph(name, per_window[name], identities, firm_filter)
-        results[name] = _analyze_graph(g, streams, universe, cfg.backbone, cfg.community_min_size)
-
-    window_graphs = [results[name].graph for name in names]
+    window_graphs = [
+        build_collaboration_graph(w.name, per_window[w.name], identities, firm_filter)
+        for w in windows
+    ]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
-    merged_result = _analyze_graph(merged, streams, universe, cfg.backbone, cfg.community_min_size)
 
+    # One pass per graph; the merged graph is the last one, so scope comes
+    # from position, not name (a release may itself be named "merged").
     outputs: dict[str, str] = {}
-
-    if "graphml" in cfg.formats or "dot" in cfg.formats:
-        labeled = [(f"{i:02d}_{_slug(name)}", results[name]) for i, name in enumerate(names, 1)]
-        labeled.append((MERGED_LABEL, merged_result))
-        for stem, result in labeled:
-            if "graphml" in cfg.formats:
-                outputs[f"graphs/{stem}.graphml"] = export_graphml(result.graph)
-                outputs[f"backbones/{stem}.graphml"] = export_graphml(result.backbone)
-            if "dot" in cfg.formats:
-                outputs[f"graphs/{stem}.dot"] = export_dot(result.graph)
-                outputs[f"backbones/{stem}.dot"] = export_dot(result.backbone)
-
-    evolution = evolution_series(window_graphs)
     homophily_rows = []
     comparison_rows = []
-    for name in names:
-        hom = homophily_report(results[name].mixing)
-        homophily_rows.append((name, hom.same_firm_edge_fraction, hom.assortativity))
-        for cmp in results[name].comparisons:
+    community_payloads = []
+    for i, g in enumerate([*window_graphs, merged], 1):
+        is_window = g is not merged
+        if is_window:
+            scope, release, stem = "window", g.window, f"{i:02d}_{_slug(g.window)}"
+        else:
+            scope, release, stem = MERGED_LABEL, "all", MERGED_LABEL
+        mixing = firm_mixing(g)
+        if is_window:
+            hom = homophily_report(mixing)
+            homophily_rows.append((g.window, hom.same_firm_edge_fraction, hom.assortativity))
+        for stream in streams:
+            cmp = compare_revenue_stream(mixing, stream, universe)
             comparison_rows.append(
-                ("window", name, cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta, cmp.den_beta)
+                (scope, release, cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta, cmp.den_beta)
             )
-    for cmp in merged_result.comparisons:
-        comparison_rows.append(
-            (MERGED_LABEL, "all", cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta, cmp.den_beta)
-        )
+        bb = extract_backbone(g, cfg.backbone)
+        communities = detect_subcommunities(bb, cfg.community_min_size)
+        community_payloads.append(_community_payload(g.window, communities))
+        for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
+            if fmt in cfg.formats:
+                outputs[f"graphs/{stem}.{fmt}"] = export(g)
+                outputs[f"backbones/{stem}.{fmt}"] = export(bb)
 
     if "csv" in cfg.formats:
-        outputs["evolution.csv"] = evolution_csv(evolution)
+        outputs["evolution.csv"] = evolution_csv(evolution_series(window_graphs))
         outputs["homophily.csv"] = homophily_csv(homophily_rows)
         outputs["comparisons.csv"] = comparisons_csv(comparison_rows)
 
-    summary = _build_summary(cfg, report, identities, excluded_shas, names, per_window,
-                             results, merged, post_release, analyzed, universe)
+    summary = {
+        "commits": {
+            "accepted": report.accepted,
+            "rejected": len(report.rejected),
+            "excluded": len(excluded_shas),
+            "post_release": post_release,
+            "analyzed": analyzed,
+        },
+        "excluded_shas": sorted(set(excluded_shas)),
+        "identities": len({i.canonical_id for i in identities.values()}),
+        "firms": sorted(universe),
+        "windows": [
+            {
+                "release": g.window,
+                "commits": len(per_window[g.window]),
+                "nodes": g.node_count,
+                "edges": g.edge_count,
+                "density": density(g),
+            }
+            for g in window_graphs
+        ],
+        "merged": {
+            "nodes": merged.node_count,
+            "edges": merged.edge_count,
+            "density": density(merged),
+        },
+        "backbone": {
+            "max_rank_k": cfg.backbone.max_rank_k,
+            "min_embeddedness": cfg.backbone.min_embeddedness,
+            "community_min_size": cfg.community_min_size,
+        },
+        "time_field": cfg.time_field,
+        "formats": sorted(cfg.formats),
+    }
 
     if "json" in cfg.formats:
         outputs["communities.json"] = _json_text(
@@ -300,8 +302,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                     "max_rank_k": cfg.backbone.max_rank_k,
                     "min_embeddedness": cfg.backbone.min_embeddedness,
                 },
-                "windows": [_community_payload(name, results[name].communities) for name in names]
-                + [_community_payload(MERGED_LABEL, merged_result.communities)],
+                "windows": community_payloads,
             }
         )
         outputs["validation_report.json"] = _json_text(
@@ -327,51 +328,3 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         raise
     return RunResult(files_written=written, summary=summary)
 
-
-def _build_summary(
-    cfg: RunConfig,
-    report: ValidationReport,
-    identities,
-    excluded_shas: list[str],
-    names: list[str],
-    per_window,
-    results,
-    merged: CollaborationGraph,
-    post_release: int,
-    analyzed: int,
-    universe: set[str],
-) -> dict:
-    return {
-        "commits": {
-            "accepted": report.accepted,
-            "rejected": len(report.rejected),
-            "excluded": len(excluded_shas),
-            "post_release": post_release,
-            "analyzed": analyzed,
-        },
-        "excluded_shas": sorted(set(excluded_shas)),
-        "identities": len({i.canonical_id for i in identities.values()}),
-        "firms": sorted(universe),
-        "windows": [
-            {
-                "release": name,
-                "commits": len(per_window[name]),
-                "nodes": results[name].graph.node_count,
-                "edges": results[name].graph.edge_count,
-                "density": density(results[name].graph),
-            }
-            for name in names
-        ],
-        "merged": {
-            "nodes": merged.node_count,
-            "edges": merged.edge_count,
-            "density": density(merged),
-        },
-        "backbone": {
-            "max_rank_k": cfg.backbone.max_rank_k,
-            "min_embeddedness": cfg.backbone.min_embeddedness,
-            "community_min_size": cfg.community_min_size,
-        },
-        "time_field": cfg.time_field,
-        "formats": sorted(cfg.formats),
-    }

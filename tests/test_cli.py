@@ -146,3 +146,20 @@ def test_validate_reports_problems(tmp_path):
 def test_validate_missing_file_is_config_error(tmp_path):
     result = CliRunner().invoke(main, ["validate", "--log", str(tmp_path / "nope")])
     assert result.exit_code == 2
+
+
+def test_validate_non_utf8_log_is_exit_2(tmp_path):
+    log = tmp_path / "log.ndjson"
+    log.write_bytes(b'{"sha": "\xff"}\n')
+    result = CliRunner().invoke(main, ["validate", "--log", str(log)])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
+def test_convert_non_utf8_raw_is_exit_2(tmp_path):
+    raw = tmp_path / "raw.log"
+    raw.write_bytes(RECORD_SENTINEL.encode() + b"\n\xff\n")
+    out = tmp_path / "log.ndjson"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()

@@ -14,6 +14,7 @@ from coopnet.ingest import (
     classify_email,
     convert_vcs_log,
     parse_commit_log,
+    parse_rfc3339,
 )
 
 SHA_A = "a" * 40
@@ -79,6 +80,57 @@ def test_parse_rejects_bad_timestamp():
     # naive timestamps are not RFC 3339 either
     _, report = parse_commit_log(make_line(timestamp="2011-03-01T10:00:00"))
     assert report.rejected == [(1, "timestamp is not RFC 3339")]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2011-03-01T10:00:00Z", datetime(2011, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2011-03-01t10:00:00z", datetime(2011, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2011-03-01T05:30:00-04:30", datetime(2011, 3, 1, 10, tzinfo=timezone.utc)),
+        ("2011-03-01T10:00:00.5Z", datetime(2011, 3, 1, 10, 0, 0, 500000, timezone.utc)),
+        ("2011-03-01T10:00:00.123Z", datetime(2011, 3, 1, 10, 0, 0, 123000, timezone.utc)),
+        ("2011-03-01T10:00:00.123456789+00:00",
+         datetime(2011, 3, 1, 10, 0, 0, 123456, timezone.utc)),
+    ],
+)
+def test_rfc3339_accepts_date_time(text, expected):
+    assert parse_rfc3339(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "20110301T100000+00:00",
+        "20110301T100000+0000",
+        "2011-W09-2T10:00+00:00",
+        "2011-060T10:00:00Z",
+        "2011-03-01T10:00Z",
+        "2011-03-01 10:00:00Z",
+        "2011-03-01T10:00:00+0000",
+        "2011-03-01T10:00:00+00",
+        "2011-03-01T10:00:00+00:60",
+        "2011-03-01T10:00:00.Z",
+        "2011-03-01T24:00:00Z",
+        "2011-02-29T10:00:00Z",
+        "\u0662011-03-01T10:00:00Z",
+        " 2011-03-01T10:00:00Z",
+    ],
+)
+def test_rfc3339_rejects_other_forms(text):
+    with pytest.raises(ValueError):
+        parse_rfc3339(text)
+
+
+def test_parse_rejects_later_duplicate_sha():
+    text = "\n".join(
+        [make_line(timestamp="bad"), make_line(), make_line(sha=SHA_B), make_line(files=["b.py"])]
+    )
+    records, report = parse_commit_log(text)
+    assert [r.sha for r in records] == [SHA_A, SHA_B]
+    assert records[0].files == ("a.py",)
+    assert report.accepted == 2
+    assert report.rejected == [(1, "timestamp is not RFC 3339"), (4, "duplicate sha")]
 
 
 def test_parse_converts_offsets_to_utc():
@@ -190,7 +242,13 @@ def test_convert_parse_roundtrip_property(commits):
     ndjson, merges = convert_vcs_log(raw)
     assert merges == 0
     records, report = parse_commit_log(ndjson)
-    assert report.accepted == len(commits)
-    for (sha, files), record in zip(commits, records):
+    # a repeated sha is rejected; its first occurrence is the one kept
+    first: dict[str, list[str]] = {}
+    for sha, files in commits:
+        first.setdefault(sha, files)
+    assert report.accepted == len(first)
+    assert len(report.rejected) == len(commits) - len(first)
+    assert [sha for sha, _ in first.items()] == [record.sha for record in records]
+    for (sha, files), record in zip(first.items(), records):
         assert record.sha == sha
         assert set(record.files) == set(files)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, make_graph, read_graphml
+from coopnet.graph import CollaborationGraph
 from coopnet.backbone import BackboneParams
 from coopnet.metrics import EvolutionRow
 from coopnet.report import (
@@ -185,3 +186,29 @@ def test_pipeline_rolls_back_partial_outputs(tmp_path, monkeypatch):
         run_pipeline(cfg)
     monkeypatch.undo()
     assert [p for p in target.rglob("*") if p.is_file()] == []
+
+
+def test_pipeline_builds_each_adjacency_once(tmp_path, monkeypatch):
+    original = CollaborationGraph.neighbors
+    calls = []
+
+    def counting(self):
+        calls.append(self.window)
+        return original(self)
+
+    monkeypatch.setattr(CollaborationGraph, "neighbors", counting)
+    run_pipeline(run_config(tmp_path))
+    # one build on each graph and one on its backbone: 3 windows plus merged
+    assert len(calls) == 8
+
+
+def test_release_named_merged_keeps_window_scope(tmp_path):
+    releases = tmp_path / "releases.csv"
+    releases.write_text((FIXTURE_DIR / "releases.csv").read_text().replace("quartz", "merged"))
+    run_pipeline(run_config(tmp_path, releases=releases))
+    out = tmp_path / "out"
+    rows = [line.split(",") for line in (out / "comparisons.csv").read_text().splitlines()[1:]]
+    assert {row[0] for row in rows if row[1] == "merged"} == {"window"}
+    assert {row[1] for row in rows if row[0] == "merged"} == {"all"}
+    assert (out / "graphs" / "03_merged.graphml").exists()
+    assert (out / "graphs" / "merged.graphml").exists()
