@@ -20,29 +20,33 @@ from .slicing import ReleaseConfigError
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# a missing or undecodable input file is a configuration problem, not an I/O failure
 _CONFIG_ERRORS = (
     CommitLogError,
     AffiliationError,
     ReleaseConfigError,
     RevenueModelError,
     ConfigError,
+    FileNotFoundError,
     UnicodeDecodeError,
 )
 
 
-def _read_input(path: Path) -> str:
-    """Read a UTF-8 input file, exiting 2 if it is missing or undecodable, 3 on I/O errors."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+class _ExitCodeGroup(click.Group):
+    """Maps input errors to exit 2 and other I/O errors to exit 3, for every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _CONFIG_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except OSError as exc:
+            click.echo(f"i/o error: {exc}", err=True)
+            sys.exit(EXIT_IO)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Reconstruct firm-level collaboration networks from commit history."""
 
@@ -56,7 +60,7 @@ def main():
 @click.option("--backbone-k", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--backbone-min-embeddedness", type=click.IntRange(min=0), default=1,
               show_default=True)
-@click.option("--community-min-size", type=int, default=3, show_default=True)
+@click.option("--community-min-size", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--time-field", type=click.Choice(["committer", "author"]), default="committer",
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
@@ -66,30 +70,21 @@ def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path
             backbone_k, backbone_min_embeddedness, community_min_size, time_field,
             out_dir, formats):
     """Run the full pipeline and write analysis artifacts."""
-    try:
-        cfg = RunConfig(
-            commit_log=log_path,
-            releases=releases_path,
-            affiliations=affiliations_path,
-            firms=firms_path,
-            revenue_models=revenue_path,
-            backbone=BackboneParams(
-                max_rank_k=backbone_k,
-                min_embeddedness=backbone_min_embeddedness,
-            ),
-            community_min_size=community_min_size,
-            time_field=time_field,
-            formats=frozenset(f.strip() for f in formats.split(",") if f.strip()),
-            out_dir=out_dir,
-        )
-        result = run_pipeline(cfg)
-    except (*_CONFIG_ERRORS, FileNotFoundError) as exc:
-        # a missing input file is a configuration problem, not an I/O failure
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    result = run_pipeline(RunConfig(
+        commit_log=log_path,
+        releases=releases_path,
+        affiliations=affiliations_path,
+        firms=firms_path,
+        revenue_models=revenue_path,
+        backbone=BackboneParams(
+            max_rank_k=backbone_k,
+            min_embeddedness=backbone_min_embeddedness,
+        ),
+        community_min_size=community_min_size,
+        time_field=time_field,
+        formats=frozenset(f.strip() for f in formats.split(",") if f.strip()),
+        out_dir=out_dir,
+    ))
     commits = result.summary["commits"]
     click.echo(
         f"analyzed {commits['analyzed']} commits across "
@@ -103,26 +98,19 @@ def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def convert(raw_path, out_path):
     """Convert raw extraction-recipe output to the canonical NDJSON log."""
-    raw = _read_input(raw_path)
-    try:
+    with open(raw_path, encoding="utf-8", newline="") as raw:
         ndjson, merges_dropped = convert_vcs_log(raw)
-    except CommitLogError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        out_path.write_text(ndjson, encoding="utf-8")
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    click.echo(f"wrote {sum(1 for _ in ndjson.splitlines())} records "
-               f"({merges_dropped} merge commits dropped)")
+    out_path.write_text(ndjson, encoding="utf-8")
+    records = ndjson.count("\n")  # json.dumps escapes every newline inside a record
+    click.echo(f"wrote {records} records ({merges_dropped} merge commits dropped)")
 
 
 @main.command()
 @click.option("--log", "log_path", required=True, type=click.Path(path_type=Path))
 def validate(log_path):
     """Parse a commit log and report acceptance, rejections, and fixes."""
-    _, report = parse_commit_log(_read_input(log_path))
+    with open(log_path, encoding="utf-8") as log:
+        _, report = parse_commit_log(log)
     click.echo(f"accepted: {report.accepted}")
     click.echo(f"rejected: {len(report.rejected)}")
     for line_number, reason in report.rejected:

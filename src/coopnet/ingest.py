@@ -7,12 +7,15 @@ Two input formats are supported:
 * the raw text produced by the documented ``git log`` extraction recipe
   (sentinel-separated records), bridged to NDJSON by :func:`convert_vcs_log`.
 
+Both read a string or an open file. Lines end only at \n, \r\n and \r, the
+rule open() applies, so a U+2028 or U+0085 inside a JSON string is data.
 Per-line problems never abort a parse; they are collected in a
 :class:`ValidationReport` so nothing is silently dropped.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -162,7 +165,7 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
     are lowercased and trimmed, file lists deduplicated and sorted.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream, newline=None)
     records: list[CommitRecord] = []
     report = ValidationReport()
     seen: set[str] = set()
@@ -185,7 +188,7 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
     return records, report
 
 
-def convert_vcs_log(raw: str) -> tuple[str, int]:
+def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:
     """Convert raw extraction-recipe output into canonical NDJSON.
 
     The recipe emits, per commit: the sentinel line, then sha, author name,
@@ -194,26 +197,23 @@ def convert_vcs_log(raw: str) -> tuple[str, int]:
     the drop count is returned alongside the NDJSON text.
 
     Raises CommitLogError, naming the byte offset of the offending record,
-    when the sentinel is missing or a record is truncated.
+    when the sentinel is missing or a record is truncated. The offsets
+    count line endings as read, so open a file with newline="".
     """
-    offset = 0
-    line_starts: list[tuple[int, str]] = []
-    for line in raw.splitlines(keepends=True):
-        line_starts.append((offset, line.rstrip("\r\n")))
-        offset += len(line.encode("utf-8"))
-
+    if isinstance(raw, str):
+        raw = io.StringIO(raw, newline="")
     # Group lines into records delimited by the sentinel.
     records: list[tuple[int, list[str]]] = []
-    current: list[str] | None = None
-    for at, line in line_starts:
-        if line == RECORD_SENTINEL:
-            current = []
-            records.append((at, current))
-        elif current is None:
-            if line.strip():
-                raise CommitLogError(f"missing sentinel before content at byte {at}")
-        else:
-            current.append(line)
+    at = 0
+    for line in raw:
+        text = line.rstrip("\r\n")
+        if text == RECORD_SENTINEL:
+            records.append((at, []))
+        elif records:
+            records[-1][1].append(text)
+        elif text.strip():
+            raise CommitLogError(f"missing sentinel before content at byte {at}")
+        at += len(line.encode("utf-8"))
 
     out_lines = []
     merges_dropped = 0

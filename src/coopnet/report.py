@@ -158,11 +158,8 @@ def _slug(name: str) -> str:
 
 
 def _load_firm_filter(text: str) -> FirmFilter:
-    firms = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            firms.add(line)
+    # read_text has turned \r\n and \r into \n, so lines end as open() ends them
+    firms = {line.split("#", 1)[0].strip() for line in text.split("\n")} - {""}
     if not firms:
         raise ConfigError("firm filter file lists no firms")
     return FirmFilter(firms=frozenset(firms))
@@ -185,15 +182,15 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     Raises the originating module's error on bad inputs (the CLI maps
     these to exit codes); partial outputs are removed on write failure.
     """
-    log_text = Path(cfg.commit_log).read_text(encoding="utf-8")
-    releases_text = Path(cfg.releases).read_text(encoding="utf-8")
-    affiliations_text = Path(cfg.affiliations).read_text(encoding="utf-8")
-    firms_text = Path(cfg.firms).read_text(encoding="utf-8") if cfg.firms else None
-    revenue_text = (
-        Path(cfg.revenue_models).read_text(encoding="utf-8") if cfg.revenue_models else None
-    )
-
-    records, report = parse_commit_log(log_text)
+    # open the log first, so a missing log is reported before the other inputs
+    with open(cfg.commit_log, encoding="utf-8") as log:
+        releases_text = Path(cfg.releases).read_text(encoding="utf-8")
+        affiliations_text = Path(cfg.affiliations).read_text(encoding="utf-8")
+        firms_text = Path(cfg.firms).read_text(encoding="utf-8") if cfg.firms else None
+        revenue_text = (
+            Path(cfg.revenue_models).read_text(encoding="utf-8") if cfg.revenue_models else None
+        )
+        records, report = parse_commit_log(log)
     windows = load_releases(releases_text)
     amap = load_affiliation_map(affiliations_text)
     identities, excluded_shas = canonicalize_identities(records, amap)

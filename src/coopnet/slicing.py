@@ -31,8 +31,8 @@ class ReleaseWindow:
 def load_releases(config: str) -> list[ReleaseWindow]:
     """Parse releases CSV (header name,date) into ordered windows.
 
-    Calendar dates are expanded to 23:59:59Z of that day, so commits
-    landing on a release date belong to that release.
+    Calendar dates are expanded to 23:59:59Z of that day and assign_release
+    compares whole seconds, so a release owns its whole UTC day.
     """
     reader = csv.reader(io.StringIO(config))
     try:
@@ -77,7 +77,7 @@ def load_releases(config: str) -> list[ReleaseWindow]:
 def assign_release(t: datetime, windows: list[ReleaseWindow]) -> str:
     """Name of the window containing t, or the post-release marker."""
     ends = [w.end for w in windows]
-    i = bisect_left(ends, t)
+    i = bisect_left(ends, t.replace(microsecond=0))  # ends fall on whole seconds
     if i == len(windows):
         return POST_RELEASE
     return windows[i].name

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from conftest import FIXTURE_DIR
@@ -38,6 +39,15 @@ def test_analyze_missing_releases_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_missing_log_is_reported_before_other_inputs(tmp_path):
+    args = analyze_args(tmp_path)
+    args[args.index("--log") + 1] = str(tmp_path / "nolog.ndjson")
+    args[args.index("--releases") + 1] = str(tmp_path / "nope.csv")
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "nolog.ndjson" in result.output
+
+
 def test_analyze_bad_config_is_exit_2(tmp_path):
     bad = tmp_path / "bad_releases.csv"
     bad.write_text("name,date\nb,2020-01-01\na,2019-01-01\n")
@@ -59,6 +69,13 @@ def test_analyze_non_utf8_input_is_exit_2(tmp_path):
 
 def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
+    assert result.exit_code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_analyze_community_min_size_below_1_is_exit_2(tmp_path, size):
+    result = CliRunner().invoke(main, analyze_args(tmp_path, community_min_size=size))
     assert result.exit_code == 2
     assert not (tmp_path / "out").exists()
 
@@ -163,3 +180,51 @@ def test_convert_non_utf8_raw_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert not out.exists()
+
+
+def raw_log(name="Dev One", newline="\n"):
+    lines = [RECORD_SENTINEL, "e" * 40, name, "dev1@hp.example", "2011-03-01T10:00:00+00:00", "a.py"]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("name", ["Ann\u2028Lee", "Ann\x85Lee"])
+def test_convert_then_validate_keeps_unicode_line_breaks(tmp_path, name):
+    raw = tmp_path / "raw.log"
+    raw.write_bytes(raw_log(name).encode())
+    out = tmp_path / "log.ndjson"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "wrote 1 records" in result.output
+    assert json.loads(out.read_bytes())["author_name"] == name
+
+    result = CliRunner().invoke(main, ["validate", "--log", str(out)])
+    assert result.exit_code == 0
+    assert "accepted: 1" in result.output
+    assert "rejected: 0" in result.output
+
+
+def test_convert_error_offset_counts_crlf_bytes(tmp_path):
+    good = raw_log(newline="\r\n")
+    raw = tmp_path / "raw.log"
+    raw.write_bytes((good + RECORD_SENTINEL + "\r\n" + "f" * 40 + "\r\n").encode())
+    out = tmp_path / "log.ndjson"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"unterminated record at byte {len(good.encode())}" in result.output
+
+
+def test_convert_out_in_missing_directory_is_exit_2(tmp_path):
+    raw = tmp_path / "raw.log"
+    raw.write_text(raw_log())
+    out = tmp_path / "missing" / "log.ndjson"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
+def test_convert_out_is_directory_is_exit_3(tmp_path):
+    raw = tmp_path / "raw.log"
+    raw.write_text(raw_log())
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert "i/o error:" in result.output

@@ -133,6 +133,28 @@ def test_parse_rejects_later_duplicate_sha():
     assert report.rejected == [(1, "timestamp is not RFC 3339"), (4, "duplicate sha")]
 
 
+# U+2028 and U+0085 may stand unescaped in a JSON string, and str.splitlines
+# would end a line at each of them.
+LINE_BREAKING_NAMES = ["Ann\u2028Lee", "Ann\x85Lee"]
+
+
+@pytest.mark.parametrize("name", LINE_BREAKING_NAMES)
+def test_parse_keeps_unicode_line_breaks_inside_strings(name):
+    line = json.dumps(json.loads(make_line(author_name=name)), ensure_ascii=False)
+    assert name in line
+    records, report = parse_commit_log(line + "\n")
+    assert (report.accepted, report.rejected) == (1, [])
+    assert records[0].author_name == name
+
+
+def test_parse_ends_lines_at_lf_crlf_and_cr_only():
+    text = make_line() + "\r\n" + make_line(sha=SHA_B) + "\r" + make_line(sha="c" * 40) + "\f\n"
+    records, report = parse_commit_log(text)
+    assert [r.sha for r in records] == [SHA_A, SHA_B]
+    # a form feed ends no line, so it is part of line 3, which is not JSON
+    assert [(line, reason[:12]) for line, reason in report.rejected] == [(3, "invalid JSON")]
+
+
 def test_parse_converts_offsets_to_utc():
     records, _ = parse_commit_log(make_line(timestamp="2011-03-01T12:00:00+02:00"))
     assert records[0].timestamp == datetime(2011, 3, 1, 10, 0, 0, tzinfo=timezone.utc)
@@ -213,6 +235,15 @@ def test_convert_then_parse_is_lossless():
     assert records[0].files == ("a.py", "b.py")
     assert records[1].files == ("x/y.c",)
     assert all(r.timestamp.tzinfo is not None for r in records)
+
+
+@pytest.mark.parametrize("name", LINE_BREAKING_NAMES)
+def test_convert_then_parse_keeps_unicode_line_breaks(name):
+    ndjson, _ = convert_vcs_log(raw_record(name=name))
+    assert name in ndjson
+    records, report = parse_commit_log(ndjson)
+    assert report.accepted == 1
+    assert records[0].author_name == name
 
 
 @given(

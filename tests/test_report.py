@@ -110,6 +110,13 @@ def test_pipeline_missing_input_raises_oserror(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_firm_filter_lines_end_only_at_newlines(tmp_path):
+    firms = tmp_path / "firms.txt"
+    firms.write_bytes("Anvil\r\nBolt\r# comment\nCobalt\nAnn\u2028Co\n".encode())
+    result = run_pipeline(run_config(tmp_path, firms=firms))
+    assert result.summary["firms"] == sorted(["Anvil", "Bolt", "Cobalt", "Ann\u2028Co"])
+
+
 def test_pipeline_empty_log_succeeds(tmp_path):
     empty = tmp_path / "empty.ndjson"
     empty.write_text("")

@@ -59,6 +59,9 @@ def test_assignment_of_mid_window_instant():
 def test_release_date_itself_is_inclusive():
     windows = load_releases(CONFIG)
     assert assign_release(utc(2011, 2, 3, 23, 59, 59), windows) == "second"
+    # the release owns its whole day, fractions of the last second included
+    assert assign_release(utc(2011, 2, 3, 23, 59, 59, 500000), windows) == "second"
+    assert assign_release(utc(2011, 2, 3, 23, 59, 59, 999999), windows) == "second"
     # one second later falls into the next window
     assert assign_release(utc(2011, 2, 4, 0, 0, 0), windows) == "third"
 
