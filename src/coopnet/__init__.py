@@ -25,6 +25,7 @@ from .identity import (
     UNAFFILIATED,
     AffiliationMap,
     DeveloperIdentity,
+    IdentityResolver,
     canonicalize_identities,
     load_affiliation_map,
     resolve_affiliation,
@@ -33,13 +34,13 @@ from .ingest import (
     CommitRecord,
     ValidationReport,
     convert_vcs_log,
+    iter_commits,
     parse_commit_log,
 )
 from .metrics import (
     EvolutionRow,
     FirmMixing,
     HomophilyReport,
-    degree_centrality,
     density,
     evolution_series,
     firm_assortativity,

@@ -13,7 +13,7 @@ import click
 from .backbone import BackboneParams
 from .coopetition import RevenueModelError
 from .identity import AffiliationError
-from .ingest import CommitLogError, convert_vcs_log, parse_commit_log
+from .ingest import CommitLogError, ValidationReport, convert_vcs_log, iter_commits
 from .report import ConfigError, RunConfig, run_pipeline
 from .slicing import ReleaseConfigError
 
@@ -109,8 +109,10 @@ def convert(raw_path, out_path):
 @click.option("--log", "log_path", required=True, type=click.Path(path_type=Path))
 def validate(log_path):
     """Parse a commit log and report acceptance, rejections, and fixes."""
+    report = ValidationReport()
     with open(log_path, encoding="utf-8") as log:
-        _, report = parse_commit_log(log)
+        for _ in iter_commits(log, report):
+            pass
     click.echo(f"accepted: {report.accepted}")
     click.echo(f"rejected: {len(report.rejected)}")
     for line_number, reason in report.rejected:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .identity import DeveloperIdentity
-from .ingest import CommitRecord
 
 Edge = tuple[str, str]  # canonical ids, lexicographically ordered
 
@@ -57,28 +56,24 @@ class CollaborationGraph:
 
 def build_collaboration_graph(
     window: str,
-    records: Iterable[CommitRecord],
-    identities: dict[str, DeveloperIdentity],
+    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
     firm_filter: FirmFilter | None = None,
 ) -> CollaborationGraph:
     """Build the collaboration graph for one release window.
 
-    Records whose author is not in ``identities`` (bots, unresolvable
-    emails) are skipped. With a firm filter, developers outside the
-    filtered firms are dropped entirely, nodes and edges both. Isolated
-    contributors remain nodes.
+    ``pairs`` holds one (author identity, files) pair per commit of the
+    window. With a firm filter, developers outside the filtered firms are
+    dropped entirely, nodes and edges both. Isolated contributors remain
+    nodes.
     """
     firms: dict[str, str] = {}
     touched: dict[str, set[str]] = {}  # file -> node ids
-    for record in records:
-        identity = identities.get(record.author_email)
-        if identity is None:
-            continue
+    for identity, files in pairs:
         if firm_filter is not None and identity.firm not in firm_filter.firms:
             continue
         node = identity.canonical_id
         firms[node] = identity.firm
-        for path in record.files:
+        for path in files:
             touched.setdefault(path, set()).add(node)
     edges: set[Edge] = set()
     for devs in touched.values():

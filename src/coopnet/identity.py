@@ -53,7 +53,8 @@ def load_affiliation_map(config: str) -> AffiliationMap:
     aliased: set[str] = set()  # emails of every alias group so far
     bot_emails: set[str] = set()
     section = None
-    for line_number, raw_line in enumerate(config.splitlines(), start=1):
+    # read_text has turned \r\n and \r into \n, so lines end as open() ends them
+    for line_number, raw_line in enumerate(config.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -137,38 +138,42 @@ def _group_firm(group: frozenset[str], amap: AffiliationMap) -> str:
     return UNAFFILIATED
 
 
+class IdentityResolver:
+    """Resolves author emails to identities from the affiliation map alone.
+
+    Bot commits are excluded. A missing or invalid email is excluded unless
+    an explicit override exists for that address. Every email of a resolved
+    alias group maps to the same identity, whose canonical id is the group's
+    lexicographically smallest email; a group whose members resolve to two
+    firms raises AffiliationError. ``identities`` maps every email so far.
+    """
+
+    def __init__(self, amap: AffiliationMap):
+        self._amap = amap
+        self._group_of = {email: group for group in amap.alias_groups for email in group}
+        self.identities: dict[str, DeveloperIdentity] = {}
+
+    def resolve(self, email: str) -> DeveloperIdentity | None:
+        """The email's identity, or None when its commits are excluded."""
+        amap = self._amap
+        if email in amap.bot_emails:
+            return None
+        # an empty email is invalid too
+        if classify_email(email) == INVALID_EMAIL and email not in amap.email_overrides:
+            return None
+        identity = self.identities.get(email)
+        if identity is None:
+            group = self._group_of.get(email) or frozenset({email})
+            identity = DeveloperIdentity(min(group), group, _group_firm(group, amap))
+            for member in group:
+                self.identities[member] = identity
+        return identity
+
+
 def canonicalize_identities(
     records: Iterable[CommitRecord], amap: AffiliationMap
 ) -> tuple[dict[str, DeveloperIdentity], list[str]]:
-    """Fold aliases and attach firms; returns (email -> identity, excluded shas).
-
-    Bot commits are excluded. Records with a missing or invalid email are
-    excluded unless an explicit override exists for that address. Every
-    email of a resolved alias group maps to the same identity, whose
-    canonical id is the group's lexicographically smallest email.
-    """
-    group_of = {email: group for group in amap.alias_groups for email in group}
-    identities: dict[str, DeveloperIdentity] = {}
-    excluded: list[str] = []
-    for record in records:
-        email = record.author_email
-        if email in amap.bot_emails:
-            excluded.append(record.sha)
-            continue
-        if (email == "" or classify_email(email) == INVALID_EMAIL) and (
-            email not in amap.email_overrides
-        ):
-            excluded.append(record.sha)
-            continue
-        if email in identities:
-            continue
-        group = group_of.get(email) or frozenset({email})
-        firm = _group_firm(group, amap)
-        identity = DeveloperIdentity(
-            canonical_id=min(group),
-            emails=group,
-            firm=firm,
-        )
-        for member in group:
-            identities[member] = identity
-    return identities, excluded
+    """Fold aliases and attach firms; returns (email -> identity, excluded shas)."""
+    resolver = IdentityResolver(amap)
+    excluded = [r.sha for r in records if resolver.resolve(r.author_email) is None]
+    return resolver.identities, excluded

@@ -2,8 +2,8 @@
 
 Two input formats are supported:
 
-* the canonical NDJSON commit log (one JSON object per line), consumed by
-  :func:`parse_commit_log`;
+* the canonical NDJSON commit log (one JSON object per line), read record
+  by record by :func:`iter_commits`;
 * the raw text produced by the documented ``git log`` extraction recipe
   (sentinel-separated records), bridged to NDJSON by :func:`convert_vcs_log`.
 
@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Iterable, Iterator
 
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 # RFC 3339 section 5.6 date-time. fromisoformat checks the date and time
@@ -156,18 +156,17 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
     return record, fixes
 
 
-def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], ValidationReport]:
-    """Parse a canonical NDJSON commit log.
+def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Iterator[CommitRecord]:
+    """Yield the accepted records of a canonical NDJSON commit log, in input order.
 
-    Records come back in input order. Malformed lines are rejected with a
-    reason in the report; blank lines are ignored, and every occurrence of
-    a sha after the first accepted one is rejected as a duplicate. Emails
-    are lowercased and trimmed, file lists deduplicated and sorted.
+    Malformed lines are rejected with a reason in ``report``; blank lines
+    are ignored, and every occurrence of a sha after the first accepted one
+    is rejected as a duplicate. Emails are lowercased and trimmed, file
+    lists deduplicated and sorted. The report is complete once the
+    generator is exhausted.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
-    records: list[CommitRecord] = []
-    report = ValidationReport()
     seen: set[str] = set()
     for line_number, line in enumerate(stream, start=1):
         if not line.strip():
@@ -181,11 +180,16 @@ def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], V
             report.rejected.append((line_number, "duplicate sha"))
             continue
         seen.add(record.sha)
-        records.append(record)
         report.accepted += 1
         for fix in fixes:
             report.cleaned.append((record.sha, fix))
-    return records, report
+        yield record
+
+
+def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], ValidationReport]:
+    """All accepted records of :func:`iter_commits`, with the finished report."""
+    report = ValidationReport()
+    return list(iter_commits(stream, report)), report
 
 
 def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:

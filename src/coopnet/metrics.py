@@ -53,16 +53,6 @@ def density(g: CollaborationGraph) -> float | None:
     return pair_density(g.node_count, g.edge_count)
 
 
-def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
-    """Per node: raw degree and degree/(n-1) (None when n < 2)."""
-    n = g.node_count
-    adj = g.neighbors()
-    return {
-        node: (len(nbrs), len(nbrs) / (n - 1) if n >= 2 else None)
-        for node, nbrs in adj.items()
-    }
-
-
 def firm_mixing(g: CollaborationGraph) -> FirmMixing:
     """Count nodes per firm and edges per firm pair in one pass over the graph."""
     firms = g.firms

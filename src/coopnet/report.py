@@ -18,8 +18,8 @@ from xml.sax.saxutils import escape, quoteattr
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
 from .graph import CollaborationGraph, FirmFilter, build_collaboration_graph, merge_graphs
-from .identity import UNAFFILIATED, canonicalize_identities, load_affiliation_map
-from .ingest import CommitRecord, parse_commit_log
+from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
+from .ingest import ValidationReport, iter_commits
 from .metrics import EvolutionRow, density, evolution_series, firm_mixing, homophily_report
 from .slicing import POST_RELEASE, assign_release, load_releases
 
@@ -184,17 +184,34 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     """
     # open the log first, so a missing log is reported before the other inputs
     with open(cfg.commit_log, encoding="utf-8") as log:
-        releases_text = Path(cfg.releases).read_text(encoding="utf-8")
-        affiliations_text = Path(cfg.affiliations).read_text(encoding="utf-8")
-        firms_text = Path(cfg.firms).read_text(encoding="utf-8") if cfg.firms else None
+        windows = load_releases(Path(cfg.releases).read_text(encoding="utf-8"))
+        resolver = IdentityResolver(
+            load_affiliation_map(Path(cfg.affiliations).read_text(encoding="utf-8"))
+        )
+        firm_filter = (
+            _load_firm_filter(Path(cfg.firms).read_text(encoding="utf-8")) if cfg.firms else None
+        )
         revenue_text = (
             Path(cfg.revenue_models).read_text(encoding="utf-8") if cfg.revenue_models else None
         )
-        records, report = parse_commit_log(log)
-    windows = load_releases(releases_text)
-    amap = load_affiliation_map(affiliations_text)
-    identities, excluded_shas = canonicalize_identities(records, amap)
-    firm_filter = _load_firm_filter(firms_text) if firms_text is not None else None
+        # One pass over the log: identity before release, so a post-release
+        # commit still fails the run on an alias-group conflict. Each record
+        # is dropped once its (identity, files) pair is in its window's list.
+        report = ValidationReport()
+        per_window: dict[str, list] = {w.name: [] for w in windows}
+        excluded_shas: list[str] = []
+        post_release = 0
+        for record in iter_commits(log, report):
+            identity = resolver.resolve(record.author_email)
+            if identity is None:
+                excluded_shas.append(record.sha)
+                continue
+            label = assign_release(record.timestamp, windows)
+            if label == POST_RELEASE:
+                post_release += 1
+            else:
+                per_window[label].append((identity, record.files))
+    identities = resolver.identities
 
     if firm_filter is not None:
         universe = set(firm_filter.firms)
@@ -202,23 +219,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         universe = {i.firm for i in identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
 
-    excluded = set(excluded_shas)
-    per_window: dict[str, list[CommitRecord]] = {w.name: [] for w in windows}
-    post_release = 0
-    analyzed = 0
-    for record in records:
-        if record.sha in excluded:
-            continue
-        label = assign_release(record.timestamp, windows)
-        if label == POST_RELEASE:
-            post_release += 1
-        else:
-            per_window[label].append(record)
-            analyzed += 1
-
     window_graphs = [
-        build_collaboration_graph(w.name, per_window[w.name], identities, firm_filter)
-        for w in windows
+        build_collaboration_graph(w.name, per_window[w.name], firm_filter) for w in windows
     ]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
@@ -262,9 +264,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             "rejected": len(report.rejected),
             "excluded": len(excluded_shas),
             "post_release": post_release,
-            "analyzed": analyzed,
+            "analyzed": sum(map(len, per_window.values())),
         },
-        "excluded_shas": sorted(set(excluded_shas)),
+        "excluded_shas": sorted(excluded_shas),
         "identities": len({i.canonical_id for i in identities.values()}),
         "firms": sorted(universe),
         "windows": [

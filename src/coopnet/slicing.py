@@ -13,6 +13,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 
 POST_RELEASE = "post-release"
 
@@ -76,8 +77,7 @@ def load_releases(config: str) -> list[ReleaseWindow]:
 
 def assign_release(t: datetime, windows: list[ReleaseWindow]) -> str:
     """Name of the window containing t, or the post-release marker."""
-    ends = [w.end for w in windows]
-    i = bisect_left(ends, t.replace(microsecond=0))  # ends fall on whole seconds
+    i = bisect_left(windows, t.replace(microsecond=0), key=attrgetter("end"))  # whole-second ends
     if i == len(windows):
         return POST_RELEASE
     return windows[i].name

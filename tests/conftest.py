@@ -20,6 +20,21 @@ def make_graph(firms: dict[str, str], edges=(), window: str = "w") -> Collaborat
     return CollaborationGraph(window=window, firms=dict(firms), edges=normalized)
 
 
+def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
+    """Per node: raw degree and degree/(n-1) (None when n < 2)."""
+    n = g.node_count
+    adj = g.neighbors()
+    return {
+        node: (len(nbrs), len(nbrs) / (n - 1) if n >= 2 else None)
+        for node, nbrs in adj.items()
+    }
+
+
+def identity_pairs(records, identities) -> list:
+    """The (identity, files) pair of each record whose author has an identity."""
+    return [(identities[r.author_email], r.files) for r in records if r.author_email in identities]
+
+
 def read_graphml(text: str) -> CollaborationGraph:
     """Read back a GraphML export, to check round-trips."""
     ns = "{http://graphml.graphdrawing.org/xmlns}"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, make_graph
+from conftest import FIXTURE_DIR, GOLDEN_DIR, degree_centrality, identity_pairs, make_graph
 from coopnet.backbone import BackboneParams, edge_embeddedness, extract_backbone
 from coopnet.graph import build_collaboration_graph
 from coopnet.identity import (
@@ -32,7 +32,6 @@ from coopnet.identity import (
 )
 from coopnet.ingest import CommitRecord
 from coopnet.metrics import (
-    degree_centrality,
     density,
     firm_assortativity,
     firm_mixing,
@@ -172,7 +171,7 @@ def test_criterion_2_graph_construction_oracle():
                 label = assign_release(record.timestamp, windows)
                 touched.setdefault((label, record.author_email), set()).update(record.files)
             for w in windows:
-                g = build_collaboration_graph(w.name, per_window[w.name], identities)
+                g = build_collaboration_graph(w.name, identity_pairs(per_window[w.name], identities))
                 expected = set()
                 devs = sorted(e for (label, e) in touched if label == w.name)
                 for e1, e2 in combinations(devs, 2):
@@ -418,7 +417,7 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
             if label != POST_RELEASE:
                 per_window[label].append(record)
         graphs = {
-            name: build_collaboration_graph(name, per_window[name], identities, top)
+            name: build_collaboration_graph(name, identity_pairs(per_window[name], identities), top)
             for name in per_window
         }
         mature = ["Bexar", "Cactus", "Diablo", "Essex", "Folsom", "Grizzly", "Havana"]

@@ -67,6 +67,30 @@ def test_analyze_non_utf8_input_is_exit_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_analyze_alias_conflict_after_last_release_is_exit_2(tmp_path):
+    # identity is resolved before the release, so a post-release commit still counts
+    affiliations = tmp_path / "affiliations.ini"
+    affiliations.write_text(
+        (FIXTURE_DIR / "affiliations.ini").read_text() + "[aliases]\nx@anvil.io, x@bolt.io\n"
+    )
+    late = {
+        "sha": "f" * 40,
+        "author_name": "X",
+        "author_email": "x@anvil.io",
+        "timestamp": "2030-01-01T00:00:00Z",
+        "files": ["src/core.py"],
+    }
+    log = tmp_path / "commits.ndjson"
+    log.write_text((FIXTURE_DIR / "commits.ndjson").read_text() + json.dumps(late) + "\n")
+    args = analyze_args(tmp_path)
+    args[args.index("--log") + 1] = str(log)
+    args[args.index("--affiliations") + 1] = str(affiliations)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "multiple firms" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
     assert result.exit_code == 2

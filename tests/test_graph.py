@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import identity_pairs, make_graph
 from coopnet.graph import (
     FirmFilter,
     GraphError,
@@ -49,13 +49,13 @@ def node(dev):
 
 def test_shared_file_creates_edge():
     records = [commit(1, "a", ["nova/api.py"]), commit(2, "b", ["nova/api.py"])]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.edges == {(node("a"), node("b"))}
 
 
 def test_no_shared_file_no_edge_but_nodes_remain():
     records = [commit(1, "a", ["x.py"]), commit(2, "b", ["y.py"])]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.edges == frozenset()
     assert g.nodes == {node("a"), node("b")}
 
@@ -63,7 +63,7 @@ def test_no_shared_file_no_edge_but_nodes_remain():
 def test_firm_filter_drops_developer_and_edges():
     records = [commit(1, "a", ["f.py"]), commit(2, "e", ["f.py"])]
     g = build_collaboration_graph(
-        "w", records, identity_map(), FirmFilter(frozenset({"HP", "IBM"}))
+        "w", identity_pairs(records, identity_map()), FirmFilter(frozenset({"HP", "IBM"}))
     )
     assert g.nodes == {node("a")}
     assert g.edges == frozenset()
@@ -71,7 +71,7 @@ def test_firm_filter_drops_developer_and_edges():
 
 def test_unknown_author_skipped():
     records = [commit(1, "a", ["f.py"]), commit(2, "zz", ["f.py"])]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.nodes == {node("a")}
 
 
@@ -82,12 +82,12 @@ def test_repeat_touches_count_once():
         commit(3, "b", ["f.py"]),
         commit(4, "b", ["f.py"]),
     ]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.edge_count == 1
 
 
 def test_empty_input_gives_empty_graph():
-    g = build_collaboration_graph("w", [], identity_map())
+    g = build_collaboration_graph("w", identity_pairs([], identity_map()))
     assert g.node_count == 0 and g.edge_count == 0
 
 
@@ -131,14 +131,14 @@ def oracle_edges(assignments):
 @given(commit_lists)
 def test_edges_match_bruteforce_oracle(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert set(g.edges) == oracle_edges(assignments)
 
 
 @given(commit_lists)
 def test_graph_is_simple_and_symmetric(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g = build_collaboration_graph("w", records, identity_map())
+    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     for u, v in g.edges:
         assert u != v
         assert u < v  # canonical unordered representation
@@ -148,9 +148,9 @@ def test_graph_is_simple_and_symmetric(assignments):
 @given(commit_lists, st.tuples(dev_names, st.lists(file_names, min_size=1, max_size=3)))
 def test_adding_a_commit_is_monotone(assignments, extra):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g_before = build_collaboration_graph("w", records, identity_map())
+    g_before = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     records.append(commit(len(records), extra[0], extra[1]))
-    g_after = build_collaboration_graph("w", records, identity_map())
+    g_after = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g_before.nodes <= g_after.nodes
     assert g_before.edges <= g_after.edges
 

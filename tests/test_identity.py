@@ -159,6 +159,15 @@ def test_alias_group_conflict_resolved_by_override():
     assert identities["a@ibm.example"].firm == "HP"
 
 
+@pytest.mark.parametrize("mark", ["\u2028", "\x85"])
+def test_load_ends_lines_only_at_newlines(mark):
+    amap = load_affiliation_map(f"[domains]\nhp.example = Ann{mark}Co\n")
+    assert amap.domain_rules == {"hp.example": f"Ann{mark}Co"}
+    config = f"[domains]\nhp.example = Ann{mark}Co\nibm.example = IBM\nno equals sign\n"
+    with pytest.raises(AffiliationError, match="^line 4: expected key=firm$"):
+        load_affiliation_map(config)
+
+
 # --- properties -----------------------------------------------------------
 
 emails = st.from_regex(r"[a-z]{1,4}@[a-z]{1,4}\.[a-z]{2,3}", fullmatch=True)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import degree_centrality, make_graph
 from coopnet.metrics import (
-    degree_centrality,
     density,
     evolution_series,
     firm_assortativity,

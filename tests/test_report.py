@@ -1,9 +1,11 @@
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_DIR, make_graph, read_graphml
+from coopnet import report
 from coopnet.graph import CollaborationGraph
 from coopnet.backbone import BackboneParams
 from coopnet.metrics import EvolutionRow
@@ -219,3 +221,22 @@ def test_release_named_merged_keeps_window_scope(tmp_path):
     assert {row[1] for row in rows if row[0] == "merged"} == {"all"}
     assert (out / "graphs" / "03_merged.graphml").exists()
     assert (out / "graphs" / "merged.graphml").exists()
+
+
+def test_pipeline_holds_no_list_of_records(tmp_path, monkeypatch):
+    original = report.iter_commits
+    refs = []
+    most_alive = 0
+
+    def counting(stream, validation):
+        nonlocal most_alive
+        for record in original(stream, validation):
+            refs.append(weakref.ref(record))
+            most_alive = max(most_alive, sum(ref() is not None for ref in refs))
+            yield record
+
+    monkeypatch.setattr(report, "iter_commits", counting)
+    result = run_pipeline(run_config(tmp_path))
+    assert len(refs) == result.summary["commits"]["accepted"] > 2
+    # the record being yielded and the one the pipeline's loop still names
+    assert most_alive <= 2
