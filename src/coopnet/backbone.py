@@ -35,9 +35,20 @@ class SubCommunity:
 
 
 def edge_embeddedness(g: CollaborationGraph) -> dict[Edge, int]:
-    """Triangle count per edge: |N(u) & N(v)| for each edge {u, v}."""
-    adj = g.neighbors()
-    return {(u, v): len(adj[u] & adj[v]) for u, v in g.edges}
+    """Triangle count per edge: |N(u) & N(v)| for each edge {u, v}.
+
+    Each node with an edge gets one bit, and its neighbours form an int
+    bitset, so an edge costs one AND and one popcount. Isolated nodes get
+    no bit, which keeps the bitsets of sparse graphs short.
+    """
+    bits: dict[str, int] = {}
+    index: dict[str, int] = {}
+    for u, v in g.edges:
+        i = index.setdefault(u, len(index))
+        j = index.setdefault(v, len(index))
+        bits[u] = bits.get(u, 0) | 1 << j
+        bits[v] = bits.get(v, 0) | 1 << i
+    return {(u, v): (bits[u] & bits[v]).bit_count() for u, v in g.edges}
 
 
 def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> CollaborationGraph:

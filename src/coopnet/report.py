@@ -120,12 +120,14 @@ def export_graphml(g: CollaborationGraph) -> str:
         '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>',
         f'  <graph id={quoteattr(g.window)} edgedefault="undirected">',
     ]
+    quoted: dict[str, str] = {}  # each id is quoted once, not once per edge
     for node in sorted(g.firms):
-        lines.append(f"    <node id={quoteattr(node)}>")
+        quoted[node] = q = quoteattr(node)
+        lines.append(f"    <node id={q}>")
         lines.append(f'      <data key="firm">{escape(g.firms[node])}</data>')
         lines.append("    </node>")
     for u, v in sorted(g.edges):
-        lines.append(f"    <edge source={quoteattr(u)} target={quoteattr(v)}/>")
+        lines.append(f"    <edge source={quoted[u]} target={quoted[v]}/>")
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
@@ -138,10 +140,12 @@ def _dot_quote(text: str) -> str:
 def export_dot(g: CollaborationGraph) -> str:
     """Undirected DOT with the firm as a node attribute, stable ordering."""
     lines = [f"graph {_dot_quote(g.window)} {{"]
+    quoted: dict[str, str] = {}  # each id is quoted once, not once per edge
     for node in sorted(g.firms):
-        lines.append(f"  {_dot_quote(node)} [firm={_dot_quote(g.firms[node])}];")
+        quoted[node] = q = _dot_quote(node)
+        lines.append(f"  {q} [firm={_dot_quote(g.firms[node])}];")
     for u, v in sorted(g.edges):
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
+        lines.append(f"  {quoted[u]} -- {quoted[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -219,8 +223,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         universe = {i.firm for i in identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
 
+    # keep only the commit counts; each pair list is released once its graph is built
+    commit_counts = {name: len(pairs) for name, pairs in per_window.items()}
     window_graphs = [
-        build_collaboration_graph(w.name, per_window[w.name], firm_filter) for w in windows
+        build_collaboration_graph(w.name, per_window.pop(w.name), firm_filter) for w in windows
     ]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
@@ -264,7 +270,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             "rejected": len(report.rejected),
             "excluded": len(excluded_shas),
             "post_release": post_release,
-            "analyzed": sum(map(len, per_window.values())),
+            "analyzed": sum(commit_counts.values()),
         },
         "excluded_shas": sorted(excluded_shas),
         "identities": len({i.canonical_id for i in identities.values()}),
@@ -272,7 +278,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         "windows": [
             {
                 "release": g.window,
-                "commits": len(per_window[g.window]),
+                "commits": commit_counts[g.window],
                 "nodes": g.node_count,
                 "edges": g.edge_count,
                 "density": density(g),

@@ -1,5 +1,6 @@
 """Backbone extraction tests against a brute-force triangle oracle."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -152,6 +153,22 @@ def test_every_community_is_connected_in_backbone():
                     reached.add(other)
                     frontier.append(other)
         assert reached == members
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_multi_digit_bitsets_match_oracle(seed):
+    # 60-200 nodes, so a neighbour bitset spans several 30-bit int digits;
+    # ids are inserted in shuffled order and a tenth of them have no edge
+    rng = random.Random(seed)
+    n = rng.randint(60, 200)
+    names = [f"d{i:03d}" for i in range(n)]
+    rng.shuffle(names)
+    density = rng.uniform(0.03, 0.3)
+    edges = [e for e in combinations(names[n // 10 :], 2) if rng.random() < density]
+    g = make_graph({name: "HP" for name in names}, edges)
+    assert edge_embeddedness(g) == oracle_embeddedness(g)
+    params = BackboneParams(max_rank_k=rng.randint(1, 6), min_embeddedness=rng.randint(0, 4))
+    assert extract_backbone(g, params).edges == oracle_backbone(g, params)
 
 
 # --- properties -----------------------------------------------------------

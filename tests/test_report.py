@@ -1,5 +1,6 @@
 import json
 import weakref
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,23 @@ def test_dot_single_edge():
     text = export_dot(g)
     assert '"a" -- "b";' in text
     assert '"a" [firm="HP"];' in text
+
+
+def test_dot_escapes_ids_repeated_across_edges():
+    # every id ends two edges, so each quoted form is reused
+    ids = ['a"q', "b\\s", "c"]
+    g = make_graph(dict(zip(ids, ["H\\P", "IBM", "IBM"])), combinations(ids, 2), window='w"1')
+    lines = [
+        r'graph "w\"1" {',
+        r'  "a\"q" [firm="H\\P"];',
+        r'  "b\\s" [firm="IBM"];',
+        r'  "c" [firm="IBM"];',
+        r'  "a\"q" -- "b\\s";',
+        r'  "a\"q" -- "c";',
+        r'  "b\\s" -- "c";',
+        "}",
+    ]
+    assert export_dot(g) == "\n".join(lines) + "\n"
 
 
 def test_run_config_validation(tmp_path):
@@ -207,8 +225,9 @@ def test_pipeline_builds_each_adjacency_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(CollaborationGraph, "neighbors", counting)
     run_pipeline(run_config(tmp_path))
-    # one build on each graph and one on its backbone: 3 windows plus merged
-    assert len(calls) == 8
+    # one build on each backbone, for its communities: 3 windows plus merged;
+    # embeddedness builds its own bitsets, not an adjacency
+    assert len(calls) == 4
 
 
 def test_release_named_merged_keeps_window_scope(tmp_path):
