@@ -56,15 +56,16 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
 
     Each node ranks its incident edges by embeddedness descending, ties
     broken by lexicographic neighbor id; an edge survives only if each
-    endpoint ranks the other within the top max_rank_k. The node set is
-    preserved.
+    endpoint ranks the other within the top max_rank_k. The backbone
+    shares g's node map, so both graphs have the same nodes; treat it as
+    read-only.
     """
     embeddedness = edge_embeddedness(g)
     # each node's strongest ties as ascending (-strength, neighbor), at most k
-    top: dict[str, list[tuple[int, str]]] = {node: [] for node in g.firms}
+    top: dict[str, list[tuple[int, str]]] = {}
     for (u, v), strength in embeddedness.items():
         for node, other in ((u, v), (v, u)):
-            ties = top[node]
+            ties = top.setdefault(node, [])
             insort(ties, (-strength, other))
             del ties[params.max_rank_k :]
     kept = frozenset(
@@ -74,7 +75,7 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
         and (-strength, v) in top[u]
         and (-strength, u) in top[v]
     )
-    return CollaborationGraph(window=g.window, firms=dict(g.firms), edges=kept)
+    return CollaborationGraph(window=g.window, firms=g.firms, edges=kept)
 
 
 def detect_subcommunities(
@@ -82,30 +83,34 @@ def detect_subcommunities(
 ) -> list[SubCommunity]:
     """Connected components of the backbone with at least min_size members.
 
-    Sorted by size descending, then by lexicographically smallest member.
+    Components are found from the kept edges alone: a node without a
+    backbone edge is a one-member component, reported only when min_size
+    is at most 1. Sorted by size descending, then by lexicographically
+    smallest member (components are disjoint, so the order is total).
     """
-    adj = backbone.neighbors()
+    firms = backbone.firms
+    adj: dict[str, list[str]] = {}
+    for u, v in backbone.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    components = [[node] for node in firms if node not in adj] if min_size <= 1 else []
     seen: set[str] = set()
-    communities = []
-    for start in sorted(adj):
+    for start in adj:
         if start in seen:
             continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
+        seen.add(start)
+        component = [start]
+        for node in component:  # the list grows as the walk reaches new nodes
             for other in adj[node]:
-                if other not in component:
-                    component.add(other)
-                    frontier.append(other)
-        seen |= component
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
         if len(component) >= min_size:
-            communities.append(
-                SubCommunity(
-                    members=frozenset(component),
-                    firms=Counter(backbone.firms[m] for m in component),
-                )
-            )
+            components.append(component)
+    communities = [
+        SubCommunity(members=frozenset(c), firms=Counter(firms[m] for m in c))
+        for c in components
+    ]
     communities.sort(key=lambda c: (-len(c.members), min(c.members)))
     return communities
 

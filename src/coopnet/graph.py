@@ -35,23 +35,12 @@ class CollaborationGraph:
     edges: frozenset[Edge] = frozenset()
 
     @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self.firms)
-
-    @property
     def node_count(self) -> int:
         return len(self.firms)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {node: set() for node in self.firms}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 def build_collaboration_graph(

@@ -169,7 +169,7 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
         stream = io.StringIO(stream, newline=None)
     seen: set[str] = set()
     for line_number, line in enumerate(stream, start=1):
-        if not line.strip():
+        if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
             continue
         try:
             record, fixes = _parse_line(line)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet
 
 from .graph import CollaborationGraph
 
@@ -26,19 +26,6 @@ class FirmMixing:
 
     nodes: dict[str, int]
     edges: dict[FirmPair, int]
-
-
-@dataclass(frozen=True)
-class HomophilyReport:
-    same_firm_edge_fraction: float | None
-    assortativity: float | None
-
-
-class EvolutionRow(NamedTuple):
-    release: str
-    node_count: int
-    edge_count: int
-    density: float | None
 
 
 def pair_density(nodes: int, edges: int) -> float | None:
@@ -103,16 +90,3 @@ def firm_assortativity(mix: FirmMixing) -> float | None:
         return None
     return (4 * m * within - squares) / denominator
 
-
-def homophily_report(mix: FirmMixing) -> HomophilyReport:
-    return HomophilyReport(
-        same_firm_edge_fraction=same_firm_edge_fraction(mix),
-        assortativity=firm_assortativity(mix),
-    )
-
-
-def evolution_series(graphs: Iterable[CollaborationGraph]) -> list[EvolutionRow]:
-    """One (release, nodes, edges, density) row per graph, in input order."""
-    return [
-        EvolutionRow(g.window, g.node_count, g.edge_count, density(g)) for g in graphs
-    ]

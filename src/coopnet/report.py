@@ -20,7 +20,7 @@ from .coopetition import compare_revenue_stream, load_revenue_models
 from .graph import CollaborationGraph, FirmFilter, build_collaboration_graph, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
 from .ingest import ValidationReport, iter_commits
-from .metrics import EvolutionRow, density, evolution_series, firm_mixing, homophily_report
+from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
 from .slicing import POST_RELEASE, assign_release, load_releases
 
 ALL_FORMATS = frozenset({"graphml", "dot", "csv", "json"})
@@ -55,6 +55,8 @@ class RunConfig:
             raise ConfigError(f"unknown formats: {sorted(unknown)}")
         if self.time_field not in ("committer", "author"):
             raise ConfigError(f"invalid time field {self.time_field!r}")
+        if self.community_min_size < 1:
+            raise ConfigError(f"community minimum size {self.community_min_size} is below 1")
         inputs = [self.commit_log, self.releases, self.affiliations, self.firms, self.revenue_models]
         for path in inputs:
             if path is not None and Path(path).resolve() == Path(self.out_dir).resolve():
@@ -96,7 +98,7 @@ def export_metrics_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evolution_csv(rows: list[EvolutionRow]) -> str:
+def evolution_csv(rows: list[tuple[str, int, int, float | None]]) -> str:
     return export_metrics_csv(["release", "nodes", "edges", "density"], rows)
 
 
@@ -233,6 +235,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     # One pass per graph; the merged graph is the last one, so scope comes
     # from position, not name (a release may itself be named "merged").
     outputs: dict[str, str] = {}
+    evolution_rows = []
     homophily_rows = []
     comparison_rows = []
     community_payloads = []
@@ -244,8 +247,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             scope, release, stem = MERGED_LABEL, "all", MERGED_LABEL
         mixing = firm_mixing(g)
         if is_window:
-            hom = homophily_report(mixing)
-            homophily_rows.append((g.window, hom.same_firm_edge_fraction, hom.assortativity))
+            evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
+            homophily_rows.append(
+                (g.window, same_firm_edge_fraction(mixing), firm_assortativity(mixing))
+            )
         for stream in streams:
             cmp = compare_revenue_stream(mixing, stream, universe)
             comparison_rows.append(
@@ -260,7 +265,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 outputs[f"backbones/{stem}.{fmt}"] = export(bb)
 
     if "csv" in cfg.formats:
-        outputs["evolution.csv"] = evolution_csv(evolution_series(window_graphs))
+        outputs["evolution.csv"] = evolution_csv(evolution_rows)
         outputs["homophily.csv"] = homophily_csv(homophily_rows)
         outputs["comparisons.csv"] = comparisons_csv(comparison_rows)
 
@@ -276,14 +281,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         "identities": len({i.canonical_id for i in identities.values()}),
         "firms": sorted(universe),
         "windows": [
-            {
-                "release": g.window,
-                "commits": commit_counts[g.window],
-                "nodes": g.node_count,
-                "edges": g.edge_count,
-                "density": density(g),
-            }
-            for g in window_graphs
+            {"release": r, "commits": commit_counts[r], "nodes": n, "edges": e, "density": d}
+            for r, n, e, d in evolution_rows
         ],
         "merged": {
             "nodes": merged.node_count,

@@ -23,11 +23,11 @@ def make_graph(firms: dict[str, str], edges=(), window: str = "w") -> Collaborat
 def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
     """Per node: raw degree and degree/(n-1) (None when n < 2)."""
     n = g.node_count
-    adj = g.neighbors()
-    return {
-        node: (len(nbrs), len(nbrs) / (n - 1) if n >= 2 else None)
-        for node, nbrs in adj.items()
-    }
+    degree = dict.fromkeys(g.firms, 0)
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return {node: (d, d / (n - 1) if n >= 2 else None) for node, d in degree.items()}
 
 
 def identity_pairs(records, identities) -> list:

@@ -1,6 +1,7 @@
 """Backbone extraction tests against a brute-force triangle oracle."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -29,7 +30,7 @@ def oracle_embeddedness(g):
     counts = {}
     for u, v in g.edges:
         count = 0
-        for w in g.nodes:
+        for w in g.firms:
             if w in (u, v):
                 continue
             if tuple(sorted((u, w))) in g.edges and tuple(sorted((v, w))) in g.edges:
@@ -42,10 +43,10 @@ def oracle_backbone(g, params):
     """Direct implementation of the reciprocal top-k rank condition."""
     strength = oracle_embeddedness(g)
     ranked = {}
-    for node in g.nodes:
+    for node in g.firms:
         incident = [
             (other, strength[tuple(sorted((node, other)))])
-            for other in g.nodes
+            for other in g.firms
             if tuple(sorted((node, other))) in g.edges
         ]
         incident.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -55,6 +56,30 @@ def oracle_backbone(g, params):
         for (u, v), s in strength.items()
         if s >= params.min_embeddedness and v in ranked[u] and u in ranked[v]
     )
+
+
+def oracle_communities(g, min_size):
+    """Brute force: relabel every node to its smallest neighbour label until stable."""
+    label = {node: node for node in g.firms}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            low = min(label[u], label[v])
+            for node in (u, v):
+                if label[node] != low:
+                    label[node], changed = low, True
+    groups = {}
+    for node, root in label.items():
+        groups.setdefault(root, set()).add(node)
+    found = [
+        (frozenset(m), Counter(g.firms[n] for n in m)) for m in groups.values() if len(m) >= min_size
+    ]
+    return sorted(found, key=lambda c: (-len(c[0]), min(c[0])))
+
+
+def as_pairs(communities):
+    return [(c.members, c.firms) for c in communities]
 
 
 def test_k4_edges_have_embeddedness_two():
@@ -80,7 +105,7 @@ def test_star_backbone_is_empty():
     g = make_graph({"c": "HP", **leaves}, [("c", leaf) for leaf in leaves])
     backbone = extract_backbone(g, BackboneParams())
     assert backbone.edges == frozenset()
-    assert backbone.nodes == g.nodes  # node set preserved
+    assert backbone.firms.keys() == g.firms.keys()  # node set preserved
 
 
 def test_k4_survives_with_k_at_least_three():
@@ -141,7 +166,10 @@ def test_communities_sorted_by_size_then_member():
 def test_every_community_is_connected_in_backbone():
     g = graph_from_mask(6, 0b101011011101011)
     backbone = extract_backbone(g, BackboneParams())
-    adj = backbone.neighbors()
+    adj = {node: set() for node in backbone.firms}
+    for u, v in backbone.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     for community in detect_subcommunities(backbone, min_size=2):
         members = set(community.members)
         reached = {min(members)}
@@ -171,6 +199,23 @@ def test_multi_digit_bitsets_match_oracle(seed):
     assert extract_backbone(g, params).edges == oracle_backbone(g, params)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_communities_of_large_sparse_graph_match_oracle(seed):
+    # 60-200 nodes, a tenth of them isolated, two firms
+    rng = random.Random(100 + seed)
+    n = rng.randint(60, 200)
+    names = [f"d{i:03d}" for i in range(n)]
+    rng.shuffle(names)
+    density = rng.uniform(0.01, 0.05)
+    edges = [e for e in combinations(names[n // 10 :], 2) if rng.random() < density]
+    g = make_graph({name: rng.choice(["HP", "IBM"]) for name in names}, edges)
+    backbone = extract_backbone(g, BackboneParams(max_rank_k=3, min_embeddedness=0))
+    for graph in (g, backbone):
+        for min_size in range(1, 5):
+            got = as_pairs(detect_subcommunities(graph, min_size))
+            assert got == oracle_communities(graph, min_size)
+
+
 # --- properties -----------------------------------------------------------
 
 masks6 = st.integers(min_value=0, max_value=2 ** 15 - 1)
@@ -198,7 +243,7 @@ def test_backbone_is_subgraph(mask, params):
     g = graph_from_mask(6, mask)
     backbone = extract_backbone(g, params)
     assert backbone.edges <= g.edges
-    assert backbone.nodes == g.nodes
+    assert backbone.firms.keys() == g.firms.keys()
 
 
 @settings(max_examples=60)
@@ -225,3 +270,11 @@ def test_backbone_deterministic_for_fixed_ids(mask, params):
     first = extract_backbone(g, params)
     second = extract_backbone(g, params)
     assert first.edges == second.edges
+
+
+@given(masks6, st.lists(st.sampled_from(["HP", "IBM"]), min_size=6, max_size=6),
+       st.integers(min_value=1, max_value=4))
+def test_communities_match_component_oracle(mask, labels, min_size):
+    g = graph_from_mask(6, mask)
+    g = make_graph(dict(zip(sorted(g.firms), labels)), g.edges)
+    assert as_pairs(detect_subcommunities(g, min_size)) == oracle_communities(g, min_size)

@@ -57,7 +57,7 @@ def test_no_shared_file_no_edge_but_nodes_remain():
     records = [commit(1, "a", ["x.py"]), commit(2, "b", ["y.py"])]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.edges == frozenset()
-    assert g.nodes == {node("a"), node("b")}
+    assert g.firms.keys() == {node("a"), node("b")}
 
 
 def test_firm_filter_drops_developer_and_edges():
@@ -65,14 +65,14 @@ def test_firm_filter_drops_developer_and_edges():
     g = build_collaboration_graph(
         "w", identity_pairs(records, identity_map()), FirmFilter(frozenset({"HP", "IBM"}))
     )
-    assert g.nodes == {node("a")}
+    assert g.firms.keys() == {node("a")}
     assert g.edges == frozenset()
 
 
 def test_unknown_author_skipped():
     records = [commit(1, "a", ["f.py"]), commit(2, "zz", ["f.py"])]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert g.nodes == {node("a")}
+    assert g.firms.keys() == {node("a")}
 
 
 def test_repeat_touches_count_once():
@@ -101,7 +101,7 @@ def test_merge_graphs_unions_nodes_and_edges():
     g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2")
     merged = merge_graphs([g1, g2])
     assert merged.window == "merged"
-    assert merged.nodes == {"a", "b", "c"}
+    assert merged.firms.keys() == {"a", "b", "c"}
     assert merged.edges == {("a", "b"), ("b", "c")}
 
 
@@ -142,7 +142,7 @@ def test_graph_is_simple_and_symmetric(assignments):
     for u, v in g.edges:
         assert u != v
         assert u < v  # canonical unordered representation
-        assert u in g.nodes and v in g.nodes
+        assert u in g.firms and v in g.firms
 
 
 @given(commit_lists, st.tuples(dev_names, st.lists(file_names, min_size=1, max_size=3)))
@@ -151,6 +151,6 @@ def test_adding_a_commit_is_monotone(assignments, extra):
     g_before = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     records.append(commit(len(records), extra[0], extra[1]))
     g_after = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert g_before.nodes <= g_after.nodes
+    assert g_before.firms.keys() <= g_after.firms.keys()
     assert g_before.edges <= g_after.edges
 

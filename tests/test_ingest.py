@@ -161,11 +161,15 @@ def test_parse_converts_offsets_to_utc():
 
 
 def test_parse_skips_blank_lines_and_counts_reconcile():
-    text = "\n".join([make_line(), "", make_line(sha=SHA_B, files=[]), "   "])
-    records, report = parse_commit_log(text)
-    non_blank = 2
+    # only JSON whitespace makes a line blank; other whitespace is invalid JSON
+    not_json = ["\x0c", "\x1c", "\u00a0", "\u2028", "\u3000"]
+    lines = [make_line(), "", make_line(sha=SHA_B, files=[]), "   ", "\t", *not_json]
+    records, report = parse_commit_log("\n".join(lines))
+    non_blank = 2 + len(not_json)
     assert report.accepted + len(report.rejected) == non_blank
     assert len(records) == report.accepted
+    invalid = [line for line, reason in report.rejected if reason.startswith("invalid JSON")]
+    assert invalid == list(range(6, 6 + len(not_json)))
 
 
 def test_parse_is_deterministic():

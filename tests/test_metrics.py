@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from conftest import degree_centrality, make_graph
 from coopnet.metrics import (
     density,
-    evolution_series,
     firm_assortativity,
     firm_mixing,
     group_counts,
-    homophily_report,
     same_firm_edge_fraction,
 )
 from coopnet.report import format_real
@@ -113,14 +111,6 @@ def test_assortativity_undefined_cases():
     assert firm_assortativity(firm_mixing(single_firm)) is None
 
 
-def test_evolution_series_composition():
-    empty = make_graph({}, window="r1")
-    k3 = complete_graph(3)
-    rows = evolution_series([empty, k3])
-    assert rows[0] == ("r1", 0, 0, None)
-    assert rows[1][1:] == (3, 3, 1.0)
-
-
 # --- properties and brute-force oracle ------------------------------------
 
 def brute_force_metrics(firms, edges):
@@ -163,10 +153,10 @@ def test_exhaustive_oracle_equivalence_up_to_five_nodes():
         else:
             assert abs(density(g) - dens) < 1e-12
         assert {v: d for v, (d, _) in degree_centrality(g).items()} == degs
-        report = homophily_report(firm_mixing(g))
+        mix = firm_mixing(g)
         for got, expected in [
-            (report.same_firm_edge_fraction, same),
-            (report.assortativity, assort),
+            (same_firm_edge_fraction(mix), same),
+            (firm_assortativity(mix), assort),
         ]:
             # one integer division: the correctly rounded exact value
             assert got == (None if expected is None else float(expected))
@@ -229,4 +219,6 @@ def test_metrics_invariant_under_relabeling(mask, labels, perm):
         [(renamed[u], renamed[v]) for u, v in g.edges],
     )
     assert density(g) == density(g2)
-    assert homophily_report(firm_mixing(g)) == homophily_report(firm_mixing(g2))
+    mix, mix2 = firm_mixing(g), firm_mixing(g2)
+    assert same_firm_edge_fraction(mix) == same_firm_edge_fraction(mix2)
+    assert firm_assortativity(mix) == firm_assortativity(mix2)

@@ -7,9 +7,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, make_graph, read_graphml
 from coopnet import report
-from coopnet.graph import CollaborationGraph
 from coopnet.backbone import BackboneParams
-from coopnet.metrics import EvolutionRow
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -56,7 +54,7 @@ def test_csv_quoting():
 def test_evolution_and_homophily_headers():
     assert evolution_csv([]).startswith("release,nodes,edges,density\n")
     assert homophily_csv([]).startswith("release,same_firm_fraction,assortativity\n")
-    row = evolution_csv([EvolutionRow("r", 3, 3, 1.0)]).splitlines()[1]
+    row = evolution_csv([("r", 3, 3, 1.0)]).splitlines()[1]
     assert row == "r,3,3,1.000000"
 
 
@@ -121,6 +119,28 @@ def test_run_config_validation(tmp_path):
     log = FIXTURE_DIR / "commits.ndjson"
     with pytest.raises(ConfigError, match="distinct"):
         run_config(tmp_path, out_dir=log)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_run_config_rejects_community_min_size_below_1(tmp_path, size):
+    with pytest.raises(ConfigError, match="community minimum size .* below 1"):
+        run_config(tmp_path, community_min_size=size)
+
+
+def test_pipeline_min_size_1_communities_partition_each_graph(tmp_path):
+    run_pipeline(run_config(tmp_path, community_min_size=1))
+    out = tmp_path / "out"
+    payloads = json.loads((out / "communities.json").read_text())["windows"]
+    graphs = sorted((out / "graphs").glob("*.graphml"))  # the windows in order, then merged
+    assert len(payloads) == len(graphs) == 4
+    for payload, path in zip(payloads, graphs):
+        g = read_graphml(path.read_text(encoding="utf-8"))
+        assert payload["release"] == g.window
+        members = [m for c in payload["communities"] for m in c["members"]]
+        assert len(members) == len(set(members))  # disjoint
+        assert set(members) == g.firms.keys()  # covering
+        # every fixture graph has developers without a backbone edge
+        assert any(len(c["members"]) == 1 for c in payload["communities"])
 
 
 def test_pipeline_missing_input_raises_oserror(tmp_path):
@@ -213,21 +233,6 @@ def test_pipeline_rolls_back_partial_outputs(tmp_path, monkeypatch):
         run_pipeline(cfg)
     monkeypatch.undo()
     assert [p for p in target.rglob("*") if p.is_file()] == []
-
-
-def test_pipeline_builds_each_adjacency_once(tmp_path, monkeypatch):
-    original = CollaborationGraph.neighbors
-    calls = []
-
-    def counting(self):
-        calls.append(self.window)
-        return original(self)
-
-    monkeypatch.setattr(CollaborationGraph, "neighbors", counting)
-    run_pipeline(run_config(tmp_path))
-    # one build on each backbone, for its communities: 3 windows plus merged;
-    # embeddedness builds its own bitsets, not an adjacency
-    assert len(calls) == 4
 
 
 def test_release_named_merged_keeps_window_scope(tmp_path):
