@@ -63,9 +63,15 @@ def build_collaboration_graph(
         node = identity.canonical_id
         firms[node] = identity.firm
         for path in files:
-            touched.setdefault(path, set()).add(node)
+            devs = touched.get(path)
+            if devs is None:
+                touched[path] = {node}
+            else:
+                devs.add(node)
     edges: set[Edge] = set()
     for devs in touched.values():
+        if len(devs) < 2:  # most files on a wide history; they make no pair
+            continue
         ordered = sorted(devs)
         for i, u in enumerate(ordered):
             for v in ordered[i + 1 :]:

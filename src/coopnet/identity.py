@@ -152,9 +152,18 @@ class IdentityResolver:
         self._amap = amap
         self._group_of = {email: group for group in amap.alias_groups for email in group}
         self.identities: dict[str, DeveloperIdentity] = {}
+        # each address's outcome, so it is decided once however often it commits;
+        # kept apart from identities, which also holds group members not yet
+        # decided (a bot address may share a group with a resolved one)
+        self._outcomes: dict[str, DeveloperIdentity | None] = {}
 
     def resolve(self, email: str) -> DeveloperIdentity | None:
         """The email's identity, or None when its commits are excluded."""
+        if email not in self._outcomes:
+            self._outcomes[email] = self._decide(email)
+        return self._outcomes[email]
+
+    def _decide(self, email: str) -> DeveloperIdentity | None:
         amap = self._amap
         if email in amap.bot_emails:
             return None

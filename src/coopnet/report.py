@@ -9,10 +9,15 @@ are serialized as the literal "UND" in CSV (null in JSON).
 from __future__ import annotations
 
 import json
+import os
 import re
+import shutil
+import stat
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
@@ -28,6 +33,15 @@ ALL_FORMATS = frozenset({"graphml", "dot", "csv", "json"})
 MERGED_LABEL = "merged"
 
 UND = "UND"
+
+# everything run_pipeline writes: these files at the top of the output
+# directory, and .graphml/.dot files in these subdirectories
+TABLE_FILES = frozenset({
+    "evolution.csv", "homophily.csv", "comparisons.csv",
+    "communities.json", "validation_report.json", "run_summary.json",
+})
+GRAPH_DIRS = frozenset({"graphs", "backbones"})
+GRAPH_SUFFIXES = frozenset({".graphml", ".dot"})
 
 
 class ConfigError(Exception):
@@ -57,10 +71,15 @@ class RunConfig:
             raise ConfigError(f"invalid time field {self.time_field!r}")
         if self.community_min_size < 1:
             raise ConfigError(f"community minimum size {self.community_min_size} is below 1")
+        # a run replaces the whole output directory, so no input may lie inside it
+        out_dir = Path(self.out_dir).resolve()
         inputs = [self.commit_log, self.releases, self.affiliations, self.firms, self.revenue_models]
         for path in inputs:
-            if path is not None and Path(path).resolve() == Path(self.out_dir).resolve():
-                raise ConfigError("output directory must be distinct from input paths")
+            if path is not None and Path(path).resolve().is_relative_to(out_dir):
+                raise ConfigError(
+                    f"output directory must be distinct from input paths and not contain "
+                    f"them: {path}"
+                )
 
 
 @dataclass
@@ -171,6 +190,68 @@ def _load_firm_filter(text: str) -> FirmFilter:
     return FirmFilter(firms=frozenset(firms))
 
 
+def _is_written_by_run(entry: Path) -> bool:
+    mode = entry.lstat().st_mode
+    if entry.name in TABLE_FILES:
+        return stat.S_ISREG(mode)
+    if entry.name in GRAPH_DIRS and stat.S_ISDIR(mode):
+        return all(
+            f.suffix in GRAPH_SUFFIXES and stat.S_ISREG(f.lstat().st_mode) for f in entry.iterdir()
+        )
+    return False
+
+
+def _check_replaceable(out_dir: Path) -> None:
+    """Refuse an existing output path holding anything a run does not write.
+
+    A successful run replaces the whole directory, so this is checked
+    before any work, and nothing of the user's is deleted.
+    """
+    if not os.path.lexists(out_dir):
+        return
+    if not out_dir.is_dir():
+        raise ConfigError(f"output path {out_dir} exists and is not a directory")
+    foreign = sorted(e.name for e in out_dir.iterdir() if not _is_written_by_run(e))
+    if foreign:
+        raise ConfigError(
+            f"output directory {out_dir} holds files coopnet does not write, which a run "
+            f"would delete: {', '.join(foreign[:5])}"
+        )
+
+
+@contextmanager
+def _replacing(out_dir: Path) -> Iterator[Path]:
+    """Yield an empty staging directory that replaces out_dir if the block succeeds.
+
+    Staging lives in a ``.NAME.*`` sibling, on out_dir's filesystem, so the
+    swap is two renames. On any exception the sibling is removed and out_dir
+    is left untouched. A run killed mid-swap leaves the old tree in the
+    sibling.
+    """
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    sibling = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    staging, old = sibling / "new", sibling / "old"
+    try:
+        # mkdtemp makes a private directory; the staged tree takes the usual
+        # permissions, as a directory made by mkdir does
+        staging.mkdir()
+        yield staging
+        if os.path.lexists(out_dir):
+            os.replace(out_dir, old)
+        try:
+            os.replace(staging, out_dir)
+        except BaseException:
+            if os.path.lexists(old):
+                os.replace(old, out_dir)
+            raise
+    except BaseException:
+        # an old tree that could not be put back stays in the sibling
+        if not os.path.lexists(old):
+            shutil.rmtree(sibling, ignore_errors=True)
+        raise
+    shutil.rmtree(sibling)
+
+
 def _community_payload(release: str, communities: list[SubCommunity]) -> dict:
     return {
         "release": release,
@@ -186,8 +267,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     """Run the full analysis and write all artifacts under cfg.out_dir.
 
     Raises the originating module's error on bad inputs (the CLI maps
-    these to exit codes); partial outputs are removed on write failure.
+    these to exit codes). Each artifact is written as soon as it is
+    rendered, into a staging directory that replaces cfg.out_dir only when
+    the whole run succeeds; on any error cfg.out_dir is left as it was.
+    An existing cfg.out_dir holding anything a run does not write is
+    refused with ConfigError before any work.
     """
+    out_dir = Path(cfg.out_dir).resolve()
+    _check_replaceable(out_dir)
     # open the log first, so a missing log is reported before the other inputs
     with open(cfg.commit_log, encoding="utf-8") as log:
         windows = load_releases(Path(cfg.releases).read_text(encoding="utf-8"))
@@ -232,103 +319,101 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     ]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
-    # One pass per graph; the merged graph is the last one, so scope comes
-    # from position, not name (a release may itself be named "merged").
-    outputs: dict[str, str] = {}
-    evolution_rows = []
-    homophily_rows = []
-    comparison_rows = []
-    community_payloads = []
-    for i, g in enumerate([*window_graphs, merged], 1):
-        is_window = g is not merged
-        if is_window:
-            scope, release, stem = "window", g.window, f"{i:02d}_{_slug(g.window)}"
-        else:
-            scope, release, stem = MERGED_LABEL, "all", MERGED_LABEL
-        mixing = firm_mixing(g)
-        if is_window:
-            evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
-            homophily_rows.append(
-                (g.window, same_firm_edge_fraction(mixing), firm_assortativity(mixing))
-            )
-        for stream in streams:
-            cmp = compare_revenue_stream(mixing, stream, universe)
-            comparison_rows.append(
-                (scope, release, cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta, cmp.den_beta)
-            )
-        bb = extract_backbone(g, cfg.backbone)
-        communities = detect_subcommunities(bb, cfg.community_min_size)
-        community_payloads.append(_community_payload(g.window, communities))
-        for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
-            if fmt in cfg.formats:
-                outputs[f"graphs/{stem}.{fmt}"] = export(g)
-                outputs[f"backbones/{stem}.{fmt}"] = export(bb)
+    with _replacing(out_dir) as staging:
+        written: list[str] = []
 
-    if "csv" in cfg.formats:
-        outputs["evolution.csv"] = evolution_csv(evolution_rows)
-        outputs["homophily.csv"] = homophily_csv(homophily_rows)
-        outputs["comparisons.csv"] = comparisons_csv(comparison_rows)
+        def write(rel_path: str, text: str) -> None:
+            target = staging / rel_path
+            target.parent.mkdir(exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+            written.append(rel_path)
 
-    summary = {
-        "commits": {
-            "accepted": report.accepted,
-            "rejected": len(report.rejected),
-            "excluded": len(excluded_shas),
-            "post_release": post_release,
-            "analyzed": sum(commit_counts.values()),
-        },
-        "excluded_shas": sorted(excluded_shas),
-        "identities": len({i.canonical_id for i in identities.values()}),
-        "firms": sorted(universe),
-        "windows": [
-            {"release": r, "commits": commit_counts[r], "nodes": n, "edges": e, "density": d}
-            for r, n, e, d in evolution_rows
-        ],
-        "merged": {
-            "nodes": merged.node_count,
-            "edges": merged.edge_count,
-            "density": density(merged),
-        },
-        "backbone": {
-            "max_rank_k": cfg.backbone.max_rank_k,
-            "min_embeddedness": cfg.backbone.min_embeddedness,
-            "community_min_size": cfg.community_min_size,
-        },
-        "time_field": cfg.time_field,
-        "formats": sorted(cfg.formats),
-    }
+        # One pass per graph; the merged graph is the last one, so scope comes
+        # from position, not name (a release may itself be named "merged").
+        # Each graph file is written as soon as it is rendered.
+        evolution_rows = []
+        homophily_rows = []
+        comparison_rows = []
+        community_payloads = []
+        for i, g in enumerate([*window_graphs, merged], 1):
+            is_window = g is not merged
+            if is_window:
+                scope, release, stem = "window", g.window, f"{i:02d}_{_slug(g.window)}"
+            else:
+                scope, release, stem = MERGED_LABEL, "all", MERGED_LABEL
+            mixing = firm_mixing(g)
+            if is_window:
+                evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
+                homophily_rows.append(
+                    (g.window, same_firm_edge_fraction(mixing), firm_assortativity(mixing))
+                )
+            for stream in streams:
+                cmp = compare_revenue_stream(mixing, stream, universe)
+                comparison_rows.append(
+                    (scope, release, cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta,
+                     cmp.den_beta)
+                )
+            bb = extract_backbone(g, cfg.backbone)
+            communities = detect_subcommunities(bb, cfg.community_min_size)
+            community_payloads.append(_community_payload(g.window, communities))
+            for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
+                if fmt in cfg.formats:
+                    write(f"graphs/{stem}.{fmt}", export(g))
+                    write(f"backbones/{stem}.{fmt}", export(bb))
 
-    if "json" in cfg.formats:
-        outputs["communities.json"] = _json_text(
-            {
-                "min_size": cfg.community_min_size,
-                "params": {
-                    "max_rank_k": cfg.backbone.max_rank_k,
-                    "min_embeddedness": cfg.backbone.min_embeddedness,
-                },
-                "windows": community_payloads,
-            }
-        )
-        outputs["validation_report.json"] = _json_text(
-            {
+        if "csv" in cfg.formats:
+            write("evolution.csv", evolution_csv(evolution_rows))
+            write("homophily.csv", homophily_csv(homophily_rows))
+            write("comparisons.csv", comparisons_csv(comparison_rows))
+
+        summary = {
+            "commits": {
                 "accepted": report.accepted,
-                "rejected": [[line, reason] for line, reason in report.rejected],
-                "cleaned": [[sha, fix] for sha, fix in report.cleaned],
-            }
-        )
-        outputs["run_summary.json"] = _json_text(summary)
+                "rejected": len(report.rejected),
+                "excluded": len(excluded_shas),
+                "post_release": post_release,
+                "analyzed": sum(commit_counts.values()),
+            },
+            "excluded_shas": sorted(excluded_shas),
+            "identities": len({i.canonical_id for i in identities.values()}),
+            "firms": sorted(universe),
+            "windows": [
+                {"release": r, "commits": commit_counts[r], "nodes": n, "edges": e, "density": d}
+                for r, n, e, d in evolution_rows
+            ],
+            "merged": {
+                "nodes": merged.node_count,
+                "edges": merged.edge_count,
+                "density": density(merged),
+            },
+            "backbone": {
+                "max_rank_k": cfg.backbone.max_rank_k,
+                "min_embeddedness": cfg.backbone.min_embeddedness,
+                "community_min_size": cfg.community_min_size,
+            },
+            "time_field": cfg.time_field,
+            "formats": sorted(cfg.formats),
+        }
 
-    written: list[Path] = []
-    out_dir = Path(cfg.out_dir)
-    try:
-        for rel_path in sorted(outputs):
-            target = out_dir / rel_path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(outputs[rel_path], encoding="utf-8")
-            written.append(target)
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return RunResult(files_written=written, summary=summary)
+        if "json" in cfg.formats:
+            write("communities.json", _json_text(
+                {
+                    "min_size": cfg.community_min_size,
+                    "params": {
+                        "max_rank_k": cfg.backbone.max_rank_k,
+                        "min_embeddedness": cfg.backbone.min_embeddedness,
+                    },
+                    "windows": community_payloads,
+                }
+            ))
+            write("validation_report.json", _json_text(
+                {
+                    "accepted": report.accepted,
+                    "rejected": [[line, reason] for line, reason in report.rejected],
+                    "cleaned": [[sha, fix] for sha, fix in report.cleaned],
+                }
+            ))
+            write("run_summary.json", _json_text(summary))
 
+    files_written = [Path(cfg.out_dir) / rel_path for rel_path in sorted(written)]
+    return RunResult(files_written=files_written, summary=summary)

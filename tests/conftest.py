@@ -11,6 +11,22 @@ FIXTURE_DIR = Path(__file__).parent / "data" / "fixture"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
+def analyze_args(tmp_path, **extra):
+    """`coopnet analyze` argv for the fixture; each extra option is appended, so it wins."""
+    args = [
+        "analyze",
+        "--log", str(FIXTURE_DIR / "commits.ndjson"),
+        "--releases", str(FIXTURE_DIR / "releases.csv"),
+        "--affiliations", str(FIXTURE_DIR / "affiliations.ini"),
+        "--firms", str(FIXTURE_DIR / "firms.txt"),
+        "--revenue-models", str(FIXTURE_DIR / "revenue.csv"),
+        "--out", str(tmp_path / "out"),
+    ]
+    for key, value in extra.items():
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    return args
+
+
 def make_graph(firms: dict[str, str], edges=(), window: str = "w") -> CollaborationGraph:
     """Build a graph directly from a node->firm map and edge pairs."""
     normalized = frozenset(tuple(sorted(e)) for e in edges)

@@ -3,25 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, analyze_args
 from coopnet import cli
 from coopnet.cli import main
 from coopnet.ingest import RECORD_SENTINEL
-
-
-def analyze_args(tmp_path, **extra):
-    args = [
-        "analyze",
-        "--log", str(FIXTURE_DIR / "commits.ndjson"),
-        "--releases", str(FIXTURE_DIR / "releases.csv"),
-        "--affiliations", str(FIXTURE_DIR / "affiliations.ini"),
-        "--firms", str(FIXTURE_DIR / "firms.txt"),
-        "--revenue-models", str(FIXTURE_DIR / "revenue.csv"),
-        "--out", str(tmp_path / "out"),
-    ]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", str(value)]
-    return args
 
 
 def test_analyze_runs_fixture(tmp_path):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coopnet import identity
 from coopnet.identity import (
     BOT,
     UNAFFILIATED,
     AffiliationError,
     AffiliationMap,
+    IdentityResolver,
     canonicalize_identities,
     load_affiliation_map,
     resolve_affiliation,
@@ -147,6 +149,49 @@ def test_alias_group_with_conflicting_firms_errors():
     )
     with pytest.raises(AffiliationError, match="multiple firms"):
         canonicalize_identities([commit("1", "a@hp.example")], amap)
+
+
+def test_resolver_classifies_each_address_once(monkeypatch):
+    calls = []
+
+    def counting(email):
+        calls.append(email)
+        return classify(email)
+
+    classify = identity.classify_email
+    monkeypatch.setattr(identity, "classify_email", counting)
+    resolver = IdentityResolver(load_affiliation_map(BASIC_CONFIG))
+    emails = ["a@x.example", "dev@hp.example", "", "a@y.example", "ci-bot@project.example"]
+    first = [resolver.resolve(e) for e in emails]
+    assert [resolver.resolve(e) for e in emails * 3] == first * 3
+    # the bot is excluded before its address is classified
+    assert sorted(calls) == sorted(emails[:4])
+    assert first[0] is first[3] and first[2] is None and first[4] is None
+
+
+def test_bot_address_in_alias_group_stays_excluded():
+    amap = load_affiliation_map(
+        "[domains]\nhp.example = HP\n"
+        "[aliases]\na@hp.example, bot@hp.example\n"
+        "[bots]\nbot@hp.example\n"
+    )
+    for order in (["a@hp.example", "bot@hp.example"], ["bot@hp.example", "a@hp.example"]):
+        resolver = IdentityResolver(amap)
+        outcomes = {e: resolver.resolve(e) for e in order}
+        assert outcomes["bot@hp.example"] is None
+        assert resolver.resolve("bot@hp.example") is None
+        assert outcomes["a@hp.example"].firm == "HP"
+
+
+def test_alias_group_conflict_raises_on_every_resolve():
+    amap = load_affiliation_map(
+        "[domains]\nhp.example = HP\nibm.example = IBM\n"
+        "[aliases]\na@hp.example, a@ibm.example\n"
+    )
+    resolver = IdentityResolver(amap)
+    for email in ("a@hp.example", "a@hp.example", "a@ibm.example"):
+        with pytest.raises(AffiliationError, match="multiple firms"):
+            resolver.resolve(email)
 
 
 def test_alias_group_conflict_resolved_by_override():

@@ -1,13 +1,17 @@
 import json
+import os
+import shutil
 import weakref
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-from conftest import FIXTURE_DIR, make_graph, read_graphml
+from conftest import FIXTURE_DIR, analyze_args, make_graph, read_graphml
 from coopnet import report
 from coopnet.backbone import BackboneParams
+from coopnet.cli import main
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -33,6 +37,18 @@ def run_config(tmp_path, **overrides):
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, with file contents (None for a directory)."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def siblings(tmp_path) -> list[Path]:
+    return sorted(tmp_path.glob(".out.*"))
 
 
 def test_format_real():
@@ -264,3 +280,136 @@ def test_pipeline_holds_no_list_of_records(tmp_path, monkeypatch):
     assert len(refs) == result.summary["commits"]["accepted"] > 2
     # the record being yielded and the one the pipeline's loop still names
     assert most_alive <= 2
+
+
+@pytest.mark.parametrize("option, field, source", [
+    ("log", "commit_log", "commits.ndjson"),
+    ("firms", "firms", "firms.txt"),
+])
+@pytest.mark.parametrize("inside", [False, True])
+def test_input_in_output_directory_is_exit_2(tmp_path, option, field, source, inside):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / source if inside else tmp_path / source
+    shutil.copy(FIXTURE_DIR / source, path)
+    out_dir = out if inside else path
+    result = CliRunner().invoke(main, analyze_args(tmp_path, **{option: path, "out": out_dir}))
+    assert result.exit_code == 2, result.output
+    assert "distinct" in result.output
+    assert path.read_bytes() == (FIXTURE_DIR / source).read_bytes()
+    with pytest.raises(ConfigError, match="distinct"):
+        run_config(tmp_path, **{field: path, "out_dir": out_dir})
+
+
+@pytest.mark.parametrize("first_run", [True, False])
+@pytest.mark.parametrize("fail_at", [1, 9, 22])  # a graph file, a backbone, run_summary.json
+def test_failed_write_leaves_previous_tree(tmp_path, monkeypatch, first_run, fail_at):
+    out = tmp_path / "out"
+    if not first_run:
+        run_pipeline(run_config(tmp_path, formats=frozenset({"dot", "csv"})))
+    before = tree(out) if out.exists() else None
+    original_write = Path.write_text
+    calls = []
+
+    def failing_write(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == fail_at:
+            raise OSError("disk full")
+        return original_write(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(run_config(tmp_path))
+    monkeypatch.undo()
+    assert len(calls) == fail_at
+    assert (tree(out) if out.exists() else None) == before
+    assert siblings(tmp_path) == []
+
+
+@pytest.mark.parametrize("restore_fails", [False, True])
+def test_failed_swap_keeps_previous_tree(tmp_path, monkeypatch, restore_fails):
+    out = tmp_path / "out"
+    run_pipeline(run_config(tmp_path))
+    before = tree(out)
+    original_replace = os.replace
+    failing = {"new", "old"} if restore_fails else {"new"}  # the staged tree, the moved-aside one
+
+    def failing_replace(src, dst):
+        if Path(src).name in failing:
+            raise OSError("rename failed")
+        return original_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        run_pipeline(run_config(tmp_path, formats=frozenset({"csv"})))
+    monkeypatch.undo()
+    if restore_fails:
+        # nothing is deleted: the old tree stays in the sibling
+        assert not out.exists()
+        (sibling,) = siblings(tmp_path)
+        assert tree(sibling / "old") == before
+    else:
+        assert tree(out) == before
+        assert siblings(tmp_path) == []
+
+
+def test_narrower_rerun_leaves_only_its_own_files(tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(run_config(tmp_path))
+    assert (out / "graphs").is_dir() and (out / "backbones").is_dir()
+    result = run_pipeline(run_config(tmp_path, formats=frozenset({"csv", "json"})))
+    assert sorted(tree(out)) == sorted(p.relative_to(out).as_posix() for p in result.files_written)
+    assert [p.name for p in result.files_written] == sorted(report.TABLE_FILES)
+    assert siblings(tmp_path) == []
+
+
+@pytest.mark.parametrize("foreign", [
+    "notes.txt", "graphs/notes.txt", "backbones/sub/x.dot", "data/evolution.csv",
+])
+def test_foreign_content_in_output_is_exit_2(tmp_path, monkeypatch, foreign):
+    out = tmp_path / "out"
+    run_pipeline(run_config(tmp_path))
+    path = out / foreign
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("mine\n")
+    before = tree(out)
+    rendered = []
+    monkeypatch.setattr(report, "export_graphml", lambda g: rendered.append(g) or "")
+    result = CliRunner().invoke(main, analyze_args(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "does not write" in result.output
+    assert rendered == []  # refused before any work
+    assert tree(out) == before
+    assert siblings(tmp_path) == []
+
+
+def test_symlink_in_output_is_refused(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "mine.csv").write_text("mine\n")
+    (out / "evolution.csv").symlink_to(tmp_path / "mine.csv")
+    with pytest.raises(ConfigError, match="does not write"):
+        run_pipeline(run_config(tmp_path))
+    assert (out / "evolution.csv").read_text() == "mine\n"
+
+
+def test_output_path_that_is_a_file_is_refused(tmp_path):
+    (tmp_path / "out").write_text("mine\n")
+    with pytest.raises(ConfigError, match="not a directory"):
+        run_pipeline(run_config(tmp_path))
+    assert (tmp_path / "out").read_text() == "mine\n"
+
+
+def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
+    original = report.export_graphml
+    on_disk = []
+
+    def counting(g):
+        (staging,) = siblings(tmp_path)
+        on_disk.append(sum(p.is_file() for p in staging.rglob("*")))
+        return original(g)
+
+    monkeypatch.setattr(report, "export_graphml", counting)
+    run_pipeline(run_config(tmp_path))
+    assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
+    assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
