@@ -55,28 +55,43 @@ def build_collaboration_graph(
     dropped entirely, nodes and edges both. Isolated contributors remain
     nodes.
     """
+    firms, shared = shared_files(pairs, firm_filter)
+    edges: set[Edge] = set()
+    for devs in shared.values():
+        ordered = sorted(devs)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1 :]:
+                edges.add((u, v))
+    return CollaborationGraph(window=window, firms=firms, edges=frozenset(edges))
+
+
+def shared_files(
+    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
+    firm_filter: FirmFilter | None = None,
+) -> tuple[dict[str, str], dict[str, set[str]]]:
+    """The window's node map, and the developers of each file that two or more touched.
+
+    A file's first developer is kept as a plain id; its set is made only
+    when a second, different developer touches it, so the many files of a
+    wide history that one developer touches cost no set.
+    """
     firms: dict[str, str] = {}
-    touched: dict[str, set[str]] = {}  # file -> node ids
+    first: dict[str, str] = {}  # file -> the first node id to touch it
+    shared: dict[str, set[str]] = {}  # file -> node ids, once there are two
     for identity, files in pairs:
         if firm_filter is not None and identity.firm not in firm_filter.firms:
             continue
         node = identity.canonical_id
         firms[node] = identity.firm
         for path in files:
-            devs = touched.get(path)
-            if devs is None:
-                touched[path] = {node}
-            else:
-                devs.add(node)
-    edges: set[Edge] = set()
-    for devs in touched.values():
-        if len(devs) < 2:  # most files on a wide history; they make no pair
-            continue
-        ordered = sorted(devs)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                edges.add((u, v))
-    return CollaborationGraph(window=window, firms=firms, edges=frozenset(edges))
+            dev = first.setdefault(path, node)
+            if dev != node:
+                devs = shared.get(path)
+                if devs is None:
+                    shared[path] = {dev, node}
+                else:
+                    devs.add(node)
+    return firms, shared
 
 
 def merge_graphs(graphs: Iterable[CollaborationGraph], window: str = "merged") -> CollaborationGraph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ingest import INVALID_EMAIL, CommitRecord, classify_email
+from .ingest import CONTROL_RE, INVALID_EMAIL, CommitRecord, classify_email
 
 UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
@@ -45,7 +45,9 @@ def load_affiliation_map(config: str) -> AffiliationMap:
 
     Sections: [domains] and [emails] hold key=firm lines, [aliases] one
     comma-separated email group per line, [bots] one email per line.
-    "#" starts a comment. Keys are lowercased.
+    "#" starts a comment. Keys are lowercased. A key, firm or email holding
+    a C0 control character is refused, as ``classify_email`` refuses such an
+    address: it could become a node id or firm that GraphML cannot hold.
     """
     domain_rules: dict[str, str] = {}
     email_overrides: dict[str, str] = {}
@@ -70,6 +72,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
             if not sep or not key.strip() or not firm.strip():
                 raise AffiliationError(f"line {line_number}: expected key=firm")
             key, firm = key.strip().lower(), firm.strip()
+            _check_no_control(line_number, key, firm)
             rules = domain_rules if section == "domains" else email_overrides
             if key in rules and rules[key] != firm:
                 raise AffiliationError(
@@ -77,7 +80,9 @@ def load_affiliation_map(config: str) -> AffiliationMap:
                 )
             rules[key] = firm
         elif section == "aliases":
-            members = frozenset(e.strip().lower() for e in line.split(",") if e.strip())
+            emails = [e.strip().lower() for e in line.split(",") if e.strip()]
+            _check_no_control(line_number, *emails)
+            members = frozenset(emails)
             if len(members) < 2:
                 raise AffiliationError(
                     f"line {line_number}: alias group needs at least two emails"
@@ -90,6 +95,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
             alias_groups.append(members)
             aliased |= members
         else:
+            _check_no_control(line_number, line)
             bot_emails.add(line.lower())
     return AffiliationMap(
         domain_rules=domain_rules,
@@ -97,6 +103,12 @@ def load_affiliation_map(config: str) -> AffiliationMap:
         alias_groups=tuple(alias_groups),
         bot_emails=frozenset(bot_emails),
     )
+
+
+def _check_no_control(line_number: int, *texts: str) -> None:
+    for text in texts:
+        if CONTROL_RE.search(text):
+            raise AffiliationError(f"line {line_number}: {text!r} holds a control character")
 
 
 def resolve_affiliation(email: str, amap: AffiliationMap) -> str:

@@ -30,8 +30,12 @@ RFC3339_RE = re.compile(
     r"([Zz]|[+-][0-9]{2}:[0-5][0-9])"
 )
 RECORD_SENTINEL = "\x01COMMIT\x01"
+# C0 control characters: no address or firm name holds one, and XML 1.0
+# allows none but tab, LF and CR even escaped, so GraphML could not hold most
+CONTROL_RE = re.compile("[\x00-\x1f]")
 
 CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
+_FIELD_SET = frozenset(CANONICAL_FIELDS)
 
 OK = "ok"
 FIXABLE = "fixable"
@@ -87,12 +91,13 @@ def normalize_email(email: str) -> str:
 def classify_email(email: str) -> str:
     """Classify an address as ok / fixable / invalid-email.
 
-    An address is invalid when it has no "@" or no dot in the domain part;
-    fixable when normalization (trim + lowercase) would change it.
+    An address is invalid when it has no "@", no dot in the domain part or
+    a C0 control character left after trimming; fixable when normalization
+    (trim + lowercase) would change it.
     """
     normalized = normalize_email(email)
     local, sep, domain = normalized.rpartition("@")
-    if not sep or not local or "." not in domain:
+    if not sep or not local or "." not in domain or CONTROL_RE.search(normalized):
         return INVALID_EMAIL
     if normalized != email:
         return FIXABLE
@@ -110,12 +115,13 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
         raise ValueError(f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
-    for name in CANONICAL_FIELDS:
-        if name not in obj:
-            raise ValueError(f"missing field: {name}")
-    for name in obj:
-        if name not in CANONICAL_FIELDS:
-            raise ValueError(f"unknown field: {name}")
+    if obj.keys() != _FIELD_SET:  # one comparison; the loops name the first fault
+        for name in CANONICAL_FIELDS:
+            if name not in obj:
+                raise ValueError(f"missing field: {name}")
+        for name in obj:
+            if name not in CANONICAL_FIELDS:
+                raise ValueError(f"unknown field: {name}")
     sha = obj["sha"]
     if not isinstance(sha, str) or not SHA_RE.match(sha):
         raise ValueError("sha is not a 40-char lowercase hex string")
@@ -130,11 +136,12 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
     except ValueError:
         raise ValueError("timestamp is not RFC 3339") from None
     files = obj["files"]
-    if not isinstance(files, list) or any(not isinstance(f, str) for f in files):
+    # isinstance(f, str) for each file, without a Python-level generator
+    if not isinstance(files, list) or not all(map(str.__instancecheck__, files)):
         raise ValueError("files is not a list of strings")
     if not files:
         raise ValueError("no files")
-    if any(f == "" for f in files):
+    if "" in files:
         raise ValueError("empty file path")
 
     fixes = []

@@ -16,6 +16,7 @@ import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape, quoteattr
@@ -133,42 +134,81 @@ def comparisons_csv(rows: list[tuple[str, str, str, int, float | None, int, floa
 # ---------------------------------------------------------------------------
 # graph serialization
 
-def export_graphml(g: CollaborationGraph) -> str:
+@dataclass
+class ExportMemo:
+    """Quoted text that one export format reuses across the graphs of a run.
+
+    Each node id and each firm name is quoted once, however many graphs
+    hold it. ``nodes`` keeps the last node map rendered with its node
+    lines; a backbone shares its graph's map, so it reuses the graph's.
+    The exported text is the same with or without a memo.
+    """
+
+    ids: dict[str, str] = field(default_factory=dict)  # node id -> quoted id
+    firms: dict[str, str] = field(default_factory=dict)  # firm -> quoted firm
+    nodes: tuple[dict[str, str], str] | None = None  # (node map, its node lines)
+
+
+_GRAPHML_NODE = '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n'
+
+
+def _node_lines(
+    g: CollaborationGraph, memo: ExportMemo, quote_id, quote_firm, template: str
+) -> str:
+    """g's node lines in id order, rendered once per node map.
+
+    ``template`` takes the quoted id and the quoted firm.
+    """
+    if memo.nodes is None or memo.nodes[0] is not g.firms:
+        ids, firms = memo.ids, memo.firms
+        line = template.format
+        lines = []
+        for node in sorted(g.firms):
+            q = ids.get(node)
+            if q is None:
+                q = ids[node] = quote_id(node)
+            firm = g.firms[node]
+            f = firms.get(firm)
+            if f is None:
+                f = firms[firm] = quote_firm(firm)
+            lines.append(line(q, f))
+        memo.nodes = (g.firms, "".join(lines))
+    return memo.nodes[1]
+
+
+def export_graphml(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
     """GraphML with a "firm" node attribute, stable lexicographic ordering."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>',
-        f'  <graph id={quoteattr(g.window)} edgedefault="undirected">',
+    if memo is None:
+        memo = ExportMemo()
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
+        f'  <graph id={quoteattr(g.window)} edgedefault="undirected">\n',
+        _node_lines(g, memo, quoteattr, escape, _GRAPHML_NODE),
     ]
-    quoted: dict[str, str] = {}  # each id is quoted once, not once per edge
-    for node in sorted(g.firms):
-        quoted[node] = q = quoteattr(node)
-        lines.append(f"    <node id={q}>")
-        lines.append(f'      <data key="firm">{escape(g.firms[node])}</data>')
-        lines.append("    </node>")
-    for u, v in sorted(g.edges):
-        lines.append(f"    <edge source={quoted[u]} target={quoted[v]}/>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    quoted = memo.ids  # every node of g is quoted by now
+    parts += [f"    <edge source={quoted[u]} target={quoted[v]}/>\n" for u, v in sorted(g.edges)]
+    parts.append("  </graph>\n</graphml>\n")
+    return "".join(parts)
 
 
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: CollaborationGraph) -> str:
+def export_dot(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
     """Undirected DOT with the firm as a node attribute, stable ordering."""
-    lines = [f"graph {_dot_quote(g.window)} {{"]
-    quoted: dict[str, str] = {}  # each id is quoted once, not once per edge
-    for node in sorted(g.firms):
-        quoted[node] = q = _dot_quote(node)
-        lines.append(f"  {q} [firm={_dot_quote(g.firms[node])}];")
-    for u, v in sorted(g.edges):
-        lines.append(f"  {quoted[u]} -- {quoted[v]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    if memo is None:
+        memo = ExportMemo()
+    parts = [
+        f"graph {_dot_quote(g.window)} {{\n",
+        _node_lines(g, memo, _dot_quote, _dot_quote, "  {} [firm={}];\n"),
+    ]
+    quoted = memo.ids  # every node of g is quoted by now
+    parts += [f"  {quoted[u]} -- {quoted[v]};\n" for u, v in sorted(g.edges)]
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def _json_text(payload) -> str:
@@ -294,12 +334,18 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         per_window: dict[str, list] = {w.name: [] for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
+        # A window ends at 23:59:59Z and is compared in whole seconds, so the
+        # release depends only on the UTC date: look each date up once.
+        release_of_day: dict[date, str] = {}
         for record in iter_commits(log, report):
             identity = resolver.resolve(record.author_email)
             if identity is None:
                 excluded_shas.append(record.sha)
                 continue
-            label = assign_release(record.timestamp, windows)
+            day = record.timestamp.date()  # timestamps are UTC
+            label = release_of_day.get(day)
+            if label is None:
+                label = release_of_day[day] = assign_release(record.timestamp, windows)
             if label == POST_RELEASE:
                 post_release += 1
             else:
@@ -335,6 +381,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         homophily_rows = []
         comparison_rows = []
         community_payloads = []
+        memos = {"graphml": ExportMemo(), "dot": ExportMemo()}  # one per format, for the run
         for i, g in enumerate([*window_graphs, merged], 1):
             is_window = g is not merged
             if is_window:
@@ -358,8 +405,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             community_payloads.append(_community_payload(g.window, communities))
             for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
                 if fmt in cfg.formats:
-                    write(f"graphs/{stem}.{fmt}", export(g))
-                    write(f"backbones/{stem}.{fmt}", export(bb))
+                    write(f"graphs/{stem}.{fmt}", export(g, memos[fmt]))
+                    write(f"backbones/{stem}.{fmt}", export(bb, memos[fmt]))
 
         if "csv" in cfg.formats:
             write("evolution.csv", evolution_csv(evolution_rows))

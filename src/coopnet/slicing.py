@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 
+from .ingest import CONTROL_RE
+
 POST_RELEASE = "post-release"
 
 
@@ -52,6 +54,10 @@ def load_releases(config: str) -> list[ReleaseWindow]:
         name, date_text = row[0].strip(), row[1].strip()
         if not name:
             raise ReleaseConfigError(f"row {row_number}: empty release name")
+        if CONTROL_RE.search(name):  # it names a graph, which GraphML could not hold
+            raise ReleaseConfigError(
+                f"row {row_number}: release name {name!r} holds a control character"
+            )
         if name in seen:
             raise ReleaseConfigError(f"row {row_number}: duplicate release name {name}")
         seen.add(name)

@@ -1,5 +1,6 @@
 """Graph construction tests, including the nested-loop brute-force oracle."""
 
+import random
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from coopnet.graph import (
     GraphError,
     build_collaboration_graph,
     merge_graphs,
+    shared_files,
 )
 from coopnet.identity import DeveloperIdentity
 from coopnet.ingest import CommitRecord
@@ -103,6 +105,71 @@ def test_merge_graphs_unions_nodes_and_edges():
     assert merged.window == "merged"
     assert merged.firms.keys() == {"a", "b", "c"}
     assert merged.edges == {("a", "b"), ("b", "c")}
+
+
+def seeded_window(seed):
+    """(identity, files) pairs mixing files of one, two and many developers.
+
+    A one-developer file is committed by its developer one to four times;
+    every developer's touches are cut into commits of one to three files.
+    """
+    rng = random.Random(seed)
+    devs = [f"d{i:02d}" for i in range(30)]
+    identities = identity_map({d: ("HP", "IBM", "RedHat")[i % 3] for i, d in enumerate(devs)})
+    touches = {d: [] for d in devs}
+    for i in range(40):
+        touches[rng.choice(devs)] += [f"solo{i}.py"] * rng.randint(1, 4)
+    for i in range(15):
+        for d in rng.sample(devs, 2):
+            touches[d].append(f"pair{i}.py")
+    for i in range(3):
+        for d in rng.sample(devs, rng.randint(8, 20)):
+            touches[d] += [f"hub{i}.py"] * rng.randint(1, 2)
+    commits = []
+    for d, files in touches.items():
+        rng.shuffle(files)
+        while files:
+            size = rng.randint(1, 3)
+            commits.append((identities[node(d)], tuple(sorted(set(files[:size])))))
+            files = files[size:]
+    rng.shuffle(commits)
+    return commits
+
+
+def cofile_oracle(pairs, firm_filter):
+    """Brute force: each kept developer's file set, then every pair of developers."""
+    firms, files_of = {}, {}
+    for identity, files in pairs:
+        if firm_filter is None or identity.firm in firm_filter.firms:
+            firms[identity.canonical_id] = identity.firm
+            files_of.setdefault(identity.canonical_id, set()).update(files)
+    edges = {(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]}
+    devs_of = {}
+    for dev, files in files_of.items():
+        for path in files:
+            devs_of.setdefault(path, set()).add(dev)
+    return firms, edges, {path: devs for path, devs in devs_of.items() if len(devs) > 1}
+
+
+@pytest.mark.parametrize("firm_filter", [None, FirmFilter(frozenset({"HP", "RedHat"}))])
+@pytest.mark.parametrize("seed", range(4))
+def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
+    pairs = seeded_window(seed)
+    firms, edges, shared = cofile_oracle(pairs, firm_filter)
+    # the input holds every case: solo files committed repeatedly, and files of 2 and many
+    commits_of = {}
+    for identity, files in pairs:
+        for path in files:
+            commits_of.setdefault(path, []).append(identity.canonical_id)
+    assert any(len(c) > 1 and len(set(c)) == 1 for c in commits_of.values())
+    sizes = {len(devs) for devs in shared.values()}
+    assert 2 in sizes and max(sizes) >= 5
+    g = build_collaboration_graph("w", pairs, firm_filter)
+    assert g.firms == firms
+    assert g.edges == edges
+    assert all(u < v for u, v in g.edges)  # no self-loop
+    # a set is made only for a file that two different developers touched
+    assert shared_files(pairs, firm_filter) == (firms, shared)
 
 
 # --- properties -----------------------------------------------------------

@@ -213,6 +213,35 @@ def test_load_ends_lines_only_at_newlines(mark):
         load_affiliation_map(config)
 
 
+@pytest.mark.parametrize(
+    "config, bad",
+    [
+        ("[domains]\nhp.example = H\x01P\n", "H\x01P"),
+        ("[domains]\nh\x1bp.example = HP\n", "h\x1bp.example"),
+        ("[emails]\na\x00b@hp.example = HP\n", "a\x00b@hp.example"),
+        ("[emails]\nab@hp.example = HP\tInc\n", "HP\tInc"),
+        ("[aliases]\na@x.example, a\x1f@y.example, a\x02@z.example\n", "a\x1f@y.example"),
+        ("[bots]\nci\x7f\x01@project.example\n", "ci\x7f\x01@project.example"),
+    ],
+)
+def test_load_rejects_control_characters_with_line_number(config, bad):
+    with pytest.raises(AffiliationError) as excinfo:
+        load_affiliation_map("# header\n" + config)
+    assert str(excinfo.value) == f"line 3: {bad!r} holds a control character"
+
+
+def test_load_allows_tabs_around_keys_and_firms():
+    amap = load_affiliation_map("[domains]\n\thp.example\t=\tHP\t\n[aliases]\na@x.example,\ta@y.example\n")
+    assert amap.domain_rules == {"hp.example": "HP"}
+    assert amap.alias_groups == (frozenset({"a@x.example", "a@y.example"}),)
+
+
+def test_resolver_excludes_email_with_control_character():
+    resolver = IdentityResolver(load_affiliation_map("[domains]\nx.example = HP\n"))
+    assert resolver.resolve("a\x01b@x.example") is None
+    assert resolver.resolve("ab@x.example").firm == "HP"
+
+
 # --- properties -----------------------------------------------------------
 
 emails = st.from_regex(r"[a-z]{1,4}@[a-z]{1,4}\.[a-z]{2,3}", fullmatch=True)

@@ -67,6 +67,51 @@ def test_parse_rejects_unknown_and_missing_fields():
 
 
 @pytest.mark.parametrize(
+    "drop, extra, reason",
+    [
+        (("sha",), {}, "missing field: sha"),
+        (("files",), {}, "missing field: files"),
+        (("timestamp", "author_email"), {}, "missing field: author_email"),
+        (("sha", "author_name", "author_email", "timestamp", "files"), {}, "missing field: sha"),
+        # a missing field is named before an unknown one
+        (("timestamp",), {"branch": "main"}, "missing field: timestamp"),
+        ((), {"branch": "main"}, "unknown field: branch"),
+        ((), {"zeta": 1, "alpha": 2}, "unknown field: zeta"),  # in input order
+        ((), {"SHA": SHA_A}, "unknown field: SHA"),
+    ],
+)
+def test_parse_names_the_first_field_fault(drop, extra, reason):
+    obj = {k: v for k, v in json.loads(make_line()).items() if k not in drop}
+    _, report = parse_commit_log(json.dumps({**obj, **extra}))
+    assert report.rejected == [(1, reason)]
+
+
+@pytest.mark.parametrize(
+    "files, reason",
+    [
+        ([1], "files is not a list of strings"),
+        ([1.5], "files is not a list of strings"),
+        ([True], "files is not a list of strings"),
+        ([None], "files is not a list of strings"),
+        ([["a.py"]], "files is not a list of strings"),
+        ([{"a.py": 1}], "files is not a list of strings"),
+        (["a.py", 2], "files is not a list of strings"),
+        ("a.py", "files is not a list of strings"),
+        ({"a.py": 1}, "files is not a list of strings"),
+        (None, "files is not a list of strings"),
+        ([], "no files"),
+        ([""], "empty file path"),
+        (["a.py", ""], "empty file path"),
+        # a type fault is named before an empty path
+        (["", 3], "files is not a list of strings"),
+    ],
+)
+def test_parse_names_the_files_fault(files, reason):
+    _, report = parse_commit_log(make_line(files=files))
+    assert report.rejected == [(1, reason)]
+
+
+@pytest.mark.parametrize(
     "sha", ["A" * 40, "a" * 39, "a" * 41, "xyz", ""]
 )
 def test_parse_rejects_bad_sha(sha):
@@ -187,6 +232,11 @@ def test_parse_is_deterministic():
         ("DEV@HP.EXAMPLE ", FIXABLE),
         ("dev@localhost", INVALID_EMAIL),  # no dot in domain
         ("@hp.example", INVALID_EMAIL),
+        ("a\u0001b@x.example", INVALID_EMAIL),  # no XML 1.0 text can hold it
+        ("a\tb@x.example", INVALID_EMAIL),
+        ("dev@hp.\x1fexample", INVALID_EMAIL),
+        ("dev@hp.example\t", FIXABLE),  # trimming removes it
+        ("a\x7fb@x.example", OK),  # DEL is not a C0 character
     ],
 )
 def test_classify_email(email, expected):

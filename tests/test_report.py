@@ -2,8 +2,10 @@ import json
 import os
 import shutil
 import weakref
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +14,7 @@ from conftest import FIXTURE_DIR, analyze_args, make_graph, read_graphml
 from coopnet import report
 from coopnet.backbone import BackboneParams
 from coopnet.cli import main
+from coopnet.ingest import parse_commit_log
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -24,6 +27,7 @@ from coopnet.report import (
     homophily_csv,
     run_pipeline,
 )
+from coopnet.slicing import POST_RELEASE, assign_release, load_releases
 
 
 def run_config(tmp_path, **overrides):
@@ -404,12 +408,164 @@ def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
     original = report.export_graphml
     on_disk = []
 
-    def counting(g):
+    def counting(g, *args):
         (staging,) = siblings(tmp_path)
         on_disk.append(sum(p.is_file() for p in staging.rglob("*")))
-        return original(g)
+        return original(g, *args)
 
     monkeypatch.setattr(report, "export_graphml", counting)
     run_pipeline(run_config(tmp_path))
     assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
     assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
+
+
+def write_log(path: Path, commits) -> Path:
+    """An NDJSON log of (author email, timestamp, files) commits."""
+    lines = [
+        json.dumps({"sha": f"{i:040x}", "author_name": "Dev", "author_email": email,
+                    "timestamp": timestamp, "files": list(files)})
+        for i, (email, timestamp, files) in enumerate(commits, 1)
+    ]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def small_run_config(tmp_path, commits, releases, affiliations):
+    (tmp_path / "releases.csv").write_text(releases)
+    (tmp_path / "affiliations.ini").write_text(affiliations)
+    return run_config(
+        tmp_path,
+        commit_log=write_log(tmp_path / "commits.ndjson", commits),
+        releases=tmp_path / "releases.csv",
+        affiliations=tmp_path / "affiliations.ini",
+        firms=None,
+        revenue_models=None,
+    )
+
+
+# instants at the edges of UTC days; a release's window ends at 23:59:59Z
+DAY_EDGES = [
+    "2021-02-28T23:59:59.999999Z",
+    "2021-03-01T00:00:00Z",
+    "2021-03-01T23:59:59Z",
+    "2021-03-01T23:59:59.999999Z",
+    "2021-03-02T04:59:59+05:00",  # 2021-03-01T23:59:59Z
+    "2021-03-02T04:59:59.999999+05:00",
+    "2021-03-02T05:00:00+05:00",  # 2021-03-02T00:00:00Z
+    "2021-03-01T18:59:59-05:00",  # 2021-03-01T23:59:59Z
+    "2021-03-01T19:00:00-05:00",  # 2021-03-02T00:00:00Z
+    "2021-03-02T00:00:00Z",
+    "2021-03-02T23:59:59.999999Z",
+    "2021-03-05T20:00:00-05:00",  # 2021-03-06T01:00:00Z, after the last release
+    "2021-03-06T00:00:00Z",
+]
+DAY_EDGE_RELEASES = "name,date\na,2021-03-01\nb,2021-03-02\nc,2021-03-05\n"
+
+
+def test_release_lookup_per_utc_date_matches_assign_release(tmp_path, monkeypatch):
+    # every instant twice, by two developers, and once by a bot that is never looked up
+    commits = [
+        (email, t, ["f.py"])
+        for t in DAY_EDGES
+        for email in ("a@x.example", "b@x.example", "ci@x.example")
+    ]
+    cfg = small_run_config(
+        tmp_path, commits, DAY_EDGE_RELEASES, "[domains]\nx.example = X\n[bots]\nci@x.example\n"
+    )
+    looked_up = []
+
+    def counting(t, windows):
+        looked_up.append(t)
+        return assign_release(t, windows)
+
+    monkeypatch.setattr(report, "assign_release", counting)
+    result = run_pipeline(cfg)
+    records, _ = parse_commit_log(cfg.commit_log.read_text(encoding="utf-8"))
+    windows = load_releases(DAY_EDGE_RELEASES)
+    kept = [r for r in records if r.author_email != "ci@x.example"]
+    expected = Counter(assign_release(r.timestamp, windows) for r in kept)
+    commits_of = {w["release"]: w["commits"] for w in result.summary["windows"]}
+    assert commits_of == {w.name: expected[w.name] for w in windows}
+    assert result.summary["commits"]["post_release"] == expected[POST_RELEASE] == 4
+    assert expected["a"] == 14 and expected["b"] == 8  # both sides of each day edge are hit
+    # one lookup per distinct UTC date
+    dates = Counter(t.date() for t in looked_up)
+    assert set(dates) == {r.timestamp.date() for r in kept}
+    assert set(dates.values()) == {1}
+
+
+# node ids and a firm name that every export format must escape
+AWKWARD_EMAILS = ['q"uote@x.example', "amp&@x.example", "lt<@x.example", "back\\slash@x.example",
+                  "plain@x.example"]
+
+
+def awkward_run_config(tmp_path):
+    # the developers share files in both releases, so an id is in up to three
+    # graphs; the last one joins in the second release only
+    commits = [
+        (email, t, [f"{day}.py", "shared.py"])
+        for day, t, emails in (("one", "2021-03-01T10:00:00Z", AWKWARD_EMAILS[:-1]),
+                               ("two", "2021-03-02T10:00:00Z", AWKWARD_EMAILS))
+        for email in emails
+    ]
+    return small_run_config(
+        tmp_path, commits, "name,date\nr1,2021-03-01\nr2,2021-03-02\n",
+        "[domains]\nx.example = H&P <x>\n",
+    )
+
+
+def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
+    rendered = {"graphml": [], "dot": []}
+    for fmt in rendered:
+        original = getattr(report, f"export_{fmt}")
+
+        def recording(g, *args, _fmt=fmt, _original=original):
+            rendered[_fmt].append(g)
+            return _original(g, *args)
+
+        monkeypatch.setattr(report, f"export_{fmt}", recording)
+    run_pipeline(awkward_run_config(tmp_path))
+    out = tmp_path / "out"
+    for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
+        names = sorted(p.name for p in (out / "graphs").glob(f"*.{fmt}"))
+        assert names == [f"01_r1.{fmt}", f"02_r2.{fmt}", f"merged.{fmt}"]
+        graphs = rendered[fmt]
+        assert len(graphs) == 2 * len(names)  # a graph, then its backbone
+        assert [g.node_count for g in graphs] == [4, 4, 5, 5, 5, 5]
+        for name, g, bb in zip(names, graphs[::2], graphs[1::2]):
+            assert bb.firms is g.firms
+            assert (out / "graphs" / name).read_text(encoding="utf-8") == export(g)
+            assert (out / "backbones" / name).read_text(encoding="utf-8") == export(bb)
+    merged = read_graphml((out / "graphs" / "merged.graphml").read_text(encoding="utf-8"))
+    assert merged.firms == dict.fromkeys(AWKWARD_EMAILS, "H&P <x>")
+
+
+def test_export_quotes_each_id_and_firm_once_per_run(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counting(quote):
+        def wrapper(text, *args):
+            calls[quote.__name__, text] += 1
+            return quote(text, *args)
+        return wrapper
+
+    for name in ("quoteattr", "escape", "_dot_quote"):
+        monkeypatch.setattr(report, name, counting(getattr(report, name)))
+    run_pipeline(awkward_run_config(tmp_path))
+    for quote in ("quoteattr", "_dot_quote"):
+        assert all(calls[quote, email] == 1 for email in AWKWARD_EMAILS)
+    assert calls["escape", "H&P <x>"] == calls["_dot_quote", "H&P <x>"] == 1
+
+
+def test_every_graphml_file_parses_as_xml(tmp_path):
+    # an author address holding a control character is excluded, not made a node
+    log = (FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8")
+    log += json.dumps({"sha": "e" * 40, "author_name": "Ctl", "author_email": "a\u0001b@anvil.io",
+                       "timestamp": "2021-01-12T09:00:00Z", "files": ["src/core.py"]}) + "\n"
+    (tmp_path / "commits.ndjson").write_text(log, encoding="utf-8")
+    result = run_pipeline(run_config(tmp_path, commit_log=tmp_path / "commits.ndjson"))
+    assert "e" * 40 in result.summary["excluded_shas"]
+    files = [p for p in result.files_written if p.suffix == ".graphml"]
+    assert len(files) == 8
+    for path in files:
+        minidom.parseString(path.read_bytes())

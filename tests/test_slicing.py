@@ -44,6 +44,8 @@ def test_load_single_release():
         ("release,when\na,2010-01-01\n", "header"),
         ("name,date\na,01/02/2010\n", "invalid date"),
         ("name,date\n", "no releases"),
+        ("name,date\na\x01b,2010-01-01\n", r"^row 2: release name 'a\\x01b' holds a control"),
+        ('name,date\na,2010-01-01\n"b\nc",2011-01-01\n', "row 3: .* control character"),
     ],
 )
 def test_load_rejects_bad_config(config, match):
