@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 config/parse error, 3 I/O error.
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -93,6 +95,24 @@ def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path
     )
 
 
+def _write_replacing(path: Path, text: str) -> None:
+    """Write text to a sibling temp file that replaces path only once it is whole.
+
+    On any error the temp file is removed and path is left as it was.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(out.fileno(), 0o666 & ~umask)  # the mode a new file gets, not mkstemp's 0600
+            out.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 @main.command()
 @click.option("--raw", "raw_path", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
@@ -100,7 +120,7 @@ def convert(raw_path, out_path):
     """Convert raw extraction-recipe output to the canonical NDJSON log."""
     with open(raw_path, encoding="utf-8", newline="") as raw:
         ndjson, merges_dropped = convert_vcs_log(raw)
-    out_path.write_text(ndjson, encoding="utf-8")
+    _write_replacing(out_path, ndjson)
     records = ndjson.count("\n")  # json.dumps escapes every newline inside a record
     click.echo(f"wrote {records} records ({merges_dropped} merge commits dropped)")
 

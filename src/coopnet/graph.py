@@ -8,6 +8,7 @@ within the window. Graphs are simple: no self-loops, no duplicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .identity import DeveloperIdentity
@@ -43,46 +44,32 @@ class CollaborationGraph:
         return len(self.edges)
 
 
-def build_collaboration_graph(
-    window: str,
-    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
-    firm_filter: FirmFilter | None = None,
-) -> CollaborationGraph:
-    """Build the collaboration graph for one release window.
+class WindowBuilder:
+    """One release window's graph, folded in one commit at a time.
 
-    ``pairs`` holds one (author identity, files) pair per commit of the
-    window. With a firm filter, developers outside the filtered firms are
-    dropped entirely, nodes and edges both. Isolated contributors remain
-    nodes.
+    ``commits`` counts every commit added, a filtered-out developer's too.
+    With a firm filter, developers outside the filtered firms are dropped
+    entirely, nodes and edges both. Isolated contributors remain nodes. A
+    file's first developer is kept as a plain id; its set is made only when
+    a second, different developer touches it, so the many files of a wide
+    history that one developer touches cost no set. :meth:`graph` ends the
+    fold: it enumerates the pairs from those sets alone and releases them.
     """
-    firms, shared = shared_files(pairs, firm_filter)
-    edges: set[Edge] = set()
-    for devs in shared.values():
-        ordered = sorted(devs)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1 :]:
-                edges.add((u, v))
-    return CollaborationGraph(window=window, firms=firms, edges=frozenset(edges))
 
+    def __init__(self, firm_filter: FirmFilter | None = None):
+        self.firm_filter = firm_filter
+        self.commits = 0
+        self.firms: dict[str, str] = {}  # node id -> firm
+        self.first: dict[str, str] = {}  # file -> the first node id to touch it
+        self.shared: dict[str, set[str]] = {}  # file -> node ids, once there are two
 
-def shared_files(
-    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
-    firm_filter: FirmFilter | None = None,
-) -> tuple[dict[str, str], dict[str, set[str]]]:
-    """The window's node map, and the developers of each file that two or more touched.
-
-    A file's first developer is kept as a plain id; its set is made only
-    when a second, different developer touches it, so the many files of a
-    wide history that one developer touches cost no set.
-    """
-    firms: dict[str, str] = {}
-    first: dict[str, str] = {}  # file -> the first node id to touch it
-    shared: dict[str, set[str]] = {}  # file -> node ids, once there are two
-    for identity, files in pairs:
-        if firm_filter is not None and identity.firm not in firm_filter.firms:
-            continue
+    def add(self, identity: DeveloperIdentity, files: Iterable[str]) -> None:
+        self.commits += 1
+        if self.firm_filter is not None and identity.firm not in self.firm_filter.firms:
+            return
         node = identity.canonical_id
-        firms[node] = identity.firm
+        self.firms[node] = identity.firm
+        first, shared = self.first, self.shared
         for path in files:
             dev = first.setdefault(path, node)
             if dev != node:
@@ -91,7 +78,23 @@ def shared_files(
                     shared[path] = {dev, node}
                 else:
                     devs.add(node)
-    return firms, shared
+
+    def graph(self, window: str) -> CollaborationGraph:
+        edges = {e for devs in self.shared.values() for e in combinations(sorted(devs), 2)}
+        self.first, self.shared = {}, {}
+        return CollaborationGraph(window=window, firms=self.firms, edges=frozenset(edges))
+
+
+def build_collaboration_graph(
+    window: str,
+    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
+    firm_filter: FirmFilter | None = None,
+) -> CollaborationGraph:
+    """The graph of a window's (author identity, files) pairs, one per commit."""
+    builder = WindowBuilder(firm_filter)
+    for identity, files in pairs:
+        builder.add(identity, files)
+    return builder.graph(window)
 
 
 def merge_graphs(graphs: Iterable[CollaborationGraph], window: str = "merged") -> CollaborationGraph:

@@ -9,9 +9,8 @@ one person is one node, whichever address they committed with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .ingest import CONTROL_RE, INVALID_EMAIL, CommitRecord, classify_email
+from .ingest import CONTROL_RE, INVALID_EMAIL, classify_email
 
 UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
@@ -190,11 +189,3 @@ class IdentityResolver:
                 self.identities[member] = identity
         return identity
 
-
-def canonicalize_identities(
-    records: Iterable[CommitRecord], amap: AffiliationMap
-) -> tuple[dict[str, DeveloperIdentity], list[str]]:
-    """Fold aliases and attach firms; returns (email -> identity, excluded shas)."""
-    resolver = IdentityResolver(amap)
-    excluded = [r.sha for r in records if resolver.resolve(r.author_email) is None]
-    return resolver.identities, excluded

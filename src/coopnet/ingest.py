@@ -30,9 +30,10 @@ RFC3339_RE = re.compile(
     r"([Zz]|[+-][0-9]{2}:[0-5][0-9])"
 )
 RECORD_SENTINEL = "\x01COMMIT\x01"
-# C0 control characters: no address or firm name holds one, and XML 1.0
-# allows none but tab, LF and CR even escaped, so GraphML could not hold most
-CONTROL_RE = re.compile("[\x00-\x1f]")
+# C0 control characters and lone surrogates: no address or firm name holds
+# one. XML 1.0 allows no C0 character but tab, LF and CR even escaped, so
+# GraphML could not hold most, and no UTF-8 output can hold a surrogate.
+CONTROL_RE = re.compile("[\x00-\x1f\ud800-\udfff]")
 
 CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
@@ -91,9 +92,9 @@ def normalize_email(email: str) -> str:
 def classify_email(email: str) -> str:
     """Classify an address as ok / fixable / invalid-email.
 
-    An address is invalid when it has no "@", no dot in the domain part or
-    a C0 control character left after trimming; fixable when normalization
-    (trim + lowercase) would change it.
+    An address is invalid when it has no "@", no dot in the domain part, or
+    a C0 control character or lone surrogate left after trimming; fixable
+    when normalization (trim + lowercase) would change it.
     """
     normalized = normalize_email(email)
     local, sep, domain = normalized.rpartition("@")
@@ -104,13 +105,31 @@ def classify_email(email: str) -> str:
     return OK
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, refused when it names a field twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        names: set[str] = set()
+        for name, _ in pairs:
+            if name in names:
+                raise ValueError(f"duplicate field: {name}")
+            names.add(name)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+
+
 def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
     """Parse one NDJSON line into a record plus applied-fix notes.
 
-    Raises ValueError with a rejection reason on any schema violation.
+    Raises ValueError with a rejection reason on any schema violation,
+    including an object, at any depth, that names a field twice.
     """
     try:
-        obj = json.loads(line)
+        if line.startswith("\ufeff"):  # json.loads checks this before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
@@ -181,7 +200,10 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
         try:
             record, fixes = _parse_line(line)
         except ValueError as exc:
-            report.rejected.append((line_number, str(exc)))
+            # a field name in the reason may hold a lone surrogate, which no
+            # UTF-8 output can hold: it is written as its \u escape
+            reason = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+            report.rejected.append((line_number, reason))
             continue
         if record.sha in seen:
             report.rejected.append((line_number, "duplicate sha"))
@@ -191,12 +213,6 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
         for fix in fixes:
             report.cleaned.append((record.sha, fix))
         yield record
-
-
-def parse_commit_log(stream: Iterable[str] | str) -> tuple[list[CommitRecord], ValidationReport]:
-    """All accepted records of :func:`iter_commits`, with the finished report."""
-    report = ValidationReport()
-    return list(iter_commits(stream, report)), report
 
 
 def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:

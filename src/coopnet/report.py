@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
-from .graph import CollaborationGraph, FirmFilter, build_collaboration_graph, merge_graphs
+from .graph import CollaborationGraph, FirmFilter, WindowBuilder, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
 from .ingest import ValidationReport, iter_commits
 from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
@@ -329,9 +329,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         )
         # One pass over the log: identity before release, so a post-release
         # commit still fails the run on an alias-group conflict. Each record
-        # is dropped once its (identity, files) pair is in its window's list.
+        # is folded into its window's builder and dropped.
         report = ValidationReport()
-        per_window: dict[str, list] = {w.name: [] for w in windows}
+        builders = {w.name: WindowBuilder(firm_filter) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
         # A window ends at 23:59:59Z and is compared in whole seconds, so the
@@ -349,7 +349,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             if label == POST_RELEASE:
                 post_release += 1
             else:
-                per_window[label].append((identity, record.files))
+                builders[label].add(identity, record.files)
     identities = resolver.identities
 
     if firm_filter is not None:
@@ -358,11 +358,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         universe = {i.firm for i in identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
 
-    # keep only the commit counts; each pair list is released once its graph is built
-    commit_counts = {name: len(pairs) for name, pairs in per_window.items()}
-    window_graphs = [
-        build_collaboration_graph(w.name, per_window.pop(w.name), firm_filter) for w in windows
-    ]
+    window_graphs = [builders[w.name].graph(w.name) for w in windows]
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:
@@ -419,13 +415,13 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 "rejected": len(report.rejected),
                 "excluded": len(excluded_shas),
                 "post_release": post_release,
-                "analyzed": sum(commit_counts.values()),
+                "analyzed": sum(b.commits for b in builders.values()),
             },
             "excluded_shas": sorted(excluded_shas),
             "identities": len({i.canonical_id for i in identities.values()}),
             "firms": sorted(universe),
             "windows": [
-                {"release": r, "commits": commit_counts[r], "nodes": n, "edges": e, "density": d}
+                {"release": r, "commits": builders[r].commits, "nodes": n, "edges": e, "density": d}
                 for r, n, e, d in evolution_rows
             ],
             "merged": {

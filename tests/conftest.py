@@ -6,6 +6,8 @@ from xml.etree import ElementTree
 import pytest
 
 from coopnet.graph import CollaborationGraph
+from coopnet.identity import IdentityResolver
+from coopnet.ingest import ValidationReport, iter_commits
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixture"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -44,6 +46,19 @@ def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | Non
         degree[u] += 1
         degree[v] += 1
     return {node: (d, d / (n - 1) if n >= 2 else None) for node, d in degree.items()}
+
+
+def parse_commit_log(stream):
+    """All accepted records of `iter_commits`, with the finished report."""
+    report = ValidationReport()
+    return list(iter_commits(stream, report)), report
+
+
+def canonicalize_identities(records, amap):
+    """Fold aliases and attach firms; returns (email -> identity, excluded shas)."""
+    resolver = IdentityResolver(amap)
+    excluded = [r.sha for r in records if resolver.resolve(r.author_email) is None]
+    return resolver.identities, excluded
 
 
 def identity_pairs(records, identities) -> list:

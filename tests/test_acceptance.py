@@ -19,14 +19,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, degree_centrality, identity_pairs, make_graph
+from conftest import (
+    FIXTURE_DIR,
+    GOLDEN_DIR,
+    canonicalize_identities,
+    degree_centrality,
+    identity_pairs,
+    make_graph,
+    parse_commit_log,
+)
 from coopnet.backbone import BackboneParams, edge_embeddedness, extract_backbone
 from coopnet.graph import build_collaboration_graph
 from coopnet.identity import (
     BOT,
     UNAFFILIATED,
     AffiliationMap,
-    canonicalize_identities,
     load_affiliation_map,
     resolve_affiliation,
 )
@@ -386,7 +393,7 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
             capture_output=True,
             text=True,
         ).stdout
-        from coopnet.ingest import convert_vcs_log, parse_commit_log
+        from coopnet.ingest import convert_vcs_log
 
         ndjson, _ = convert_vcs_log(raw)
         records, _ = parse_commit_log(ndjson)

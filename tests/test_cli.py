@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,24 @@ def test_analyze_runs_fixture(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "out" / "evolution.csv").exists()
     assert "analyzed 22 commits" in result.output
+
+
+def test_analyze_excludes_an_email_holding_a_lone_surrogate(tmp_path):
+    # the escape decodes to U+D800, which no UTF-8 output file could hold
+    log = tmp_path / "commits.ndjson"
+    log.write_text(
+        (FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8")
+        + json.dumps({"sha": "e" * 40, "author_name": "S", "author_email": "x\ud800y@anvil.io",
+                      "timestamp": "2021-01-12T09:00:00Z", "files": ["src/core.py"]}) + "\n",
+        encoding="utf-8",
+    )
+    args = analyze_args(tmp_path)
+    args[args.index("--log") + 1] = str(log)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "analyzed 22 commits" in result.output
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text(encoding="utf-8"))
+    assert "e" * 40 in summary["excluded_shas"]
 
 
 def test_analyze_missing_releases_is_config_error(tmp_path):
@@ -146,6 +167,9 @@ def test_convert_and_validate(tmp_path):
     assert result.exit_code == 0, result.output
     assert "1 merge commits dropped" in result.output
     assert len(out.read_text().splitlines()) == 1
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode write_text would give
 
     result = CliRunner().invoke(main, ["validate", "--log", str(out)])
     assert result.exit_code == 0
@@ -237,3 +261,28 @@ def test_convert_out_is_directory_is_exit_3(tmp_path):
     result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(tmp_path)])
     assert result.exit_code == 3
     assert "i/o error:" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
+
+
+def test_convert_failed_write_leaves_old_target(tmp_path):
+    resource = pytest.importorskip("resource")
+    raw = tmp_path / "raw.log"
+    raw.write_text(raw_log() * 100)
+    out = tmp_path / "log.ndjson"
+    out.write_bytes(b"old log\n")
+    # the child may write no file past 1 KiB, so the 100-record log fails mid-write
+    limit = (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
+    code = (
+        "import resource, sys; from coopnet.cli import main; "
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, {limit}); main()"
+    )
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, "convert", "--raw", str(raw), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "File too large" in result.stderr
+    assert out.read_bytes() == b"old log\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]

@@ -12,9 +12,9 @@ from conftest import identity_pairs, make_graph
 from coopnet.graph import (
     FirmFilter,
     GraphError,
+    WindowBuilder,
     build_collaboration_graph,
     merge_graphs,
-    shared_files,
 )
 from coopnet.identity import DeveloperIdentity
 from coopnet.ingest import CommitRecord
@@ -169,7 +169,10 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     assert g.edges == edges
     assert all(u < v for u, v in g.edges)  # no self-loop
     # a set is made only for a file that two different developers touched
-    assert shared_files(pairs, firm_filter) == (firms, shared)
+    builder = WindowBuilder(firm_filter)
+    for identity, files in pairs:
+        builder.add(identity, files)
+    assert (builder.commits, builder.firms, builder.shared) == (len(pairs), firms, shared)
 
 
 # --- properties -----------------------------------------------------------

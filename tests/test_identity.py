@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import canonicalize_identities
 from coopnet import identity
 from coopnet.identity import (
     BOT,
@@ -11,7 +12,6 @@ from coopnet.identity import (
     AffiliationError,
     AffiliationMap,
     IdentityResolver,
-    canonicalize_identities,
     load_affiliation_map,
     resolve_affiliation,
 )

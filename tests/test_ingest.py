@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import parse_commit_log
 from coopnet.ingest import (
     FIXABLE,
     INVALID_EMAIL,
@@ -13,7 +14,6 @@ from coopnet.ingest import (
     CommitLogError,
     classify_email,
     convert_vcs_log,
-    parse_commit_log,
     parse_rfc3339,
 )
 
@@ -84,6 +84,34 @@ def test_parse_names_the_first_field_fault(drop, extra, reason):
     obj = {k: v for k, v in json.loads(make_line()).items() if k not in drop}
     _, report = parse_commit_log(json.dumps({**obj, **extra}))
     assert report.rejected == [(1, reason)]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        # the last value would be a valid record
+        (make_line(sha=SHA_A)[:-1] + f', "sha": "{SHA_B}"}}', "duplicate field: sha"),
+        (make_line()[:-1] + ', "branch": 1, "branch": 2}', "duplicate field: branch"),
+        (make_line(files=["x"]).replace('["x"]', '[{"a": 1, "a": 2}]'), "duplicate field: a"),
+    ],
+    ids=["sha", "unknown", "nested"],
+)
+def test_parse_rejects_a_field_named_twice(line, reason):
+    records, report = parse_commit_log(line)
+    assert records == []
+    assert report.rejected == [(1, reason)]
+
+
+def test_parse_rejects_a_byte_order_mark_as_json_loads_does():
+    _, report = parse_commit_log("\ufeff" + make_line())
+    assert report.rejected == [(1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
+
+
+def test_rejection_reason_escapes_a_lone_surrogate():
+    # a field name reaches validate's output and validation_report.json, which are UTF-8
+    _, report = parse_commit_log(make_line()[:-1] + ', "\\udc00x": 1}')
+    assert report.rejected == [(1, "unknown field: \\udc00x")]
+    report.rejected[0][1].encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -237,6 +265,8 @@ def test_parse_is_deterministic():
         ("dev@hp.\x1fexample", INVALID_EMAIL),
         ("dev@hp.example\t", FIXABLE),  # trimming removes it
         ("a\x7fb@x.example", OK),  # DEL is not a C0 character
+        ("x\ud800y@anvil.io", INVALID_EMAIL),  # no UTF-8 output can hold a lone surrogate
+        ("dev@hp.example\udfff", INVALID_EMAIL),
     ],
 )
 def test_classify_email(email, expected):

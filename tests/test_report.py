@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
+import random
 import shutil
 import weakref
 from collections import Counter
+from datetime import date, datetime, timedelta, timezone
 from itertools import combinations
 from pathlib import Path
 from xml.dom import minidom
@@ -10,11 +13,11 @@ from xml.dom import minidom
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURE_DIR, analyze_args, make_graph, read_graphml
+from conftest import FIXTURE_DIR, analyze_args, make_graph, parse_commit_log, read_graphml
 from coopnet import report
 from coopnet.backbone import BackboneParams
 from coopnet.cli import main
-from coopnet.ingest import parse_commit_log
+from coopnet.graph import CollaborationGraph
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -492,6 +495,56 @@ def test_release_lookup_per_utc_date_matches_assign_release(tmp_path, monkeypatc
     dates = Counter(t.date() for t in looked_up)
     assert set(dates) == {r.timestamp.date() for r in kept}
     assert set(dates.values()) == {1}
+
+
+FOLD_RELEASES = [("r1", date(2021, 3, 1)), ("r2", date(2021, 3, 10)), ("r3", date(2021, 3, 20))]
+
+
+@pytest.mark.parametrize("firm_filter", [None, "A\nC\n"])
+@pytest.mark.parametrize("seed", range(2))
+def test_each_window_graph_is_the_cofile_graph_of_its_commits(tmp_path, seed, firm_filter):
+    # commits in random time order, so consecutive records land in different windows
+    rng = random.Random(seed)
+    devs = [f"d{i:02d}@{'abcd'[i % 4]}.example" for i in range(16)] + ["zz@a.example"]
+    files = [f"f{i}.py" for i in range(12)]
+    start = datetime(2021, 2, 20, tzinfo=timezone.utc)
+    commits = [
+        (rng.choice(devs), (start + timedelta(minutes=rng.randrange(40 * 24 * 60))).isoformat(),
+         rng.sample(files, rng.randint(1, 3)))
+        for _ in range(150)
+    ]
+    cfg = small_run_config(
+        tmp_path, commits, "name,date\n" + "".join(f"{n},{d}\n" for n, d in FOLD_RELEASES),
+        "[domains]\na.example = A\nb.example = B\nc.example = C\nd.example = D\n"
+        "[aliases]\nd00@a.example, zz@a.example\n",
+    )
+    if firm_filter is not None:
+        (tmp_path / "firms.txt").write_text(firm_filter)
+        cfg = dataclasses.replace(cfg, firms=tmp_path / "firms.txt")
+    result = run_pipeline(cfg)
+
+    # brute force: each record's window by date, then every pair of kept developers
+    records, _ = parse_commit_log(cfg.commit_log.read_text(encoding="utf-8"))
+    window_of = [next((n for n, d in FOLD_RELEASES if r.timestamp.date() <= d), None)
+                 for r in records]
+    assert window_of != sorted(window_of, key=lambda n: n or "~")  # not in time order
+    kept_firms = {"A", "C"} if firm_filter else {"A", "B", "C", "D"}
+    for i, (name, _) in enumerate(FOLD_RELEASES, 1):
+        firms, files_of = {}, {}
+        for r, window in zip(records, window_of):
+            firm = r.author_email.split("@")[1][0].upper()
+            if window == name and firm in kept_firms:
+                dev = "d00@a.example" if r.author_email == "zz@a.example" else r.author_email
+                firms[dev] = firm
+                files_of.setdefault(dev, set()).update(r.files)
+        edges = {(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]}
+        text = (tmp_path / "out" / "graphs" / f"{i:02d}_{name}.graphml").read_text(encoding="utf-8")
+        assert read_graphml(text) == CollaborationGraph(name, firms, frozenset(edges))
+        assert 0 < len(edges) < len(firms) * (len(firms) - 1) // 2
+    # a window's commits include those of developers the firm filter drops
+    commits_of = {w["release"]: w["commits"] for w in result.summary["windows"]}
+    assert commits_of == {n: window_of.count(n) for n, _ in FOLD_RELEASES}
+    assert result.summary["commits"]["post_release"] == window_of.count(None) > 0
 
 
 # node ids and a firm name that every export format must escape
