@@ -4,16 +4,16 @@ The strength of a tie is its embeddedness: the number of triangles the
 edge participates in. The backbone keeps an edge only when it is strongly
 embedded and reciprocally among both endpoints' top-k strongest ties.
 Sub-communities are the backbone's connected components above a minimum
-size.
+size. Nodes and edges are the packed ints of :mod:`coopnet.graph`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .graph import CollaborationGraph, Edge
+from .graph import CollaborationGraph
 
 
 @dataclass(frozen=True)
@@ -30,25 +30,26 @@ class BackboneParams:
 
 @dataclass(frozen=True)
 class SubCommunity:
-    members: frozenset[str]
+    members: frozenset[int]  # nodes of the graph's id table
     firms: Counter  # firm -> member count
 
 
-def edge_embeddedness(g: CollaborationGraph) -> dict[Edge, int]:
-    """Triangle count per edge: |N(u) & N(v)| for each edge {u, v}.
+def edge_embeddedness(g: CollaborationGraph) -> dict[int, int]:
+    """Triangle count per packed edge: |N(u) & N(v)| for each edge {u, v}.
 
-    Each node with an edge gets one bit, and its neighbours form an int
-    bitset, so an edge costs one AND and one popcount. Isolated nodes get
-    no bit, which keeps the bitsets of sparse graphs short.
+    Each node with an edge gets one bit, numbered within g rather than by
+    the run's id table, and its neighbours form an int bitset, so an edge
+    costs one AND and one popcount. Isolated nodes get no bit, which keeps
+    the bitsets of sparse graphs short however wide the table is.
     """
-    bits: dict[str, int] = {}
-    index: dict[str, int] = {}
-    for u, v in g.edges:
+    bits: dict[int, int] = {}
+    index: dict[int, int] = {}
+    for u, v in g.ends(g.edges):
         i = index.setdefault(u, len(index))
         j = index.setdefault(v, len(index))
         bits[u] = bits.get(u, 0) | 1 << j
         bits[v] = bits.get(v, 0) | 1 << i
-    return {(u, v): (bits[u] & bits[v]).bit_count() for u, v in g.edges}
+    return {e: (bits[u] & bits[v]).bit_count() for e, (u, v) in zip(g.edges, g.ends(g.edges))}
 
 
 def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> CollaborationGraph:
@@ -57,25 +58,32 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
     Each node ranks its incident edges by embeddedness descending, ties
     broken by lexicographic neighbor id; an edge survives only if each
     endpoint ranks the other within the top max_rank_k. The backbone
-    shares g's node map, so both graphs have the same nodes; treat it as
-    read-only.
+    shares g's id table and node map, so both graphs have the same nodes;
+    treat it as read-only.
     """
+    k, shift = params.max_rank_k, len(g.ids).bit_length()
     embeddedness = edge_embeddedness(g)
-    # each node's strongest ties as ascending (-strength, neighbor), at most k
-    top: dict[str, list[tuple[int, str]]] = {}
-    for (u, v), strength in embeddedness.items():
-        for node, other in ((u, v), (v, u)):
-            ties = top.setdefault(node, [])
-            insort(ties, (-strength, other))
-            del ties[params.max_rank_k :]
+    # a tie's rank key (-strength << shift) | neighbour ascends as strength
+    # descends, then as the neighbour's id ascends; each node keeps its k smallest
+    top: defaultdict[int, list[int]] = defaultdict(list)
+    for (u, v), strength in zip(g.ends(embeddedness), embeddedness.values()):
+        rank = -strength << shift
+        ties = top[u]
+        if len(ties) < k or rank | v < ties[-1]:
+            insort(ties, rank | v)
+            del ties[k:]
+        ties = top[v]
+        if len(ties) < k or rank | u < ties[-1]:
+            insort(ties, rank | u)
+            del ties[k:]
     kept = frozenset(
-        (u, v)
-        for (u, v), strength in embeddedness.items()
+        e
+        for e, (u, v), strength in zip(embeddedness, g.ends(embeddedness), embeddedness.values())
         if strength >= params.min_embeddedness
-        and (-strength, v) in top[u]
-        and (-strength, u) in top[v]
+        and (-strength << shift | v) <= top[u][-1]
+        and (-strength << shift | u) <= top[v][-1]
     )
-    return CollaborationGraph(window=g.window, firms=g.firms, edges=kept)
+    return CollaborationGraph(g.window, g.ids, g.firms, kept)
 
 
 def detect_subcommunities(
@@ -89,12 +97,12 @@ def detect_subcommunities(
     smallest member (components are disjoint, so the order is total).
     """
     firms = backbone.firms
-    adj: dict[str, list[str]] = {}
-    for u, v in backbone.edges:
+    adj: dict[int, list[int]] = {}
+    for u, v in backbone.ends(backbone.edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     components = [[node] for node in firms if node not in adj] if min_size <= 1 else []
-    seen: set[str] = set()
+    seen: set[int] = set()
     for start in adj:
         if start in seen:
             continue

@@ -3,17 +3,18 @@
 Developers are nodes (carrying their firm), and an undirected, unweighted
 edge connects two developers iff they modified at least one common file
 within the window. Graphs are simple: no self-loops, no duplicates.
+
+The graphs of a run share its sorted id table: node ``u`` is ``ids[u]``,
+so int order is id order, and sorted packed edges are in id-pair order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
+from dataclasses import dataclass
+from itertools import combinations, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .identity import DeveloperIdentity
-
-Edge = tuple[str, str]  # canonical ids, lexicographically ordered
 
 
 class GraphError(Exception):
@@ -32,8 +33,13 @@ class FirmFilter:
 @dataclass(frozen=True)
 class CollaborationGraph:
     window: str
-    firms: dict[str, str] = field(default_factory=dict)  # node id -> firm
-    edges: frozenset[Edge] = frozenset()
+    ids: Sequence[str]  # the run's sorted id table, shared by its graphs
+    firms: dict[int, str]  # node -> firm
+    edges: frozenset[int]  # packed u * len(ids) + v, u < v
+
+    def ends(self, edges: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The (u, v) nodes of each packed edge, in the order given."""
+        return map(divmod, edges, repeat(len(self.ids)))
 
     @property
     def node_count(self) -> int:
@@ -53,7 +59,7 @@ class WindowBuilder:
     file's first developer is kept as a plain id; its set is made only when
     a second, different developer touches it, so the many files of a wide
     history that one developer touches cost no set. :meth:`graph` ends the
-    fold: it enumerates the pairs from those sets alone and releases them.
+    fold: it packs each set's pairs through the run's id index and releases the maps.
     """
 
     def __init__(self, firm_filter: FirmFilter | None = None):
@@ -79,10 +85,18 @@ class WindowBuilder:
                 else:
                     devs.add(node)
 
-    def graph(self, window: str) -> CollaborationGraph:
-        edges = {e for devs in self.shared.values() for e in combinations(sorted(devs), 2)}
-        self.first, self.shared = {}, {}
-        return CollaborationGraph(window=window, firms=self.firms, edges=frozenset(edges))
+    def graph(self, window: str, ids: Sequence[str], index: dict[str, int]) -> CollaborationGraph:
+        """The window's graph over the id table ``ids``, whose index maps id -> node."""
+        n = len(ids)
+        edges = {
+            u * n + v
+            for devs in self.shared.values()
+            for u, v in combinations(sorted(map(index.__getitem__, devs)), 2)
+        }
+        # the index's own ints are the node keys, so a node costs no new int
+        firms = {index[node]: firm for node, firm in self.firms.items()}
+        self.firms, self.first, self.shared = {}, {}, {}
+        return CollaborationGraph(window, ids, firms, frozenset(edges))
 
 
 def build_collaboration_graph(
@@ -90,20 +104,24 @@ def build_collaboration_graph(
     pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
     firm_filter: FirmFilter | None = None,
 ) -> CollaborationGraph:
-    """The graph of a window's (author identity, files) pairs, one per commit."""
+    """The graph of a window's (author identity, files) pairs, over its own id table."""
     builder = WindowBuilder(firm_filter)
     for identity, files in pairs:
         builder.add(identity, files)
-    return builder.graph(window)
+    ids = sorted(builder.firms)
+    return builder.graph(window, ids, {node: i for i, node in enumerate(ids)})
 
 
-def merge_graphs(graphs: Iterable[CollaborationGraph], window: str = "merged") -> CollaborationGraph:
-    """Union of nodes and edges across windows (firms must agree per node)."""
-    firms: dict[str, str] = {}
-    edges: set[Edge] = set()
+def merge_graphs(graphs: Sequence[CollaborationGraph], window: str = "merged") -> CollaborationGraph:
+    """Union of nodes and edges across graphs of one id table (firms must agree per node)."""
+    ids = graphs[0].ids if graphs else []
+    firms: dict[int, str] = {}
+    edges: set[int] = set()
     for g in graphs:
+        if g.ids is not ids:
+            raise GraphError(f"graph {g.window} has another id table")
         for node, firm in g.firms.items():
             if firms.setdefault(node, firm) != firm:
-                raise GraphError(f"node {node} has conflicting firms across windows")
+                raise GraphError(f"node {ids[node]} has conflicting firms across windows")
         edges.update(g.edges)
-    return CollaborationGraph(window=window, firms=firms, edges=frozenset(edges))
+    return CollaborationGraph(window, ids, firms, frozenset(edges))

@@ -41,14 +41,19 @@ def density(g: CollaborationGraph) -> float | None:
 
 
 def firm_mixing(g: CollaborationGraph) -> FirmMixing:
-    """Count nodes per firm and edges per firm pair in one pass over the graph."""
+    """Count nodes per firm and edges per firm pair in one pass over the graph.
+
+    Edges are counted per ordered pair of firm numbers, then named once.
+    """
     firms = g.firms
-    edges: dict[FirmPair, int] = {}
-    for u, v in g.edges:
-        fu, fv = firms[u], firms[v]
-        pair = (fu, fv) if fu <= fv else (fv, fu)
-        edges[pair] = edges.get(pair, 0) + 1
-    return FirmMixing(nodes=Counter(firms.values()), edges=edges)
+    nodes = Counter(firms.values())
+    number = {firm: i for i, firm in enumerate(nodes)}
+    names, width = list(number), len(number)
+    ordered = Counter(number[firms[u]] * width + number[firms[v]] for u, v in g.ends(g.edges))
+    edges: Counter = Counter()
+    for key, count in ordered.items():
+        edges[tuple(sorted((names[key // width], names[key % width])))] += count
+    return FirmMixing(nodes=nodes, edges=edges)
 
 
 def group_counts(mix: FirmMixing, group: AbstractSet[str]) -> tuple[int, int]:

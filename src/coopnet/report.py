@@ -138,15 +138,15 @@ def comparisons_csv(rows: list[tuple[str, str, str, int, float | None, int, floa
 class ExportMemo:
     """Quoted text that one export format reuses across the graphs of a run.
 
-    Each node id and each firm name is quoted once, however many graphs
-    hold it. ``nodes`` keeps the last node map rendered with its node
+    ``ids`` holds the id table's ids quoted, by node, and each firm name is
+    quoted once. ``nodes`` keeps the last node map rendered with its node
     lines; a backbone shares its graph's map, so it reuses the graph's.
     The exported text is the same with or without a memo.
     """
 
-    ids: dict[str, str] = field(default_factory=dict)  # node id -> quoted id
+    ids: tuple[Sequence[str], list[str]] | None = None  # (id table, quoted ids)
     firms: dict[str, str] = field(default_factory=dict)  # firm -> quoted firm
-    nodes: tuple[dict[str, str], str] | None = None  # (node map, its node lines)
+    nodes: tuple[dict[int, str], str] | None = None  # (node map, its node lines)
 
 
 _GRAPHML_NODE = '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n'
@@ -154,41 +154,42 @@ _GRAPHML_NODE = '    <node id={}>\n      <data key="firm">{}</data>\n    </node>
 
 def _node_lines(
     g: CollaborationGraph, memo: ExportMemo, quote_id, quote_firm, template: str
-) -> str:
-    """g's node lines in id order, rendered once per node map.
+) -> tuple[list[str], str]:
+    """The quoted ids of g's table, and g's node lines in id order.
 
-    ``template`` takes the quoted id and the quoted firm.
+    Ids are quoted once per table and node lines rendered once per node
+    map. ``template`` takes the quoted id and the quoted firm.
     """
+    if memo.ids is None or memo.ids[0] is not g.ids:
+        memo.ids = (g.ids, list(map(quote_id, g.ids)))
+    quoted = memo.ids[1]
     if memo.nodes is None or memo.nodes[0] is not g.firms:
-        ids, firms = memo.ids, memo.firms
+        firms = memo.firms
         line = template.format
         lines = []
         for node in sorted(g.firms):
-            q = ids.get(node)
-            if q is None:
-                q = ids[node] = quote_id(node)
             firm = g.firms[node]
             f = firms.get(firm)
             if f is None:
                 f = firms[firm] = quote_firm(firm)
-            lines.append(line(q, f))
+            lines.append(line(quoted[node], f))
         memo.nodes = (g.firms, "".join(lines))
-    return memo.nodes[1]
+    return quoted, memo.nodes[1]
 
 
 def export_graphml(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
     """GraphML with a "firm" node attribute, stable lexicographic ordering."""
     if memo is None:
         memo = ExportMemo()
+    q, nodes = _node_lines(g, memo, quoteattr, escape, _GRAPHML_NODE)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
         f'  <graph id={quoteattr(g.window)} edgedefault="undirected">\n',
-        _node_lines(g, memo, quoteattr, escape, _GRAPHML_NODE),
+        nodes,
     ]
-    quoted = memo.ids  # every node of g is quoted by now
-    parts += [f"    <edge source={quoted[u]} target={quoted[v]}/>\n" for u, v in sorted(g.edges)]
+    parts += [f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in g.ends(sorted(g.edges))]
     parts.append("  </graph>\n</graphml>\n")
     return "".join(parts)
 
@@ -201,12 +202,9 @@ def export_dot(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
     """Undirected DOT with the firm as a node attribute, stable ordering."""
     if memo is None:
         memo = ExportMemo()
-    parts = [
-        f"graph {_dot_quote(g.window)} {{\n",
-        _node_lines(g, memo, _dot_quote, _dot_quote, "  {} [firm={}];\n"),
-    ]
-    quoted = memo.ids  # every node of g is quoted by now
-    parts += [f"  {quoted[u]} -- {quoted[v]};\n" for u, v in sorted(g.edges)]
+    q, nodes = _node_lines(g, memo, _dot_quote, _dot_quote, "  {} [firm={}];\n")
+    parts = [f"graph {_dot_quote(g.window)} {{\n", nodes]
+    parts += [f"  {q[u]} -- {q[v]};\n" for u, v in g.ends(sorted(g.edges))]
     parts.append("}\n")
     return "".join(parts)
 
@@ -292,11 +290,11 @@ def _replacing(out_dir: Path) -> Iterator[Path]:
     shutil.rmtree(sibling)
 
 
-def _community_payload(release: str, communities: list[SubCommunity]) -> dict:
+def _community_payload(g: CollaborationGraph, communities: list[SubCommunity]) -> dict:
     return {
-        "release": release,
+        "release": g.window,
         "communities": [
-            {"members": sorted(c.members), "firms": dict(sorted(c.firms.items()))}
+            {"members": sorted(g.ids[m] for m in c.members), "firms": dict(sorted(c.firms.items()))}
             for c in communities
         ],
         "firm_overlap": firm_overlap(communities),
@@ -350,15 +348,21 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 post_release += 1
             else:
                 builders[label].add(identity, record.files)
-    identities = resolver.identities
+    identities = resolver.identities.values()
 
     if firm_filter is not None:
         universe = set(firm_filter.firms)
     else:
-        universe = {i.firm for i in identities.values()} - {UNAFFILIATED}
+        universe = {i.firm for i in identities} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
 
-    window_graphs = [builders[w.name].graph(w.name) for w in windows]
+    # the run's id table: node i is ids[i], so int order is id order
+    ids = sorted({i.canonical_id for i in identities})
+    index = {node: i for i, node in enumerate(ids)}
+    window_graphs = [builders[w.name].graph(w.name, ids, index) for w in windows]
+    # nothing below needs the identities or the index: free them before
+    # rendering, where a run's memory peaks
+    del resolver, identities, index
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:
@@ -398,7 +402,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 )
             bb = extract_backbone(g, cfg.backbone)
             communities = detect_subcommunities(bb, cfg.community_min_size)
-            community_payloads.append(_community_payload(g.window, communities))
+            community_payloads.append(_community_payload(g, communities))
             for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
                 if fmt in cfg.formats:
                     write(f"graphs/{stem}.{fmt}", export(g, memos[fmt]))
@@ -418,7 +422,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 "analyzed": sum(b.commits for b in builders.values()),
             },
             "excluded_shas": sorted(excluded_shas),
-            "identities": len({i.canonical_id for i in identities.values()}),
+            "identities": len(ids),
             "firms": sorted(universe),
             "windows": [
                 {"release": r, "commits": builders[r].commits, "nodes": n, "edges": e, "density": d}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree
 
 import pytest
@@ -29,20 +30,55 @@ def analyze_args(tmp_path, **extra):
     return args
 
 
-def make_graph(firms: dict[str, str], edges=(), window: str = "w") -> CollaborationGraph:
-    """Build a graph directly from a node->firm map and edge pairs."""
-    normalized = frozenset(tuple(sorted(e)) for e in edges)
-    for u, v in normalized:
-        assert u in firms and v in firms, "edge endpoint missing from node map"
+class StrGraph(NamedTuple):
+    """A graph named by id: what oracles take and what asserts compare."""
+
+    window: str
+    firms: dict[str, str]  # id -> firm
+    edges: frozenset[tuple[str, str]]  # (smaller id, larger id)
+
+
+def id_pair(g: CollaborationGraph, edge: int) -> tuple[str, str]:
+    """A packed edge's ends named by id, the smaller first."""
+    u, v = divmod(edge, len(g.ids))
+    return g.ids[u], g.ids[v]
+
+
+def as_strings(g: CollaborationGraph) -> StrGraph:
+    """g's nodes and edges named by id, through its id table."""
+    return StrGraph(
+        g.window,
+        {g.ids[u]: firm for u, firm in g.firms.items()},
+        frozenset(id_pair(g, e) for e in g.edges),
+    )
+
+
+def make_graph(firms: dict[str, str], edges=(), window: str = "w", ids=None) -> CollaborationGraph:
+    """Build a graph from a node->firm map and edge pairs, over the id table ``ids``.
+
+    The table defaults to the sorted ids of ``firms``; pass one list to
+    give several graphs the same table.
+    """
+    ids = sorted(firms) if ids is None else ids
+    assert ids == sorted(set(ids)), "id table must be sorted and distinct"
+    index = {node: i for i, node in enumerate(ids)}
+    packed = set()
+    for e in edges:
+        u, v = sorted(index[node] for node in e)
+        assert ids[u] in firms and ids[v] in firms, "edge endpoint missing from node map"
         assert u != v, "self-loop in test input"
-    return CollaborationGraph(window=window, firms=dict(firms), edges=normalized)
+        packed.add(u * len(ids) + v)
+    return CollaborationGraph(
+        window, ids, {index[node]: firm for node, firm in firms.items()}, frozenset(packed)
+    )
 
 
 def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
-    """Per node: raw degree and degree/(n-1) (None when n < 2)."""
+    """Per node id: raw degree and degree/(n-1) (None when n < 2)."""
     n = g.node_count
-    degree = dict.fromkeys(g.firms, 0)
-    for u, v in g.edges:
+    s = as_strings(g)
+    degree = dict.fromkeys(s.firms, 0)
+    for u, v in s.edges:
         degree[u] += 1
         degree[v] += 1
     return {node: (d, d / (n - 1) if n >= 2 else None) for node, d in degree.items()}
@@ -66,7 +102,7 @@ def identity_pairs(records, identities) -> list:
     return [(identities[r.author_email], r.files) for r in records if r.author_email in identities]
 
 
-def read_graphml(text: str) -> CollaborationGraph:
+def read_graphml(text: str) -> StrGraph:
     """Read back a GraphML export, to check round-trips."""
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     root = ElementTree.fromstring(text)
@@ -84,7 +120,7 @@ def read_graphml(text: str) -> CollaborationGraph:
     for edge in graph.findall(f"{ns}edge"):
         u, v = edge.get("source"), edge.get("target")
         edges.add((u, v) if u < v else (v, u))
-    return CollaborationGraph(window=graph.get("id"), firms=firms, edges=frozenset(edges))
+    return StrGraph(graph.get("id"), firms, frozenset(edges))
 
 
 @pytest.fixture

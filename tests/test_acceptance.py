@@ -22,6 +22,8 @@ import pytest
 from conftest import (
     FIXTURE_DIR,
     GOLDEN_DIR,
+    as_strings,
+    id_pair,
     canonicalize_identities,
     degree_centrality,
     identity_pairs,
@@ -184,9 +186,9 @@ def test_criterion_2_graph_construction_oracle():
                 for e1, e2 in combinations(devs, 2):
                     if touched[(w.name, e1)] & touched[(w.name, e2)]:
                         expected.add((e1, e2))
-                assert set(g.edges) == expected
+                assert as_strings(g).edges == expected
                 # cross-window rule: an edge requires a shared file in THIS window
-                for u, v in g.edges:
+                for u, v in (id_pair(g, e) for e in g.edges):
                     assert touched[(w.name, u)] & touched[(w.name, v)]
         assert time.perf_counter() - started < 30
 
@@ -225,8 +227,8 @@ def _check_backbone_against_oracle(n, mask, params):
     firms = dict.fromkeys(names, "HP")
     g = make_graph(firms, edges)
     strength, kept = _oracle_backbone(firms, edges, params)
-    assert edge_embeddedness(g) == strength
-    assert extract_backbone(g, params).edges == kept
+    assert {id_pair(g, e): s for e, s in edge_embeddedness(g).items()} == strength
+    assert as_strings(extract_backbone(g, params)).edges == kept
 
 
 def test_criterion_3_backbone_oracle():

@@ -1,6 +1,7 @@
 """Backbone extraction tests against a brute-force triangle oracle."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import StrGraph, as_strings, id_pair, make_graph
 from coopnet.backbone import (
     BackboneParams,
     detect_subcommunities,
@@ -16,6 +17,9 @@ from coopnet.backbone import (
     extract_backbone,
     firm_overlap,
 )
+from coopnet.graph import build_collaboration_graph
+from coopnet.identity import DeveloperIdentity
+from coopnet.report import export_dot, export_graphml
 
 
 def graph_from_mask(n, mask, firm="HP"):
@@ -25,7 +29,7 @@ def graph_from_mask(n, mask, firm="HP"):
     return make_graph({name: firm for name in names}, edges)
 
 
-def oracle_embeddedness(g):
+def oracle_embeddedness(g: StrGraph):
     """Brute force: enumerate all node triples containing each edge."""
     counts = {}
     for u, v in g.edges:
@@ -39,7 +43,7 @@ def oracle_embeddedness(g):
     return counts
 
 
-def oracle_backbone(g, params):
+def oracle_backbone(g: StrGraph, params):
     """Direct implementation of the reciprocal top-k rank condition."""
     strength = oracle_embeddedness(g)
     ranked = {}
@@ -58,7 +62,7 @@ def oracle_backbone(g, params):
     )
 
 
-def oracle_communities(g, min_size):
+def oracle_communities(g: StrGraph, min_size):
     """Brute force: relabel every node to its smallest neighbour label until stable."""
     label = {node: node for node in g.firms}
     changed = True
@@ -78,8 +82,18 @@ def oracle_communities(g, min_size):
     return sorted(found, key=lambda c: (-len(c[0]), min(c[0])))
 
 
-def as_pairs(communities):
-    return [(c.members, c.firms) for c in communities]
+def named_embeddedness(g):
+    """The library's embeddedness, keyed by (smaller id, larger id)."""
+    return {id_pair(g, e): strength for e, strength in edge_embeddedness(g).items()}
+
+
+def backbone_pairs(g, params):
+    return as_strings(extract_backbone(g, params)).edges
+
+
+def as_pairs(g, communities):
+    """Communities as (member ids, firm counts)."""
+    return [(frozenset(g.ids[m] for m in c.members), c.firms) for c in communities]
 
 
 def test_k4_edges_have_embeddedness_two():
@@ -120,10 +134,10 @@ def test_bridge_between_cliques_is_removed():
     edges = list(combinations(left, 2)) + list(combinations(right, 2))
     edges.append((left[0], right[0]))
     g = make_graph({n: "HP" for n in left + right}, edges)
-    backbone = extract_backbone(g, BackboneParams())
-    assert (left[0], right[0]) not in backbone.edges
-    assert set(combinations(left, 2)) <= set(backbone.edges)
-    assert set(combinations(right, 2)) <= set(backbone.edges)
+    kept = backbone_pairs(g, BackboneParams())
+    assert (left[0], right[0]) not in kept
+    assert set(combinations(left, 2)) <= kept
+    assert set(combinations(right, 2)) <= kept
 
 
 def test_invalid_params_rejected():
@@ -141,8 +155,7 @@ def test_two_triangles_give_two_communities():
     backbone = extract_backbone(g, BackboneParams())
     communities = detect_subcommunities(backbone, min_size=3)
     assert len(communities) == 2
-    assert communities[0].members == frozenset({"a", "b", "c"})  # smallest member first
-    assert communities[0].firms == {"HP": 2, "IBM": 1}
+    assert as_pairs(g, communities)[0] == (frozenset({"a", "b", "c"}), {"HP": 2, "IBM": 1})
     overlap = firm_overlap(communities)
     assert overlap == {"HP": 2, "IBM": 2}
 
@@ -167,7 +180,7 @@ def test_every_community_is_connected_in_backbone():
     g = graph_from_mask(6, 0b101011011101011)
     backbone = extract_backbone(g, BackboneParams())
     adj = {node: set() for node in backbone.firms}
-    for u, v in backbone.edges:
+    for u, v in (divmod(e, len(backbone.ids)) for e in backbone.edges):
         adj[u].add(v)
         adj[v].add(u)
     for community in detect_subcommunities(backbone, min_size=2):
@@ -194,9 +207,9 @@ def test_multi_digit_bitsets_match_oracle(seed):
     density = rng.uniform(0.03, 0.3)
     edges = [e for e in combinations(names[n // 10 :], 2) if rng.random() < density]
     g = make_graph({name: "HP" for name in names}, edges)
-    assert edge_embeddedness(g) == oracle_embeddedness(g)
+    assert named_embeddedness(g) == oracle_embeddedness(as_strings(g))
     params = BackboneParams(max_rank_k=rng.randint(1, 6), min_embeddedness=rng.randint(0, 4))
-    assert extract_backbone(g, params).edges == oracle_backbone(g, params)
+    assert backbone_pairs(g, params) == oracle_backbone(as_strings(g), params)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -212,8 +225,8 @@ def test_communities_of_large_sparse_graph_match_oracle(seed):
     backbone = extract_backbone(g, BackboneParams(max_rank_k=3, min_embeddedness=0))
     for graph in (g, backbone):
         for min_size in range(1, 5):
-            got = as_pairs(detect_subcommunities(graph, min_size))
-            assert got == oracle_communities(graph, min_size)
+            got = as_pairs(graph, detect_subcommunities(graph, min_size))
+            assert got == oracle_communities(as_strings(graph), min_size)
 
 
 # --- properties -----------------------------------------------------------
@@ -229,13 +242,13 @@ params_st = st.builds(
 @given(masks6)
 def test_embeddedness_matches_oracle(mask):
     g = graph_from_mask(6, mask)
-    assert edge_embeddedness(g) == oracle_embeddedness(g)
+    assert named_embeddedness(g) == oracle_embeddedness(as_strings(g))
 
 
 @given(masks6, params_st)
 def test_backbone_matches_oracle(mask, params):
     g = graph_from_mask(6, mask)
-    assert extract_backbone(g, params).edges == oracle_backbone(g, params)
+    assert backbone_pairs(g, params) == oracle_backbone(as_strings(g), params)
 
 
 @given(masks6, params_st)
@@ -275,6 +288,66 @@ def test_backbone_deterministic_for_fixed_ids(mask, params):
 @given(masks6, st.lists(st.sampled_from(["HP", "IBM"]), min_size=6, max_size=6),
        st.integers(min_value=1, max_value=4))
 def test_communities_match_component_oracle(mask, labels, min_size):
-    g = graph_from_mask(6, mask)
-    g = make_graph(dict(zip(sorted(g.firms), labels)), g.edges)
-    assert as_pairs(detect_subcommunities(g, min_size)) == oracle_communities(g, min_size)
+    s = as_strings(graph_from_mask(6, mask))
+    g = make_graph(dict(zip(sorted(s.firms), labels)), s.edges)
+    got = as_pairs(g, detect_subcommunities(g, min_size))
+    assert got == oracle_communities(as_strings(g), min_size)
+
+
+# --- int ids follow id order ------------------------------------------------
+
+# ids whose code-point order differs from insertion, numeric and case-folded
+# order; U+FF21 sorts below the astral U+1F600 by code point, above it in UTF-16
+ID_POOL = ["n2", "n10", "n1", "N3", "Zed", "abe", "Abe", "é", "e", "z", "Ａ", "\U0001F600"]
+
+
+def edge_lines(text, pattern):
+    """The (source, target) ids of each edge line, in file order."""
+    return [tuple(m) for m in re.findall(pattern, text)]
+
+
+@settings(max_examples=60)
+@given(st.data(), params_st, st.integers(min_value=1, max_value=3))
+def test_int_ids_follow_id_order(data, params, min_size):
+    ids = data.draw(st.permutations(ID_POOL))  # the insertion order
+    firms = {i: data.draw(st.sampled_from(["HP", "IBM"])) for i in ids}
+    # a star from the first id, so every two ids share an edge or a neighbour
+    # and the edge lines order every pair of them
+    star = [(ids[0], i) for i in ids[1:]]
+    pairs = star + data.draw(st.lists(st.sampled_from(list(combinations(ids[1:], 2))), unique=True))
+    # one commit per developer in insertion order, then one per edge, so the
+    # graph's id table is the library's own sort of the window's developers
+    commits = [(DeveloperIdentity(i, frozenset({i}), firms[i]), (f"own-{i}",)) for i in ids]
+    for u, v in pairs:
+        file = f"{u}+{v}"
+        commits += [(DeveloperIdentity(x, frozenset({x}), firms[x]), (file,)) for x in (u, v)]
+    g = build_collaboration_graph("w", commits)
+    expected = StrGraph("w", firms, frozenset(tuple(sorted(p)) for p in pairs))
+    assert as_strings(g) == expected
+
+    backbone = extract_backbone(g, params)
+    kept = oracle_backbone(expected, params)
+    assert as_strings(backbone).edges == kept
+    got = as_pairs(backbone, detect_subcommunities(backbone, min_size))
+    assert got == oracle_communities(StrGraph("w", firms, kept), min_size)
+
+    for graph, edges in ((g, expected.edges), (backbone, kept)):
+        graphml = edge_lines(export_graphml(graph), r'<edge source="(.*)" target="(.*)"/>')
+        dot = edge_lines(export_dot(graph), r'\n  "(.*)" -- "(.*)";')
+        assert graphml == dot == sorted(edges)
+
+
+def test_rank_key_spans_a_wide_id_table():
+    # the nodes are the last 12 of 70,000 ids, so a neighbour's number needs
+    # 17 bits, and in these dense graphs many ties share a strength and are
+    # broken by neighbour id; a rank key that shifts the strength by 16 bits
+    # would let the neighbour's top bit change the strength's order
+    table = [f"d{i:05d}" for i in range(70_000)]
+    nodes = table[-12:]
+    rng = random.Random(7)
+    for _ in range(4):
+        edges = [e for e in combinations(nodes, 2) if rng.random() < 0.6]
+        g = make_graph(dict.fromkeys(nodes, "HP"), edges, ids=table)
+        for k in range(1, 6):
+            params = BackboneParams(max_rank_k=k, min_embeddedness=1)
+            assert backbone_pairs(g, params) == oracle_backbone(as_strings(g), params)

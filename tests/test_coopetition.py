@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import as_strings, make_graph
 from coopnet.coopetition import (
     RevenueModelError,
     RevenueStream,
@@ -121,12 +121,13 @@ def test_matches_bruteforce_subgraph_oracle(g, competing):
         firm_mixing(g), RevenueStream("s", frozenset(competing)), universe
     )
     # brute force both induced subgraphs by enumerating node pairs
+    s = as_strings(g)
     for firms, (n_edges, den) in [
         (competing, (comparison.n_alpha, comparison.den_alpha)),
         (universe - competing, (comparison.n_beta, comparison.den_beta)),
     ]:
-        nodes = sorted(v for v, f in g.firms.items() if f in firms)
-        edges = [(u, v) for u, v in combinations(nodes, 2) if (u, v) in g.edges]
+        nodes = sorted(v for v, f in s.firms.items() if f in firms)
+        edges = [(u, v) for u, v in combinations(nodes, 2) if (u, v) in s.edges]
         assert n_edges == len(edges)
         if len(nodes) < 2:
             assert den is None

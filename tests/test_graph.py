@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_pairs, make_graph
+from conftest import as_strings, identity_pairs, make_graph
 from coopnet.graph import (
     FirmFilter,
     GraphError,
@@ -52,14 +52,14 @@ def node(dev):
 def test_shared_file_creates_edge():
     records = [commit(1, "a", ["nova/api.py"]), commit(2, "b", ["nova/api.py"])]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert g.edges == {(node("a"), node("b"))}
+    assert as_strings(g).edges == {(node("a"), node("b"))}
 
 
 def test_no_shared_file_no_edge_but_nodes_remain():
     records = [commit(1, "a", ["x.py"]), commit(2, "b", ["y.py"])]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     assert g.edges == frozenset()
-    assert g.firms.keys() == {node("a"), node("b")}
+    assert as_strings(g).firms.keys() == {node("a"), node("b")}
 
 
 def test_firm_filter_drops_developer_and_edges():
@@ -67,14 +67,14 @@ def test_firm_filter_drops_developer_and_edges():
     g = build_collaboration_graph(
         "w", identity_pairs(records, identity_map()), FirmFilter(frozenset({"HP", "IBM"}))
     )
-    assert g.firms.keys() == {node("a")}
+    assert as_strings(g).firms.keys() == {node("a")}
     assert g.edges == frozenset()
 
 
 def test_unknown_author_skipped():
     records = [commit(1, "a", ["f.py"]), commit(2, "zz", ["f.py"])]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert g.firms.keys() == {node("a")}
+    assert as_strings(g).firms.keys() == {node("a")}
 
 
 def test_repeat_touches_count_once():
@@ -99,12 +99,29 @@ def test_empty_firm_filter_rejected():
 
 
 def test_merge_graphs_unions_nodes_and_edges():
-    g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1")
-    g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2")
+    ids = ["a", "b", "c"]
+    g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1", ids=ids)
+    g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2", ids=ids)
     merged = merge_graphs([g1, g2])
     assert merged.window == "merged"
-    assert merged.firms.keys() == {"a", "b", "c"}
-    assert merged.edges == {("a", "b"), ("b", "c")}
+    assert merged.ids is ids
+    assert as_strings(merged).firms == {"a": "HP", "b": "HP", "c": "IBM"}
+    assert as_strings(merged).edges == {("a", "b"), ("b", "c")}
+
+
+def test_merge_graphs_refuses_another_id_table():
+    g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1")
+    g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2")
+    with pytest.raises(GraphError, match="w2 has another id table"):
+        merge_graphs([g1, g2])
+
+
+def test_merge_graphs_refuses_conflicting_firms():
+    ids = ["a", "b"]
+    g1 = make_graph({"a": "HP", "b": "HP"}, window="w1", ids=ids)
+    g2 = make_graph({"b": "IBM"}, window="w2", ids=ids)
+    with pytest.raises(GraphError, match="node b has conflicting firms"):
+        merge_graphs([g1, g2])
 
 
 def seeded_window(seed):
@@ -165,9 +182,10 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     sizes = {len(devs) for devs in shared.values()}
     assert 2 in sizes and max(sizes) >= 5
     g = build_collaboration_graph("w", pairs, firm_filter)
-    assert g.firms == firms
-    assert g.edges == edges
-    assert all(u < v for u, v in g.edges)  # no self-loop
+    assert g.ids == sorted(firms)
+    assert as_strings(g).firms == firms
+    assert as_strings(g).edges == edges
+    assert all(u < v for u, v in (divmod(e, len(g.ids)) for e in g.edges))  # no self-loop
     # a set is made only for a file that two different developers touched
     builder = WindowBuilder(firm_filter)
     for identity, files in pairs:
@@ -202,16 +220,16 @@ def oracle_edges(assignments):
 def test_edges_match_bruteforce_oracle(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert set(g.edges) == oracle_edges(assignments)
+    assert as_strings(g).edges == oracle_edges(assignments)
 
 
 @given(commit_lists)
 def test_graph_is_simple_and_symmetric(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
     g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    for u, v in g.edges:
-        assert u != v
-        assert u < v  # canonical unordered representation
+    for e in g.edges:
+        u, v = divmod(e, len(g.ids))
+        assert u < v  # canonical unordered representation, no self-loop
         assert u in g.firms and v in g.firms
 
 
@@ -221,6 +239,7 @@ def test_adding_a_commit_is_monotone(assignments, extra):
     g_before = build_collaboration_graph("w", identity_pairs(records, identity_map()))
     records.append(commit(len(records), extra[0], extra[1]))
     g_after = build_collaboration_graph("w", identity_pairs(records, identity_map()))
-    assert g_before.firms.keys() <= g_after.firms.keys()
-    assert g_before.edges <= g_after.edges
+    before, after = as_strings(g_before), as_strings(g_after)
+    assert before.firms.keys() <= after.firms.keys()
+    assert before.edges <= after.edges
 

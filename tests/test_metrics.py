@@ -141,13 +141,13 @@ def all_graphs_up_to(n, labelings):
         edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
         for labeling in labelings:
             firms = {name: labeling[i] for i, name in enumerate(names)}
-            yield make_graph(firms, edges)
+            yield firms, edges, make_graph(firms, edges)
 
 
 def test_exhaustive_oracle_equivalence_up_to_five_nodes():
     labelings = [["HP"] * 5, ["HP", "IBM", "HP", "IBM", "IBM"]]
-    for g in all_graphs_up_to(5, labelings):
-        dens, degs, same, assort = brute_force_metrics(g.firms, set(g.edges))
+    for firms, edges, g in all_graphs_up_to(5, labelings):
+        dens, degs, same, assort = brute_force_metrics(firms, set(edges))
         if dens is None:
             assert density(g) is None
         else:
@@ -173,9 +173,10 @@ TIE_EDGES = (
 
 def test_assortativity_on_rounding_tie_is_exact():
     firms = dict(item.split(":") for item in TIE_FIRMS.split())
-    g = make_graph(firms, [edge.split("-") for edge in TIE_EDGES.split()])
+    edges = {tuple(edge.split("-")) for edge in TIE_EDGES.split()}
+    g = make_graph(firms, edges)
     assortativity = firm_assortativity(firm_mixing(g))
-    assert brute_force_metrics(g.firms, set(g.edges))[3] == Fraction(-5, 128)
+    assert brute_force_metrics(firms, edges)[3] == Fraction(-5, 128)
     assert assortativity == -5 / 128
     assert format_real(assortativity) == "-0.039062"
 
@@ -215,8 +216,8 @@ def test_metrics_invariant_under_relabeling(mask, labels, perm):
     g = make_graph(dict(zip(names, labels)), edges)
     renamed = {names[i]: f"m{perm[i]}" for i in range(6)}
     g2 = make_graph(
-        {renamed[v]: f for v, f in g.firms.items()},
-        [(renamed[u], renamed[v]) for u, v in g.edges],
+        {renamed[v]: f for v, f in zip(names, labels)},
+        [(renamed[u], renamed[v]) for u, v in edges],
     )
     assert density(g) == density(g2)
     mix, mix2 = firm_mixing(g), firm_mixing(g2)

@@ -13,11 +13,18 @@ from xml.dom import minidom
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURE_DIR, analyze_args, make_graph, parse_commit_log, read_graphml
+from conftest import (
+    FIXTURE_DIR,
+    StrGraph,
+    analyze_args,
+    as_strings,
+    make_graph,
+    parse_commit_log,
+    read_graphml,
+)
 from coopnet import report
 from coopnet.backbone import BackboneParams
 from coopnet.cli import main
-from coopnet.graph import CollaborationGraph
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -95,10 +102,7 @@ def test_graphml_roundtrip():
         [("a&b@x.example", "c@x.example"), ("c@x.example", "d@x.example")],
         window="r<1>",
     )
-    back = read_graphml(export_graphml(g))
-    assert back.window == g.window
-    assert back.firms == g.firms
-    assert back.edges == g.edges
+    assert read_graphml(export_graphml(g)) == as_strings(g)
 
 
 def test_graphml_deterministic():
@@ -539,7 +543,7 @@ def test_each_window_graph_is_the_cofile_graph_of_its_commits(tmp_path, seed, fi
                 files_of.setdefault(dev, set()).update(r.files)
         edges = {(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]}
         text = (tmp_path / "out" / "graphs" / f"{i:02d}_{name}.graphml").read_text(encoding="utf-8")
-        assert read_graphml(text) == CollaborationGraph(name, firms, frozenset(edges))
+        assert read_graphml(text) == StrGraph(name, firms, frozenset(edges))
         assert 0 < len(edges) < len(firms) * (len(firms) - 1) // 2
     # a window's commits include those of developers the firm filter drops
     commits_of = {w["release"]: w["commits"] for w in result.summary["windows"]}
@@ -586,7 +590,7 @@ def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
         assert len(graphs) == 2 * len(names)  # a graph, then its backbone
         assert [g.node_count for g in graphs] == [4, 4, 5, 5, 5, 5]
         for name, g, bb in zip(names, graphs[::2], graphs[1::2]):
-            assert bb.firms is g.firms
+            assert bb.ids is g.ids and bb.firms is g.firms
             assert (out / "graphs" / name).read_text(encoding="utf-8") == export(g)
             assert (out / "backbones" / name).read_text(encoding="utf-8") == export(bb)
     merged = read_graphml((out / "graphs" / "merged.graphml").read_text(encoding="utf-8"))
