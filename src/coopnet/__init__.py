@@ -1,7 +1,7 @@
 """coopnet: firm-level collaboration network analysis over commit histories."""
 
 from .backbone import BackboneParams, extract_backbone
-from .graph import CollaborationGraph, build_collaboration_graph
+from .graph import CollaborationGraph
 from .identity import IdentityResolver, load_affiliation_map
 from .ingest import ValidationReport, iter_commits
 from .metrics import density

@@ -22,15 +22,6 @@ class GraphError(Exception):
 
 
 @dataclass(frozen=True)
-class FirmFilter:
-    firms: frozenset[str]
-
-    def __post_init__(self):
-        if not self.firms:
-            raise GraphError("firm filter must be non-empty")
-
-
-@dataclass(frozen=True)
 class CollaborationGraph:
     window: str
     ids: Sequence[str]  # the run's sorted id table, shared by its graphs
@@ -54,15 +45,16 @@ class WindowBuilder:
     """One release window's graph, folded in one commit at a time.
 
     ``commits`` counts every commit added, a filtered-out developer's too.
-    With a firm filter, developers outside the filtered firms are dropped
-    entirely, nodes and edges both. Isolated contributors remain nodes. A
-    file's first developer is kept as a plain id; its set is made only when
-    a second, different developer touches it, so the many files of a wide
-    history that one developer touches cost no set. :meth:`graph` ends the
-    fold: it packs each set's pairs through the run's id index and releases the maps.
+    With a firm filter (a set of firm names), developers of other firms are
+    dropped entirely, nodes and edges both. Isolated contributors remain
+    nodes. A file's first developer is kept as a plain id; its set is made
+    only when a second, different developer touches it, so the many files of
+    a wide history that one developer touches cost no set. :meth:`graph`
+    ends the fold: it packs each set's pairs through an id index (in a run,
+    the run's; a test may pass a window-local one) and releases the maps.
     """
 
-    def __init__(self, firm_filter: FirmFilter | None = None):
+    def __init__(self, firm_filter: frozenset[str] | None = None):
         self.firm_filter = firm_filter
         self.commits = 0
         self.firms: dict[str, str] = {}  # node id -> firm
@@ -71,7 +63,7 @@ class WindowBuilder:
 
     def add(self, identity: DeveloperIdentity, files: Iterable[str]) -> None:
         self.commits += 1
-        if self.firm_filter is not None and identity.firm not in self.firm_filter.firms:
+        if self.firm_filter is not None and identity.firm not in self.firm_filter:
             return
         node = identity.canonical_id
         self.firms[node] = identity.firm
@@ -97,19 +89,6 @@ class WindowBuilder:
         firms = {index[node]: firm for node, firm in self.firms.items()}
         self.firms, self.first, self.shared = {}, {}, {}
         return CollaborationGraph(window, ids, firms, frozenset(edges))
-
-
-def build_collaboration_graph(
-    window: str,
-    pairs: Iterable[tuple[DeveloperIdentity, Iterable[str]]],
-    firm_filter: FirmFilter | None = None,
-) -> CollaborationGraph:
-    """The graph of a window's (author identity, files) pairs, over its own id table."""
-    builder = WindowBuilder(firm_filter)
-    for identity, files in pairs:
-        builder.add(identity, files)
-    ids = sorted(builder.firms)
-    return builder.graph(window, ids, {node: i for i, node in enumerate(ids)})
 
 
 def merge_graphs(graphs: Sequence[CollaborationGraph], window: str = "merged") -> CollaborationGraph:

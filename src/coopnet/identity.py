@@ -9,8 +9,9 @@ one person is one node, whichever address they committed with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
-from .ingest import CONTROL_RE, INVALID_EMAIL, classify_email
+from .ingest import CONTROL_RE, is_valid_email
 
 UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
@@ -32,13 +33,12 @@ class AffiliationMap:
 
 @dataclass(frozen=True, slots=True)
 class DeveloperIdentity:
-    """A canonical developer: merged emails plus one firm per run.
+    """One developer of a run: the canonical id of their addresses, and their firm.
 
-    Slotted: a wide history holds one per address (29k on 30k developers).
+    Slotted: a wide history holds one per developer (29k on 30k developers).
     """
 
     canonical_id: str
-    emails: frozenset[str]
     firm: str
 
 
@@ -48,7 +48,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
     Sections: [domains] and [emails] hold key=firm lines, [aliases] one
     comma-separated email group per line, [bots] one email per line.
     "#" starts a comment. Keys are lowercased. A key, firm or email holding
-    a C0 control character is refused, as ``classify_email`` refuses such an
+    a C0 control character is refused, as ``is_valid_email`` refuses such an
     address: it could become a node id or firm that GraphML cannot hold.
     """
     domain_rules: dict[str, str] = {}
@@ -129,7 +129,7 @@ def resolve_affiliation(email: str, amap: AffiliationMap) -> str:
     return UNAFFILIATED
 
 
-def _group_firm(group: frozenset[str], amap: AffiliationMap) -> str:
+def _group_firm(group: Collection[str], amap: AffiliationMap) -> str:
     """Resolve a whole alias group to one firm.
 
     Overrides pin the group; without one, domain rules must agree
@@ -158,17 +158,16 @@ class IdentityResolver:
     Bot commits are excluded. A missing or invalid email is excluded unless
     an explicit override exists for that address. Every email of a resolved
     alias group maps to the same identity, whose canonical id is the group's
-    lexicographically smallest email; a group whose members resolve to two
-    firms raises AffiliationError. ``identities`` maps every email so far.
+    lexicographically smallest email, a bot's included; a group whose members
+    resolve to two firms raises AffiliationError. ``identities`` maps the
+    canonical id of each developer resolved so far to their identity.
     """
 
     def __init__(self, amap: AffiliationMap):
         self._amap = amap
         self._group_of = {email: group for group in amap.alias_groups for email in group}
         self.identities: dict[str, DeveloperIdentity] = {}
-        # each address's outcome, so it is decided once however often it commits;
-        # kept apart from identities, which also holds group members not yet
-        # decided (a bot address may share a group with a resolved one)
+        # each address's outcome, so it is decided once however often it commits
         self._outcomes: dict[str, DeveloperIdentity | None] = {}
 
     def resolve(self, email: str) -> DeveloperIdentity | None:
@@ -182,13 +181,14 @@ class IdentityResolver:
         if email in amap.bot_emails:
             return None
         # an empty email is invalid too
-        if classify_email(email) == INVALID_EMAIL and email not in amap.email_overrides:
+        if not is_valid_email(email) and email not in amap.email_overrides:
             return None
-        identity = self.identities.get(email)
+        group = self._group_of.get(email, (email,))
+        canonical = min(group)
+        identity = self.identities.get(canonical)
         if identity is None:
-            group = self._group_of.get(email) or frozenset({email})
-            identity = DeveloperIdentity(min(group), group, _group_firm(group, amap))
-            for member in group:
-                self.identities[member] = identity
+            identity = self.identities[canonical] = DeveloperIdentity(
+                canonical, _group_firm(group, amap)
+            )
         return identity
 

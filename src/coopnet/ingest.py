@@ -38,10 +38,6 @@ CONTROL_RE = re.compile("[\x00-\x1f\ud800-\udfff]")
 CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
 
-OK = "ok"
-FIXABLE = "fixable"
-INVALID_EMAIL = "invalid-email"
-
 
 class CommitLogError(Exception):
     """Stream-level failure: the input as a whole cannot be processed."""
@@ -89,20 +85,15 @@ def normalize_email(email: str) -> str:
     return email.strip().lower()
 
 
-def classify_email(email: str) -> str:
-    """Classify an address as ok / fixable / invalid-email.
+def is_valid_email(email: str) -> bool:
+    """Whether an address, once trimmed and lowercased, can name a developer.
 
-    An address is invalid when it has no "@", no dot in the domain part, or
-    a C0 control character or lone surrogate left after trimming; fixable
-    when normalization (trim + lowercase) would change it.
+    It cannot when it has no "@", no dot in the domain part, or a C0
+    control character or lone surrogate left after trimming.
     """
     normalized = normalize_email(email)
     local, sep, domain = normalized.rpartition("@")
-    if not sep or not local or "." not in domain or CONTROL_RE.search(normalized):
-        return INVALID_EMAIL
-    if normalized != email:
-        return FIXABLE
-    return OK
+    return bool(sep and local and "." in domain and not CONTROL_RE.search(normalized))
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict:

@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
-from .graph import CollaborationGraph, FirmFilter, WindowBuilder, merge_graphs
+from .graph import CollaborationGraph, WindowBuilder, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
 from .ingest import ValidationReport, iter_commits
 from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
@@ -220,12 +220,12 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]", "_", name)
 
 
-def _load_firm_filter(text: str) -> FirmFilter:
+def _load_firm_filter(text: str) -> frozenset[str]:
     # read_text has turned \r\n and \r into \n, so lines end as open() ends them
-    firms = {line.split("#", 1)[0].strip() for line in text.split("\n")} - {""}
+    firms = frozenset(line.split("#", 1)[0].strip() for line in text.split("\n")) - {""}
     if not firms:
         raise ConfigError("firm filter file lists no firms")
-    return FirmFilter(firms=frozenset(firms))
+    return firms
 
 
 def _is_written_by_run(entry: Path) -> bool:
@@ -348,21 +348,20 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 post_release += 1
             else:
                 builders[label].add(identity, record.files)
-    identities = resolver.identities.values()
 
     if firm_filter is not None:
-        universe = set(firm_filter.firms)
+        universe = set(firm_filter)
     else:
-        universe = {i.firm for i in identities} - {UNAFFILIATED}
+        universe = {i.firm for i in resolver.identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
 
     # the run's id table: node i is ids[i], so int order is id order
-    ids = sorted({i.canonical_id for i in identities})
+    ids = sorted(resolver.identities)
     index = {node: i for i, node in enumerate(ids)}
     window_graphs = [builders[w.name].graph(w.name, ids, index) for w in windows]
     # nothing below needs the identities or the index: free them before
     # rendering, where a run's memory peaks
-    del resolver, identities, index
+    del resolver, index
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:

@@ -1,9 +1,10 @@
 """Release windows: partitioning the commit stream by release date.
 
 Each window is a half-open interval (previous release date, release date],
-expressed in UTC. The first window is unbounded below; commits after the
-last release date get the post-release marker and are excluded from
-analysis.
+expressed in UTC, so a window holds only its name and end: its start is
+the previous window's end. The first window is unbounded below; commits
+after the last release date get the post-release marker and are excluded
+from analysis.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ class ReleaseConfigError(Exception):
 @dataclass(frozen=True)
 class ReleaseWindow:
     name: str
-    start: datetime | None  # exclusive; None for the first window
-    end: datetime  # inclusive
+    end: datetime  # inclusive; the window starts after the previous one's end
 
 
 def load_releases(config: str) -> list[ReleaseWindow]:
@@ -44,7 +44,7 @@ def load_releases(config: str) -> list[ReleaseWindow]:
         raise ReleaseConfigError("empty releases file") from None
     if header != ["name", "date"]:
         raise ReleaseConfigError(f"expected header name,date, got {','.join(header)}")
-    entries: list[tuple[str, datetime]] = []
+    windows: list[ReleaseWindow] = []
     seen: set[str] = set()
     for row_number, row in enumerate(reader, start=2):
         if not row:
@@ -68,16 +68,11 @@ def load_releases(config: str) -> list[ReleaseWindow]:
                 f"row {row_number}: invalid date {date_text!r}"
             ) from None
         end = day.replace(hour=23, minute=59, second=59, tzinfo=timezone.utc)
-        if entries and end <= entries[-1][1]:
+        if windows and end <= windows[-1].end:
             raise ReleaseConfigError(f"row {row_number}: dates not strictly ascending")
-        entries.append((name, end))
-    if not entries:
+        windows.append(ReleaseWindow(name=name, end=end))
+    if not windows:
         raise ReleaseConfigError("no releases defined")
-    windows = []
-    previous: datetime | None = None
-    for name, end in entries:
-        windows.append(ReleaseWindow(name=name, start=previous, end=end))
-        previous = end
     return windows
 
 

@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from coopnet.graph import CollaborationGraph
+from coopnet.graph import CollaborationGraph, WindowBuilder
 from coopnet.identity import IdentityResolver
 from coopnet.ingest import ValidationReport, iter_commits
 
@@ -91,15 +91,37 @@ def parse_commit_log(stream):
 
 
 def canonicalize_identities(records, amap):
-    """Fold aliases and attach firms; returns (email -> identity, excluded shas)."""
+    """Fold aliases and attach firms; returns (email -> identity, excluded shas).
+
+    The map holds each address that committed and resolved.
+    """
     resolver = IdentityResolver(amap)
-    excluded = [r.sha for r in records if resolver.resolve(r.author_email) is None]
-    return resolver.identities, excluded
+    identities, excluded = {}, []
+    for r in records:
+        identity = resolver.resolve(r.author_email)
+        if identity is None:
+            excluded.append(r.sha)
+        else:
+            identities[r.author_email] = identity
+    return identities, excluded
 
 
 def identity_pairs(records, identities) -> list:
     """The (identity, files) pair of each record whose author has an identity."""
     return [(identities[r.author_email], r.files) for r in records if r.author_email in identities]
+
+
+def window_graph(window: str, pairs, firm_filter=None) -> CollaborationGraph:
+    """The graph of a window's (identity, files) pairs, over the window's own id table.
+
+    The table is the sorted ids of the window's kept developers, so graphs
+    built this way cannot be merged with each other.
+    """
+    builder = WindowBuilder(firm_filter)
+    for identity, files in pairs:
+        builder.add(identity, files)
+    ids = sorted(builder.firms)
+    return builder.graph(window, ids, {node: i for i, node in enumerate(ids)})
 
 
 def read_graphml(text: str) -> StrGraph:

@@ -29,9 +29,9 @@ from conftest import (
     identity_pairs,
     make_graph,
     parse_commit_log,
+    window_graph,
 )
 from coopnet.backbone import BackboneParams, edge_embeddedness, extract_backbone
-from coopnet.graph import build_collaboration_graph
 from coopnet.identity import (
     BOT,
     UNAFFILIATED,
@@ -127,9 +127,7 @@ def _identity_map(dev_count):
 
     return {
         f"d{i}@x.example": DeveloperIdentity(
-            canonical_id=f"d{i}@x.example",
-            emails=frozenset({f"d{i}@x.example"}),
-            firm="HP" if i % 2 else "IBM",
+            canonical_id=f"d{i}@x.example", firm="HP" if i % 2 else "IBM"
         )
         for i in range(dev_count)
     }
@@ -180,7 +178,7 @@ def test_criterion_2_graph_construction_oracle():
                 label = assign_release(record.timestamp, windows)
                 touched.setdefault((label, record.author_email), set()).update(record.files)
             for w in windows:
-                g = build_collaboration_graph(w.name, identity_pairs(per_window[w.name], identities))
+                g = window_graph(w.name, identity_pairs(per_window[w.name], identities))
                 expected = set()
                 devs = sorted(e for (label, e) in touched if label == w.name)
                 for e1, e2 in combinations(devs, 2):
@@ -414,19 +412,17 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
             "rackspace.com = Rackspace\nvmware.com = VMware\nredhat.com = Red Hat\n"
         )
         identities, _ = canonicalize_identities(records, amap)
-        from coopnet.graph import FirmFilter
-
-        top = FirmFilter(frozenset({
+        top = frozenset({
             "Canonical", "Citrix", "Cloudscaling", "HP", "IBM", "Mirantis",
             "Nebula", "Rackspace", "VMware", "Red Hat",
-        }))
+        })
         per_window = {w.name: [] for w in windows}
         for record in records:
             label = assign_release(record.timestamp, windows)
             if label != POST_RELEASE:
                 per_window[label].append(record)
         graphs = {
-            name: build_collaboration_graph(name, identity_pairs(per_window[name], identities), top)
+            name: window_graph(name, identity_pairs(per_window[name], identities), top)
             for name in per_window
         }
         mature = ["Bexar", "Cactus", "Diablo", "Essex", "Folsom", "Grizzly", "Havana"]

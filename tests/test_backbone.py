@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StrGraph, as_strings, id_pair, make_graph
+from conftest import StrGraph, as_strings, id_pair, make_graph, window_graph
 from coopnet.backbone import (
     BackboneParams,
     detect_subcommunities,
@@ -17,7 +17,6 @@ from coopnet.backbone import (
     extract_backbone,
     firm_overlap,
 )
-from coopnet.graph import build_collaboration_graph
 from coopnet.identity import DeveloperIdentity
 from coopnet.report import export_dot, export_graphml
 
@@ -316,12 +315,12 @@ def test_int_ids_follow_id_order(data, params, min_size):
     star = [(ids[0], i) for i in ids[1:]]
     pairs = star + data.draw(st.lists(st.sampled_from(list(combinations(ids[1:], 2))), unique=True))
     # one commit per developer in insertion order, then one per edge, so the
-    # graph's id table is the library's own sort of the window's developers
-    commits = [(DeveloperIdentity(i, frozenset({i}), firms[i]), (f"own-{i}",)) for i in ids]
+    # graph's id table is `sorted` of the window's developers, as a run sorts its ids
+    commits = [(DeveloperIdentity(i, firms[i]), (f"own-{i}",)) for i in ids]
     for u, v in pairs:
         file = f"{u}+{v}"
-        commits += [(DeveloperIdentity(x, frozenset({x}), firms[x]), (file,)) for x in (u, v)]
-    g = build_collaboration_graph("w", commits)
+        commits += [(DeveloperIdentity(x, firms[x]), (file,)) for x in (u, v)]
+    g = window_graph("w", commits)
     expected = StrGraph("w", firms, frozenset(tuple(sorted(p)) for p in pairs))
     assert as_strings(g) == expected
 

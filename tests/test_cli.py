@@ -97,6 +97,19 @@ def test_analyze_alias_conflict_after_last_release_is_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
+    out = tmp_path / "out"
+    assert CliRunner().invoke(main, analyze_args(tmp_path)).exit_code == 0
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    firms = tmp_path / "firms.txt"
+    firms.write_text("# no firm yet\n\n   \n\t# Anvil\n")
+    result = CliRunner().invoke(main, analyze_args(tmp_path, firms=firms))
+    assert result.exit_code == 2
+    assert "lists no firms" in result.output
+    assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+    assert sorted(tmp_path.glob(".out.*")) == []  # no staging left behind
+
+
 def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
     assert result.exit_code == 2

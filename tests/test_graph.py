@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_strings, identity_pairs, make_graph
-from coopnet.graph import (
-    FirmFilter,
-    GraphError,
-    WindowBuilder,
-    build_collaboration_graph,
-    merge_graphs,
-)
+from conftest import as_strings, identity_pairs, make_graph, window_graph
+from coopnet.graph import GraphError, WindowBuilder, merge_graphs
 from coopnet.identity import DeveloperIdentity
 from coopnet.ingest import CommitRecord
 
@@ -26,11 +20,7 @@ FIRM_OF = {"a": "HP", "b": "HP", "c": "IBM", "d": "IBM", "e": "RedHat", "f": "Ci
 
 def identity_map(devs=FIRM_OF):
     return {
-        f"{dev}@x.example": DeveloperIdentity(
-            canonical_id=f"{dev}@x.example",
-            emails=frozenset({f"{dev}@x.example"}),
-            firm=firm,
-        )
+        f"{dev}@x.example": DeveloperIdentity(canonical_id=f"{dev}@x.example", firm=firm)
         for dev, firm in devs.items()
     }
 
@@ -51,21 +41,21 @@ def node(dev):
 
 def test_shared_file_creates_edge():
     records = [commit(1, "a", ["nova/api.py"]), commit(2, "b", ["nova/api.py"])]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     assert as_strings(g).edges == {(node("a"), node("b"))}
 
 
 def test_no_shared_file_no_edge_but_nodes_remain():
     records = [commit(1, "a", ["x.py"]), commit(2, "b", ["y.py"])]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     assert g.edges == frozenset()
     assert as_strings(g).firms.keys() == {node("a"), node("b")}
 
 
 def test_firm_filter_drops_developer_and_edges():
     records = [commit(1, "a", ["f.py"]), commit(2, "e", ["f.py"])]
-    g = build_collaboration_graph(
-        "w", identity_pairs(records, identity_map()), FirmFilter(frozenset({"HP", "IBM"}))
+    g = window_graph(
+        "w", identity_pairs(records, identity_map()), frozenset({"HP", "IBM"})
     )
     assert as_strings(g).firms.keys() == {node("a")}
     assert g.edges == frozenset()
@@ -73,7 +63,7 @@ def test_firm_filter_drops_developer_and_edges():
 
 def test_unknown_author_skipped():
     records = [commit(1, "a", ["f.py"]), commit(2, "zz", ["f.py"])]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     assert as_strings(g).firms.keys() == {node("a")}
 
 
@@ -84,18 +74,13 @@ def test_repeat_touches_count_once():
         commit(3, "b", ["f.py"]),
         commit(4, "b", ["f.py"]),
     ]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     assert g.edge_count == 1
 
 
 def test_empty_input_gives_empty_graph():
-    g = build_collaboration_graph("w", identity_pairs([], identity_map()))
+    g = window_graph("w", identity_pairs([], identity_map()))
     assert g.node_count == 0 and g.edge_count == 0
-
-
-def test_empty_firm_filter_rejected():
-    with pytest.raises(GraphError):
-        FirmFilter(frozenset())
 
 
 def test_merge_graphs_unions_nodes_and_edges():
@@ -157,7 +142,7 @@ def cofile_oracle(pairs, firm_filter):
     """Brute force: each kept developer's file set, then every pair of developers."""
     firms, files_of = {}, {}
     for identity, files in pairs:
-        if firm_filter is None or identity.firm in firm_filter.firms:
+        if firm_filter is None or identity.firm in firm_filter:
             firms[identity.canonical_id] = identity.firm
             files_of.setdefault(identity.canonical_id, set()).update(files)
     edges = {(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]}
@@ -168,7 +153,7 @@ def cofile_oracle(pairs, firm_filter):
     return firms, edges, {path: devs for path, devs in devs_of.items() if len(devs) > 1}
 
 
-@pytest.mark.parametrize("firm_filter", [None, FirmFilter(frozenset({"HP", "RedHat"}))])
+@pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
 @pytest.mark.parametrize("seed", range(4))
 def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     pairs = seeded_window(seed)
@@ -181,7 +166,7 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     assert any(len(c) > 1 and len(set(c)) == 1 for c in commits_of.values())
     sizes = {len(devs) for devs in shared.values()}
     assert 2 in sizes and max(sizes) >= 5
-    g = build_collaboration_graph("w", pairs, firm_filter)
+    g = window_graph("w", pairs, firm_filter)
     assert g.ids == sorted(firms)
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
@@ -219,14 +204,14 @@ def oracle_edges(assignments):
 @given(commit_lists)
 def test_edges_match_bruteforce_oracle(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     assert as_strings(g).edges == oracle_edges(assignments)
 
 
 @given(commit_lists)
 def test_graph_is_simple_and_symmetric(assignments):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g = window_graph("w", identity_pairs(records, identity_map()))
     for e in g.edges:
         u, v = divmod(e, len(g.ids))
         assert u < v  # canonical unordered representation, no self-loop
@@ -236,9 +221,9 @@ def test_graph_is_simple_and_symmetric(assignments):
 @given(commit_lists, st.tuples(dev_names, st.lists(file_names, min_size=1, max_size=3)))
 def test_adding_a_commit_is_monotone(assignments, extra):
     records = [commit(i, dev, files) for i, (dev, files) in enumerate(assignments)]
-    g_before = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g_before = window_graph("w", identity_pairs(records, identity_map()))
     records.append(commit(len(records), extra[0], extra[1]))
-    g_after = build_collaboration_graph("w", identity_pairs(records, identity_map()))
+    g_after = window_graph("w", identity_pairs(records, identity_map()))
     before, after = as_strings(g_before), as_strings(g_after)
     assert before.firms.keys() <= after.firms.keys()
     assert before.edges <= after.edges

@@ -1,3 +1,5 @@
+import json
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -16,6 +18,7 @@ from coopnet.identity import (
     resolve_affiliation,
 )
 from coopnet.ingest import CommitRecord
+from coopnet.report import RunConfig, run_pipeline
 
 TS = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -108,7 +111,6 @@ def test_canonicalize_folds_aliases():
     identity = identities["a@x.example"]
     assert identity.canonical_id == "a@x.example"
     assert identity.firm == "HP"
-    assert identity.emails == frozenset({"a@x.example", "a@y.example"})
 
 
 def test_canonicalize_excludes_missing_email_without_override():
@@ -156,10 +158,10 @@ def test_resolver_classifies_each_address_once(monkeypatch):
 
     def counting(email):
         calls.append(email)
-        return classify(email)
+        return is_valid(email)
 
-    classify = identity.classify_email
-    monkeypatch.setattr(identity, "classify_email", counting)
+    is_valid = identity.is_valid_email
+    monkeypatch.setattr(identity, "is_valid_email", counting)
     resolver = IdentityResolver(load_affiliation_map(BASIC_CONFIG))
     emails = ["a@x.example", "dev@hp.example", "", "a@y.example", "ci-bot@project.example"]
     first = [resolver.resolve(e) for e in emails]
@@ -202,6 +204,110 @@ def test_alias_group_conflict_resolved_by_override():
     )
     identities, _ = canonicalize_identities([commit("1", "a@ibm.example")], amap)
     assert identities["a@ibm.example"].firm == "HP"
+
+
+DOMAINS = {"hp.example": "HP", "ibm.example": "IBM", "rh.example": "RedHat"}
+
+
+def seeded_affiliations(seed):
+    """A drawn affiliation setup: (addresses, alias groups, bots, overrides).
+
+    Every setup holds a group whose smallest address is a bot, a group with
+    a bot that is not its smallest, an invalid address with an override,
+    and a group whose domains conflict, pinned by an override; the rest is
+    drawn: addresses over mapped and unmapped domains, invalid ones (no
+    "@") among them, groups of two or three, and a lone bot.
+    """
+    rng = random.Random(seed)
+    hosts = [*DOMAINS, "gmail.example"]
+    drawn = [f"u{i:02d}@{rng.choice(hosts)}" for i in range(20)]
+    drawn += [f"v{i}_at_{rng.choice(hosts)}" for i in range(3)]
+    rng.shuffle(drawn)
+    groups = [
+        [f"a{seed}-bot@hp.example", f"x{seed}@hp.example"],
+        [f"a{seed}@rh.example", f"z{seed}-bot@rh.example"],
+        [f"c{seed}@hp.example", f"c{seed}@ibm.example"],
+    ]
+    rest = drawn
+    for _ in range(5):
+        size = rng.randint(2, 3)
+        groups.append(rest[:size])
+        rest = rest[size:]
+    bots = {groups[0][0], groups[1][1], rng.choice(drawn), rest[0]}
+    overrides = {f"w{seed}_at_hp": "HP"}
+    for group in groups:
+        people = [e for e in group if e not in bots]
+        firms = {DOMAINS.get(e.rpartition("@")[2]) for e in people} - {None}
+        if len(firms) > 1 and not any(e in overrides for e in group):
+            overrides[rng.choice(people)] = rng.choice(sorted(firms))
+    addresses = [*drawn, *(e for g in groups[:3] for e in g), *overrides]
+    addresses = list(dict.fromkeys(addresses))  # once each
+    rng.shuffle(addresses)
+    return addresses, groups, bots, overrides
+
+
+def affiliation_config(groups, bots, overrides) -> str:
+    return "\n".join([
+        "[domains]", *(f"{d} = {f}" for d, f in DOMAINS.items()),
+        "[emails]", *(f"{e} = {f}" for e, f in overrides.items()),
+        "[aliases]", *(", ".join(g) for g in groups),
+        "[bots]", *sorted(bots),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identities_hold_one_entry_per_developer(tmp_path, seed):
+    addresses, groups, bots, overrides = seeded_affiliations(seed)
+    group_of = {e: g for g in groups for e in g}
+    # brute force: an address resolves unless it is a bot, or invalid without an override
+    resolved = [e for e in addresses if e not in bots and ("@" in e or e in overrides)]
+    expected = {min(group_of.get(e, [e])) for e in resolved}
+
+    def firm_of(e):
+        people = [m for m in group_of.get(e, [e]) if m not in bots]
+        pinned = {overrides[m] for m in people if m in overrides}
+        firms = pinned or {DOMAINS.get(m.rpartition("@")[2]) for m in people} - {None}
+        assert len(firms) <= 1
+        return firms.pop() if firms else UNAFFILIATED
+
+    # the setup holds every case the resolver must fold
+    assert any(g[0] in bots and g[0] == min(g) and g[0] in expected for g in groups)
+    assert any(e in overrides and "@" not in e for e in resolved)
+    assert any(
+        len({DOMAINS.get(e.rpartition("@")[2]) for e in g} - {None}) > 1
+        and any(e in overrides for e in g)
+        for g in groups
+    )
+    amap = load_affiliation_map(affiliation_config(groups, bots, overrides))
+    for order in (addresses, addresses[::-1]):
+        resolver = IdentityResolver(amap)
+        outcomes = {e: resolver.resolve(e) for e in order}
+        assert resolver.identities.keys() == expected
+        assert [e for e in addresses if outcomes[e] is not None] == resolved
+        for e in resolved:
+            key = min(group_of.get(e, [e]))
+            assert outcomes[e] is resolver.identities[key]
+            assert (outcomes[e].canonical_id, outcomes[e].firm) == (key, firm_of(e))
+        for group in groups:
+            assert len({id(outcomes[e]) for e in group if outcomes[e] is not None}) <= 1
+
+        log = tmp_path / "commits.ndjson"
+        log.write_text("".join(
+            json.dumps({"sha": f"{i:040x}", "author_name": "Dev", "author_email": e,
+                        "timestamp": "2021-01-01T00:00:00Z", "files": [f"f{i % 3}.py"]}) + "\n"
+            for i, e in enumerate(order)
+        ))
+        (tmp_path / "releases.csv").write_text("name,date\nr1,2030-01-01\n")
+        (tmp_path / "affiliations.ini").write_text(affiliation_config(groups, bots, overrides))
+        run_pipeline(RunConfig(
+            commit_log=log,
+            releases=tmp_path / "releases.csv",
+            affiliations=tmp_path / "affiliations.ini",
+            out_dir=tmp_path / "out",
+            formats=frozenset({"json"}),
+        ))
+        summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+        assert summary["identities"] == len(expected)
 
 
 @pytest.mark.parametrize("mark", ["\u2028", "\x85"])

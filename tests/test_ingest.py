@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import parse_commit_log
 from coopnet.ingest import (
-    FIXABLE,
-    INVALID_EMAIL,
-    OK,
     RECORD_SENTINEL,
     CommitLogError,
-    classify_email,
     convert_vcs_log,
+    is_valid_email,
+    normalize_email,
     parse_rfc3339,
 )
 
@@ -252,25 +250,29 @@ def test_parse_is_deterministic():
     assert first == second
 
 
+# "ok": valid as given; "fixable": valid once trimmed and lowercased
 @pytest.mark.parametrize(
-    "email,expected",
+    "email,kind",
     [
-        ("dev@hp.example", OK),
-        ("dev_at_hp", INVALID_EMAIL),
-        ("DEV@HP.EXAMPLE ", FIXABLE),
-        ("dev@localhost", INVALID_EMAIL),  # no dot in domain
-        ("@hp.example", INVALID_EMAIL),
-        ("a\u0001b@x.example", INVALID_EMAIL),  # no XML 1.0 text can hold it
-        ("a\tb@x.example", INVALID_EMAIL),
-        ("dev@hp.\x1fexample", INVALID_EMAIL),
-        ("dev@hp.example\t", FIXABLE),  # trimming removes it
-        ("a\x7fb@x.example", OK),  # DEL is not a C0 character
-        ("x\ud800y@anvil.io", INVALID_EMAIL),  # no UTF-8 output can hold a lone surrogate
-        ("dev@hp.example\udfff", INVALID_EMAIL),
+        ("dev@hp.example", "ok"),
+        ("dev_at_hp", "invalid-email"),
+        ("DEV@HP.EXAMPLE ", "fixable"),
+        ("dev@localhost", "invalid-email"),  # no dot in domain
+        ("@hp.example", "invalid-email"),
+        ("a\u0001b@x.example", "invalid-email"),  # no XML 1.0 text can hold it
+        ("a\tb@x.example", "invalid-email"),
+        ("dev@hp.\x1fexample", "invalid-email"),
+        ("dev@hp.example\t", "fixable"),  # trimming removes it
+        ("a\x7fb@x.example", "ok"),  # DEL is not a C0 character
+        ("x\ud800y@anvil.io", "invalid-email"),  # no UTF-8 output can hold a lone surrogate
+        ("dev@hp.example\udfff", "invalid-email"),
     ],
 )
-def test_classify_email(email, expected):
-    assert classify_email(email) == expected
+def test_classify_email(email, kind):
+    assert is_valid_email(email) is (kind != "invalid-email")
+    if kind != "invalid-email":
+        assert (normalize_email(email) != email) is (kind == "fixable")
+        assert is_valid_email(normalize_email(email))
 
 
 def raw_record(sha=SHA_A, name="Dev One", email="dev1@hp.example",

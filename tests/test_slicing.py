@@ -1,4 +1,4 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -23,16 +23,21 @@ def utc(*args):
 def test_load_builds_half_open_windows():
     windows = load_releases(CONFIG)
     assert [w.name for w in windows] == ["first", "second", "third"]
-    assert windows[0].start is None
     assert windows[0].end == utc(2010, 10, 21, 23, 59, 59)
-    assert windows[1].start == windows[0].end
-    assert windows[2].start == windows[1].end
+    # each window owns its end; the second after it belongs to the next window
+    for w, after in zip(windows, ["second", "third", POST_RELEASE]):
+        assert assign_release(w.end, windows) == w.name
+        assert assign_release(w.end + timedelta(seconds=1), windows) == after
+    # the first window is unbounded below
+    assert assign_release(datetime.min.replace(tzinfo=timezone.utc), windows) == "first"
 
 
 def test_load_single_release():
     windows = load_releases("name,date\nonly,2020-01-01\n")
-    assert len(windows) == 1
-    assert windows[0].start is None
+    assert [w.name for w in windows] == ["only"]
+    assert assign_release(datetime.min.replace(tzinfo=timezone.utc), windows) == "only"
+    assert assign_release(windows[0].end, windows) == "only"
+    assert assign_release(windows[0].end + timedelta(seconds=1), windows) == POST_RELEASE
 
 
 @pytest.mark.parametrize(
