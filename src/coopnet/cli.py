@@ -13,25 +13,14 @@ from pathlib import Path
 import click
 
 from .backbone import BackboneParams
-from .coopetition import RevenueModelError
-from .identity import AffiliationError
-from .ingest import CommitLogError, ValidationReport, convert_vcs_log, iter_commits
-from .report import ConfigError, RunConfig, run_pipeline
-from .slicing import ReleaseConfigError
+from .ingest import InputError, ValidationReport, convert_vcs_log, iter_commits
+from .report import FORMATS, TIME_FIELDS, RunConfig, run_pipeline
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
 # a missing or undecodable input file is a configuration problem, not an I/O failure
-_CONFIG_ERRORS = (
-    CommitLogError,
-    AffiliationError,
-    ReleaseConfigError,
-    RevenueModelError,
-    ConfigError,
-    FileNotFoundError,
-    UnicodeDecodeError,
-)
+_CONFIG_ERRORS = (InputError, FileNotFoundError, UnicodeDecodeError)
 
 
 class _ExitCodeGroup(click.Group):
@@ -54,63 +43,48 @@ def main():
 
 
 @main.command()
-@click.option("--log", "log_path", required=True, type=click.Path(path_type=Path))
-@click.option("--releases", "releases_path", required=True, type=click.Path(path_type=Path))
-@click.option("--affiliations", "affiliations_path", required=True, type=click.Path(path_type=Path))
-@click.option("--firms", "firms_path", type=click.Path(path_type=Path), default=None)
-@click.option("--revenue-models", "revenue_path", type=click.Path(path_type=Path), default=None)
-@click.option("--backbone-k", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--backbone-min-embeddedness", type=click.IntRange(min=0), default=1,
-              show_default=True)
-@click.option("--community-min-size", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--time-field", type=click.Choice(["committer", "author"]), default="committer",
+@click.option("--log", "commit_log", required=True, type=click.Path(path_type=Path))
+@click.option("--releases", required=True, type=click.Path(path_type=Path))
+@click.option("--affiliations", required=True, type=click.Path(path_type=Path))
+@click.option("--firms", type=click.Path(path_type=Path))
+@click.option("--revenue-models", type=click.Path(path_type=Path))
+@click.option("--backbone-k", "max_rank_k", type=click.IntRange(min=1),
+              default=BackboneParams.max_rank_k, show_default=True)
+@click.option("--backbone-min-embeddedness", "min_embeddedness", type=click.IntRange(min=0),
+              default=BackboneParams.min_embeddedness, show_default=True)
+@click.option("--community-min-size", type=click.IntRange(min=1),
+              default=RunConfig.community_min_size, show_default=True)
+@click.option("--time-field", type=click.Choice(TIME_FIELDS), default=RunConfig.time_field,
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-@click.option("--formats", default="graphml,dot,csv,json", show_default=True,
-              help="Comma-separated subset of graphml,dot,csv,json.")
-def analyze(log_path, releases_path, affiliations_path, firms_path, revenue_path,
-            backbone_k, backbone_min_embeddedness, community_min_size, time_field,
-            out_dir, formats):
+@click.option("--formats", default=",".join(FORMATS), show_default=True,
+              help=f"Comma-separated subset of {','.join(FORMATS)}.")
+def analyze(max_rank_k, min_embeddedness, formats, **options):
     """Run the full pipeline and write analysis artifacts."""
     result = run_pipeline(RunConfig(
-        commit_log=log_path,
-        releases=releases_path,
-        affiliations=affiliations_path,
-        firms=firms_path,
-        revenue_models=revenue_path,
-        backbone=BackboneParams(
-            max_rank_k=backbone_k,
-            min_embeddedness=backbone_min_embeddedness,
-        ),
-        community_min_size=community_min_size,
-        time_field=time_field,
+        backbone=BackboneParams(max_rank_k, min_embeddedness),
         formats=frozenset(f.strip() for f in formats.split(",") if f.strip()),
-        out_dir=out_dir,
+        **options,
     ))
     commits = result.summary["commits"]
     click.echo(
         f"analyzed {commits['analyzed']} commits across "
         f"{len(result.summary['windows'])} releases; "
-        f"wrote {len(result.files_written)} files to {out_dir}"
+        f"wrote {len(result.files_written)} files to {options['out_dir']}"
     )
 
 
 def _write_replacing(path: Path, text: str) -> None:
-    """Write text to a sibling temp file that replaces path only once it is whole.
+    """Write text to a new file that replaces path only once it is whole.
 
-    On any error the temp file is removed and path is left as it was.
+    The file is made in a private sibling directory, so it gets the mode
+    any new file gets; on any error the directory is removed with it and
+    path is left as it was.
     """
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
-    try:
-        with open(fd, "w", encoding="utf-8") as out:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(out.fileno(), 0o666 & ~umask)  # the mode a new file gets, not mkstemp's 0600
-            out.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as staging:
+        new = Path(staging, path.name)
+        new.write_text(text, encoding="utf-8")
+        os.replace(new, path)
 
 
 @main.command()

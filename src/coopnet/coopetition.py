@@ -8,14 +8,13 @@ firm-mixing count, so cross-group edges count toward neither side.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
+from .ingest import InputError, csv_pairs
 from .metrics import FirmMixing, group_counts, pair_density
 
 
-class RevenueModelError(Exception):
+class RevenueModelError(InputError):
     pass
 
 
@@ -39,20 +38,9 @@ def load_revenue_models(config: str, universe: set[str]) -> list[RevenueStream]:
 
     Streams keep first-appearance order.
     """
-    reader = csv.reader(io.StringIO(config))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise RevenueModelError("empty revenue models file") from None
-    if header != ["stream", "firm"]:
-        raise RevenueModelError(f"expected header stream,firm, got {','.join(header)}")
     grouped: dict[str, set[str]] = {}
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise RevenueModelError(f"row {row_number}: expected 2 columns")
-        stream, firm = row[0].strip(), row[1].strip()
+    rows = csv_pairs(config, "stream,firm", "revenue models", RevenueModelError)
+    for row_number, stream, firm in rows:
         if not stream or not firm:
             raise RevenueModelError(f"row {row_number}: empty stream or firm")
         if firm not in universe:

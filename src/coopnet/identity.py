@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection
 
-from .ingest import CONTROL_RE, is_valid_email
+from .ingest import CONTROL_RE, InputError, is_valid_email
 
 UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
@@ -19,7 +19,7 @@ BOT = "<bot>"
 _SECTIONS = ("domains", "emails", "aliases", "bots")
 
 
-class AffiliationError(Exception):
+class AffiliationError(InputError):
     """Invalid affiliation config or unresolvable identity conflict."""
 
 

@@ -1,6 +1,6 @@
-"""Parsing and cleaning of raw commit histories.
+"""Parsing and cleaning of coopnet's inputs.
 
-Two input formats are supported:
+Two commit-history formats are supported:
 
 * the canonical NDJSON commit log (one JSON object per line), read record
   by record by :func:`iter_commits`;
@@ -11,10 +11,13 @@ Both read a string or an open file. Lines end only at \n, \r\n and \r, the
 rule open() applies, so a U+2028 or U+0085 inside a JSON string is data.
 Per-line problems never abort a parse; they are collected in a
 :class:`ValidationReport` so nothing is silently dropped.
+The rules all inputs share live here too: :class:`InputError`,
+:data:`CONTROL_RE` and :func:`csv_pairs`, the one reader of the CSV configs.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import re
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
-SHA_RE = re.compile(r"^[0-9a-f]{40}$")
+SHA_RE = re.compile(r"[0-9a-f]{40}")  # fullmatch: "$" would let a trailing \n through
 # RFC 3339 section 5.6 date-time. fromisoformat checks the date and time
 # ranges but reads a +00:60 offset as +01:00, so offset minutes are checked here.
 RFC3339_RE = re.compile(
@@ -39,7 +42,11 @@ CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
 
 
-class CommitLogError(Exception):
+class InputError(Exception):
+    """An input refused as a whole, before anything is written: the base of each loader's error."""
+
+
+class CommitLogError(InputError):
     """Stream-level failure: the input as a whole cannot be processed."""
 
 
@@ -74,7 +81,10 @@ def parse_rfc3339(text: str) -> datetime:
     date, time, fraction, offset = match.groups()
     micros = f".{fraction[:6]:0<6}" if fraction else ""
     offset = "+00:00" if offset in ("Z", "z") else offset
-    return datetime.fromisoformat(f"{date}T{time}{micros}{offset}").astimezone(timezone.utc)
+    try:
+        return datetime.fromisoformat(f"{date}T{time}{micros}{offset}").astimezone(timezone.utc)
+    except OverflowError:  # the UTC instant is outside years 1-9999
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_rfc3339(ts: datetime) -> str:
@@ -123,6 +133,8 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
         obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     if obj.keys() != _FIELD_SET:  # one comparison; the loops name the first fault
@@ -133,7 +145,7 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
             if name not in CANONICAL_FIELDS:
                 raise ValueError(f"unknown field: {name}")
     sha = obj["sha"]
-    if not isinstance(sha, str) or not SHA_RE.match(sha):
+    if not isinstance(sha, str) or not SHA_RE.fullmatch(sha):
         raise ValueError("sha is not a 40-char lowercase hex string")
     if not isinstance(obj["author_name"], str):
         raise ValueError("author_name is not a string")
@@ -184,7 +196,7 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
-    seen: set[str] = set()
+    seen: set[int] = set()  # an int of a 40-hex sha is 48 bytes, its str 89
     for line_number, line in enumerate(stream, start=1):
         if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
             continue
@@ -196,14 +208,41 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
             reason = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
             report.rejected.append((line_number, reason))
             continue
-        if record.sha in seen:
+        key = int(record.sha, 16)
+        if key in seen:
             report.rejected.append((line_number, "duplicate sha"))
             continue
-        seen.add(record.sha)
+        seen.add(key)
         report.accepted += 1
         for fix in fixes:
             report.cleaned.append((record.sha, fix))
         yield record
+
+
+def csv_pairs(
+    text: str, header: str, what: str, error: type[InputError]
+) -> Iterator[tuple[int, str, str]]:
+    """Yield (row number, first cell, second cell) of a two-column CSV, cells stripped.
+
+    Blank rows are skipped. ``error`` is raised for a NUL anywhere (csv
+    refuses one on Python 3.10 but keeps it from 3.11), an empty ``what``
+    file, a header row other than ``header`` or a row of another width.
+    """
+    if "\0" in text:
+        raise error(f"{what} file holds a NUL character")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise error(f"empty {what} file") from None
+    if first != header.split(","):
+        raise error(f"expected header {header}, got {','.join(first)}")
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise error(f"row {row_number}: expected 2 columns")
+        yield row_number, row[0].strip(), row[1].strip()
 
 
 def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:

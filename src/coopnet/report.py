@@ -25,11 +25,13 @@ from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extra
 from .coopetition import compare_revenue_stream, load_revenue_models
 from .graph import CollaborationGraph, WindowBuilder, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
-from .ingest import ValidationReport, iter_commits
+from .ingest import InputError, ValidationReport, iter_commits
 from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
 from .slicing import POST_RELEASE, assign_release, load_releases
 
-ALL_FORMATS = frozenset({"graphml", "dot", "csv", "json"})
+FORMATS = ("graphml", "dot", "csv", "json")
+ALL_FORMATS = frozenset(FORMATS)
+TIME_FIELDS = ("committer", "author")
 
 MERGED_LABEL = "merged"
 
@@ -45,7 +47,7 @@ GRAPH_DIRS = frozenset({"graphs", "backbones"})
 GRAPH_SUFFIXES = frozenset({".graphml", ".dot"})
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     """Bad run configuration (not a per-module load error)."""
 
 
@@ -68,7 +70,7 @@ class RunConfig:
         unknown = self.formats - ALL_FORMATS
         if unknown:
             raise ConfigError(f"unknown formats: {sorted(unknown)}")
-        if self.time_field not in ("committer", "author"):
+        if self.time_field not in TIME_FIELDS:
             raise ConfigError(f"invalid time field {self.time_field!r}")
         if self.community_min_size < 1:
             raise ConfigError(f"community minimum size {self.community_min_size} is below 1")

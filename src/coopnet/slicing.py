@@ -9,19 +9,17 @@ from analysis.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 
-from .ingest import CONTROL_RE
+from .ingest import CONTROL_RE, InputError, csv_pairs
 
 POST_RELEASE = "post-release"
 
 
-class ReleaseConfigError(Exception):
+class ReleaseConfigError(InputError):
     pass
 
 
@@ -37,27 +35,18 @@ def load_releases(config: str) -> list[ReleaseWindow]:
     Calendar dates are expanded to 23:59:59Z of that day and assign_release
     compares whole seconds, so a release owns its whole UTC day.
     """
-    reader = csv.reader(io.StringIO(config))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ReleaseConfigError("empty releases file") from None
-    if header != ["name", "date"]:
-        raise ReleaseConfigError(f"expected header name,date, got {','.join(header)}")
     windows: list[ReleaseWindow] = []
     seen: set[str] = set()
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ReleaseConfigError(f"row {row_number}: expected 2 columns")
-        name, date_text = row[0].strip(), row[1].strip()
+    rows = csv_pairs(config, "name,date", "releases", ReleaseConfigError)
+    for row_number, name, date_text in rows:
         if not name:
             raise ReleaseConfigError(f"row {row_number}: empty release name")
         if CONTROL_RE.search(name):  # it names a graph, which GraphML could not hold
             raise ReleaseConfigError(
                 f"row {row_number}: release name {name!r} holds a control character"
             )
+        if name == POST_RELEASE:
+            raise ReleaseConfigError(f"row {row_number}: release name {name} is reserved")
         if name in seen:
             raise ReleaseConfigError(f"row {row_number}: duplicate release name {name}")
         seen.add(name)

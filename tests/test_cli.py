@@ -110,6 +110,33 @@ def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
     assert sorted(tmp_path.glob(".out.*")) == []  # no staging left behind
 
 
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        # csv refuses a NUL on Python 3.10 and keeps it from 3.11
+        ("releases.csv", "pearl", "pe\0arl", "releases file holds a NUL character"),
+        ("revenue.csv", "metalworks,Bolt", "metal\0works,Bolt",
+         "revenue models file holds a NUL character"),
+        # the post-release marker would take the window's commits
+        ("releases.csv", "pearl", "post-release", "row 3: release name post-release is reserved"),
+    ],
+    ids=["nul-in-releases", "nul-in-revenue", "reserved-release-name"],
+)
+def test_analyze_bad_csv_config_is_exit_2_and_keeps_out(tmp_path, name, old, new, message):
+    out = tmp_path / "out"
+    assert CliRunner().invoke(main, analyze_args(tmp_path)).exit_code == 0
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    bad = tmp_path / name
+    bad.write_text((FIXTURE_DIR / name).read_text(encoding="utf-8").replace(old, new),
+                   encoding="utf-8")
+    option = {"releases.csv": "releases", "revenue.csv": "revenue_models"}[name]
+    result = CliRunner().invoke(main, analyze_args(tmp_path, **{option: bad}))
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}\n" in result.output
+    assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+    assert sorted(tmp_path.glob(".out.*")) == []
+
+
 def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
     result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
     assert result.exit_code == 2
@@ -206,6 +233,33 @@ def test_validate_reports_problems(tmp_path):
     assert "rejected: 1" in result.output
 
 
+def test_malformed_lines_are_rejected_not_a_crash(tmp_path):
+    good = json.loads((FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8").splitlines()[0])
+    bad = [
+        "[" * 200_000,
+        '{"sha": ' + '{"a": ' * 5000 + "1" + "}" * 5001,
+        json.dumps({**good, "sha": "e" * 40, "timestamp": "9999-12-31T23:59:59-01:00"}),
+        json.dumps({**good, "sha": "f" * 40, "timestamp": "0001-01-01T00:00:00+01:00"}),
+    ]
+    log = tmp_path / "commits.ndjson"
+    log.write_text("\n".join([*bad, json.dumps(good)]) + "\n", encoding="utf-8")
+
+    result = CliRunner().invoke(main, ["validate", "--log", str(log)])
+    assert result.exit_code == 0, result.output
+    assert "accepted: 1\nrejected: 4\n" in result.output
+    assert "line 1: invalid JSON: nested too deeply\n" in result.output
+    # Python 3.13 decodes 5000 levels and 3.10-3.12 do not, but a record has depth 2
+    assert "line 2: " in result.output
+    assert "line 3: timestamp is not RFC 3339\n" in result.output
+    assert "line 4: timestamp is not RFC 3339\n" in result.output
+
+    result = CliRunner().invoke(main, analyze_args(tmp_path, log=log))
+    assert result.exit_code == 0, result.output
+    assert "analyzed 1 commits" in result.output
+    report = json.loads((tmp_path / "out" / "validation_report.json").read_text(encoding="utf-8"))
+    assert report["accepted"] == 1 and len(report["rejected"]) == 4
+
+
 def test_validate_missing_file_is_config_error(tmp_path):
     result = CliRunner().invoke(main, ["validate", "--log", str(tmp_path / "nope")])
     assert result.exit_code == 2
@@ -257,6 +311,18 @@ def test_convert_error_offset_counts_crlf_bytes(tmp_path):
     result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert f"unterminated record at byte {len(good.encode())}" in result.output
+
+
+def test_convert_date_out_of_range_in_utc_is_exit_2(tmp_path):
+    good = raw_log()
+    raw = tmp_path / "raw.log"
+    late = raw_log().replace("2011-03-01T10:00:00+00:00", "0001-01-01T00:00:00+01:00")
+    raw.write_text(good + late)
+    out = tmp_path / "log.ndjson"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"unparseable committer date in record at byte {len(good.encode())}\n" in result.output
+    assert not out.exists()
 
 
 def test_convert_out_in_missing_directory_is_exit_2(tmp_path):

@@ -138,7 +138,7 @@ def test_parse_names_the_files_fault(files, reason):
 
 
 @pytest.mark.parametrize(
-    "sha", ["A" * 40, "a" * 39, "a" * 41, "xyz", ""]
+    "sha", ["A" * 40, "a" * 39, "a" * 41, "xyz", "", "a" * 40 + "\n"]
 )
 def test_parse_rejects_bad_sha(sha):
     _, report = parse_commit_log(make_line(sha=sha))
@@ -186,6 +186,9 @@ def test_rfc3339_accepts_date_time(text, expected):
         "2011-02-29T10:00:00Z",
         "\u0662011-03-01T10:00:00Z",
         " 2011-03-01T10:00:00Z",
+        # valid local times whose UTC instant is outside years 1-9999
+        "9999-12-31T23:59:59-01:00",
+        "0001-01-01T00:00:00+01:00",
     ],
 )
 def test_rfc3339_rejects_other_forms(text):

@@ -51,6 +51,9 @@ def test_load_single_release():
         ("name,date\n", "no releases"),
         ("name,date\na\x01b,2010-01-01\n", r"^row 2: release name 'a\\x01b' holds a control"),
         ('name,date\na,2010-01-01\n"b\nc",2011-01-01\n', "row 3: .* control character"),
+        ("name,date\na,2010-01-01\npost-release,2011-01-01\n",
+         "^row 3: release name post-release is reserved$"),
+        ("name,date\na\x00b,2010-01-01\n", "^releases file holds a NUL character$"),
     ],
 )
 def test_load_rejects_bad_config(config, match):
