@@ -226,23 +226,30 @@ def csv_pairs(
 
     Blank rows are skipped. ``error`` is raised for a NUL anywhere (csv
     refuses one on Python 3.10 but keeps it from 3.11), an empty ``what``
-    file, a header row other than ``header`` or a row of another width.
+    file, a header row other than ``header``, a row of another width or a
+    row csv cannot read, such as one with a cell over csv.field_size_limit().
     """
     if "\0" in text:
         raise error(f"{what} file holds a NUL character")
     reader = csv.reader(io.StringIO(text))
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise error(f"empty {what} file") from None
-    if first != header.split(","):
-        raise error(f"expected header {header}, got {','.join(first)}")
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise error(f"row {row_number}: expected 2 columns")
-        yield row_number, row[0].strip(), row[1].strip()
+    row_number = 0
+    while True:
+        row_number += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            if row_number == 1:
+                raise error(f"empty {what} file") from None
+            return
+        except csv.Error as exc:
+            raise error(f"row {row_number}: {exc}") from None
+        if row_number == 1:
+            if row != header.split(","):
+                raise error(f"expected header {header}, got {','.join(row)}")
+        elif row:
+            if len(row) != 2:
+                raise error(f"row {row_number}: expected 2 columns")
+            yield row_number, row[0].strip(), row[1].strip()
 
 
 def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
@@ -149,6 +148,27 @@ class ExportMemo:
     ids: tuple[Sequence[str], list[str]] | None = None  # (id table, quoted ids)
     firms: dict[str, str] = field(default_factory=dict)  # firm -> quoted firm
     nodes: tuple[dict[int, str], str] | None = None  # (node map, its node lines)
+
+
+def escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` as entities, as xml.sax.saxutils.escape."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """A quoted XML attribute value, as xml.sax.saxutils.quoteattr gives it.
+
+    Beyond escape, newline, CR and tab become character references. The
+    value is put in double quotes, in single quotes when it holds a double
+    quote but no single one, and in double quotes with ``&quot;`` when it
+    holds both.
+    """
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 _GRAPHML_NODE = '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n'

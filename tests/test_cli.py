@@ -119,8 +119,13 @@ def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
          "revenue models file holds a NUL character"),
         # the post-release marker would take the window's commits
         ("releases.csv", "pearl", "post-release", "row 3: release name post-release is reserved"),
+        # csv refuses a cell over its field size limit
+        ("releases.csv", "pearl", "p" * 140_000, "row 3: field larger than field limit (131072)"),
+        ("revenue.csv", "metalworks,Bolt", "m" * 140_000 + ",Bolt",
+         "row 3: field larger than field limit (131072)"),
     ],
-    ids=["nul-in-releases", "nul-in-revenue", "reserved-release-name"],
+    ids=["nul-in-releases", "nul-in-revenue", "reserved-release-name", "long-field-in-releases",
+         "long-field-in-revenue"],
 )
 def test_analyze_bad_csv_config_is_exit_2_and_keeps_out(tmp_path, name, old, new, message):
     out = tmp_path / "out"
@@ -343,6 +348,12 @@ def test_convert_out_is_directory_is_exit_3(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
 
 
+def child_env():
+    """The environment for a child interpreter that imports this checkout's coopnet."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_convert_failed_write_leaves_old_target(tmp_path):
     resource = pytest.importorskip("resource")
     raw = tmp_path / "raw.log"
@@ -355,13 +366,28 @@ def test_convert_failed_write_leaves_old_target(tmp_path):
         "import resource, sys; from coopnet.cli import main; "
         f"resource.setrlimit(resource.RLIMIT_FSIZE, {limit}); main()"
     )
-    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code, "convert", "--raw", str(raw), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 3, result.stderr
     assert "File too large" in result.stderr
     assert out.read_bytes() == b"old log\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]
+
+
+def test_import_loads_no_web_stack():
+    # xml.sax.saxutils would pull these into every run for two quoting
+    # functions; what the interpreter's site step loads before does not count
+    code = (
+        "import sys; before = set(sys.modules); import coopnet.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "coopnet.cli" in loaded
+    web = {"xml.sax", "urllib.request", "http.client", "email.parser", "ssl", "socket"}
+    assert not loaded & web

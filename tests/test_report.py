@@ -9,9 +9,12 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import combinations
 from pathlib import Path
 from xml.dom import minidom
+from xml.sax import saxutils
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_DIR,
@@ -103,6 +106,17 @@ def test_graphml_roundtrip():
         window="r<1>",
     )
     assert read_graphml(export_graphml(g)) == as_strings(g)
+
+
+# text mixing every character the XML quoting treats specially with plain,
+# space and non-ASCII ones
+xml_text = st.text(st.sampled_from("&<>\"'\n\r\t a\u00e9\u4e2d\U0001f600;#"))
+
+
+@given(xml_text)
+def test_xml_quoting_matches_saxutils(text):
+    assert report.escape(text) == saxutils.escape(text)
+    assert report.quoteattr(text) == saxutils.quoteattr(text)
 
 
 def test_graphml_deterministic():
