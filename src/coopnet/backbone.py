@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import CollaborationGraph
 
@@ -28,8 +29,7 @@ class BackboneParams:
             raise ValueError("min_embeddedness must be >= 0")
 
 
-@dataclass(frozen=True)
-class SubCommunity:
+class SubCommunity(NamedTuple):
     members: frozenset[int]  # nodes of the graph's id table
     firms: Counter  # firm -> member count
 
@@ -83,12 +83,10 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
         and (-strength << shift | v) <= top[u][-1]
         and (-strength << shift | u) <= top[v][-1]
     )
-    return CollaborationGraph(g.window, g.ids, g.firms, kept)
+    return g._replace(edges=kept)
 
 
-def detect_subcommunities(
-    backbone: CollaborationGraph, min_size: int = 3
-) -> list[SubCommunity]:
+def detect_subcommunities(backbone: CollaborationGraph, min_size: int) -> list[SubCommunity]:
     """Connected components of the backbone with at least min_size members.
 
     Components are found from the kept edges alone: a node without a
@@ -125,8 +123,4 @@ def detect_subcommunities(
 
 def firm_overlap(communities: list[SubCommunity]) -> dict[str, int]:
     """How many communities each firm appears in (absent firms omitted)."""
-    counts: dict[str, int] = {}
-    for community in communities:
-        for firm in community.firms:
-            counts[firm] = counts.get(firm, 0) + 1
-    return counts
+    return Counter(firm for community in communities for firm in community.firms)

@@ -8,7 +8,7 @@ firm-mixing count, so cross-group edges count toward neither side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ingest import InputError, csv_pairs
 from .metrics import FirmMixing, group_counts, pair_density
@@ -18,14 +18,14 @@ class RevenueModelError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class RevenueStream:
+class RevenueStream(NamedTuple):
     name: str
     competing_firms: frozenset[str]
 
 
-@dataclass(frozen=True)
-class DensityComparison:
+class DensityComparison(NamedTuple):
+    """The tail of a comparisons.csv row, field for column."""
+
     stream: str
     n_alpha: int  # edges among competing firms
     den_alpha: float | None

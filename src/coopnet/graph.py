@@ -10,9 +10,8 @@ so int order is id order, and sorted packed edges are in id-pair order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .identity import DeveloperIdentity
 
@@ -21,8 +20,7 @@ class GraphError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CollaborationGraph:
+class CollaborationGraph(NamedTuple):
     window: str
     ids: Sequence[str]  # the run's sorted id table, shared by its graphs
     firms: dict[int, str]  # node -> firm
@@ -91,7 +89,7 @@ class WindowBuilder:
         return CollaborationGraph(window, ids, firms, frozenset(edges))
 
 
-def merge_graphs(graphs: Sequence[CollaborationGraph], window: str = "merged") -> CollaborationGraph:
+def merge_graphs(graphs: Sequence[CollaborationGraph], window: str) -> CollaborationGraph:
     """Union of nodes and edges across graphs of one id table (firms must agree per node)."""
     ids = graphs[0].ids if graphs else []
     firms: dict[int, str] = {}

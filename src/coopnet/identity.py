@@ -8,10 +8,9 @@ one person is one node, whichever address they committed with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, NamedTuple
 
-from .ingest import CONTROL_RE, InputError, is_valid_email
+from .ingest import CONTROL_RE, InputError, is_valid_email, normalize_email
 
 UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
@@ -23,20 +22,15 @@ class AffiliationError(InputError):
     """Invalid affiliation config or unresolvable identity conflict."""
 
 
-@dataclass(frozen=True)
-class AffiliationMap:
+class AffiliationMap(NamedTuple):
     domain_rules: dict[str, str]
     email_overrides: dict[str, str]
     alias_groups: tuple[frozenset[str], ...]
     bot_emails: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class DeveloperIdentity:
-    """One developer of a run: the canonical id of their addresses, and their firm.
-
-    Slotted: a wide history holds one per developer (29k on 30k developers).
-    """
+class DeveloperIdentity(NamedTuple):
+    """One developer of a run: the canonical id of their addresses, and their firm."""
 
     canonical_id: str
     firm: str
@@ -47,9 +41,11 @@ def load_affiliation_map(config: str) -> AffiliationMap:
 
     Sections: [domains] and [emails] hold key=firm lines, [aliases] one
     comma-separated email group per line, [bots] one email per line.
-    "#" starts a comment. Keys are lowercased. A key, firm or email holding
-    a C0 control character is refused, as ``is_valid_email`` refuses such an
-    address: it could become a node id or firm that GraphML cannot hold.
+    "#" starts a comment. Keys and emails are trimmed and lowercased by
+    ``normalize_email``, as commit emails are, so the two always agree. A
+    key, firm or email holding a C0 control character is refused, as
+    ``is_valid_email`` refuses such an address: it could become a node id
+    or firm that GraphML cannot hold.
     """
     domain_rules: dict[str, str] = {}
     email_overrides: dict[str, str] = {}
@@ -73,7 +69,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
             key, sep, firm = line.partition("=")
             if not sep or not key.strip() or not firm.strip():
                 raise AffiliationError(f"line {line_number}: expected key=firm")
-            key, firm = key.strip().lower(), firm.strip()
+            key, firm = normalize_email(key), firm.strip()
             _check_no_control(line_number, key, firm)
             rules = domain_rules if section == "domains" else email_overrides
             if key in rules and rules[key] != firm:
@@ -82,7 +78,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
                 )
             rules[key] = firm
         elif section == "aliases":
-            emails = [e.strip().lower() for e in line.split(",") if e.strip()]
+            emails = [normalize_email(e) for e in line.split(",") if e.strip()]
             _check_no_control(line_number, *emails)
             members = frozenset(emails)
             if len(members) < 2:
@@ -98,7 +94,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
             aliased |= members
         else:
             _check_no_control(line_number, line)
-            bot_emails.add(line.lower())
+            bot_emails.add(normalize_email(line))
     return AffiliationMap(
         domain_rules=domain_rules,
         email_overrides=email_overrides,

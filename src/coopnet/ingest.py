@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 SHA_RE = re.compile(r"[0-9a-f]{40}")  # fullmatch: "$" would let a trailing \n through
 # RFC 3339 section 5.6 date-time. fromisoformat checks the date and time
@@ -50,8 +50,7 @@ class CommitLogError(InputError):
     """Stream-level failure: the input as a whole cannot be processed."""
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One atomic change event from the repository history."""
 
     sha: str

@@ -12,16 +12,14 @@ explicit "UND" literal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .graph import CollaborationGraph
 
 FirmPair = tuple[str, str]  # firm names, lexicographically ordered
 
 
-@dataclass(frozen=True)
-class FirmMixing:
+class FirmMixing(NamedTuple):
     """Node count per firm and edge count per unordered firm pair."""
 
     nodes: dict[str, int]

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
@@ -84,8 +84,7 @@ class RunConfig:
                 )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     files_written: list[Path]
     summary: dict
 
@@ -417,10 +416,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 )
             for stream in streams:
                 cmp = compare_revenue_stream(mixing, stream, universe)
-                comparison_rows.append(
-                    (scope, release, cmp.stream, cmp.n_alpha, cmp.den_alpha, cmp.n_beta,
-                     cmp.den_beta)
-                )
+                comparison_rows.append((scope, release, *cmp))  # cmp is the row's tail
             bb = extract_backbone(g, cfg.backbone)
             communities = detect_subcommunities(bb, cfg.community_min_size)
             community_payloads.append(_community_payload(g, communities))

@@ -10,9 +10,9 @@ from analysis.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
+from typing import NamedTuple
 
 from .ingest import CONTROL_RE, InputError, csv_pairs
 
@@ -23,8 +23,7 @@ class ReleaseConfigError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class ReleaseWindow:
+class ReleaseWindow(NamedTuple):
     name: str
     end: datetime  # inclusive; the window starts after the previous one's end
 

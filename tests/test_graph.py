@@ -87,7 +87,7 @@ def test_merge_graphs_unions_nodes_and_edges():
     ids = ["a", "b", "c"]
     g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1", ids=ids)
     g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2", ids=ids)
-    merged = merge_graphs([g1, g2])
+    merged = merge_graphs([g1, g2], "merged")
     assert merged.window == "merged"
     assert merged.ids is ids
     assert as_strings(merged).firms == {"a": "HP", "b": "HP", "c": "IBM"}
@@ -98,7 +98,7 @@ def test_merge_graphs_refuses_another_id_table():
     g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1")
     g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2")
     with pytest.raises(GraphError, match="w2 has another id table"):
-        merge_graphs([g1, g2])
+        merge_graphs([g1, g2], "merged")
 
 
 def test_merge_graphs_refuses_conflicting_firms():
@@ -106,7 +106,7 @@ def test_merge_graphs_refuses_conflicting_firms():
     g1 = make_graph({"a": "HP", "b": "HP"}, window="w1", ids=ids)
     g2 = make_graph({"b": "IBM"}, window="w2", ids=ids)
     with pytest.raises(GraphError, match="node b has conflicting firms"):
-        merge_graphs([g1, g2])
+        merge_graphs([g1, g2], "merged")
 
 
 def seeded_window(seed):

@@ -77,8 +77,13 @@ def test_load_rejects_email_in_two_alias_groups():
 
 
 def test_load_lowercases_keys():
-    amap = load_affiliation_map("[domains]\nHP.example = HP\n[bots]\nCI@bot.example\n")
+    amap = load_affiliation_map(
+        "[domains]\nHP.example = HP\n[emails]\n  Dev@HP.example  = HP\n"
+        "[aliases]\n  A@X.example , a@Y.Example  \n[bots]\n  CI@bot.example  \n"
+    )
     assert "hp.example" in amap.domain_rules
+    assert amap.email_overrides == {"dev@hp.example": "HP"}
+    assert amap.alias_groups == (frozenset({"a@x.example", "a@y.example"}),)
     assert "ci@bot.example" in amap.bot_emails
 
 

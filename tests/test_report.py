@@ -288,6 +288,19 @@ def test_release_named_merged_keeps_window_scope(tmp_path):
     assert (out / "graphs" / "merged.graphml").exists()
 
 
+class _Tracked:
+    """A record's fields that run_pipeline reads, in an object a weakref can follow.
+
+    A CommitRecord is a tuple, which takes no weak reference.
+    """
+
+    __slots__ = ("sha", "author_email", "timestamp", "files", "__weakref__")
+
+    def __init__(self, record):
+        self.sha, self.author_email = record.sha, record.author_email
+        self.timestamp, self.files = record.timestamp, record.files
+
+
 def test_pipeline_holds_no_list_of_records(tmp_path, monkeypatch):
     original = report.iter_commits
     refs = []
@@ -296,9 +309,10 @@ def test_pipeline_holds_no_list_of_records(tmp_path, monkeypatch):
     def counting(stream, validation):
         nonlocal most_alive
         for record in original(stream, validation):
-            refs.append(weakref.ref(record))
+            tracked = _Tracked(record)
+            refs.append(weakref.ref(tracked))
             most_alive = max(most_alive, sum(ref() is not None for ref in refs))
-            yield record
+            yield tracked
 
     monkeypatch.setattr(report, "iter_commits", counting)
     result = run_pipeline(run_config(tmp_path))
