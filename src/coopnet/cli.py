@@ -14,7 +14,7 @@ import click
 
 from .backbone import BackboneParams
 from .ingest import InputError, ValidationReport, convert_vcs_log, iter_commits
-from .report import FORMATS, TIME_FIELDS, RunConfig, run_pipeline
+from .report import FORMATS, RunConfig, run_pipeline
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -54,8 +54,6 @@ def main():
               default=BackboneParams.min_embeddedness, show_default=True)
 @click.option("--community-min-size", type=click.IntRange(min=1),
               default=RunConfig.community_min_size, show_default=True)
-@click.option("--time-field", type=click.Choice(TIME_FIELDS), default=RunConfig.time_field,
-              show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--formats", default=",".join(FORMATS), show_default=True,
               help=f"Comma-separated subset of {','.join(FORMATS)}.")

@@ -87,7 +87,12 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def format_rfc3339(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """A UTC datetime as ``YYYY-MM-DDThh:mm:ssZ``, the fraction dropped.
+
+    isoformat pads the year to four digits, as RFC 3339 requires; strftime's
+    %Y writes year 999 as "999".
+    """
+    return ts.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def normalize_email(email: str) -> str:

@@ -15,7 +15,7 @@ import shutil
 import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -29,8 +29,9 @@ from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fr
 from .slicing import POST_RELEASE, assign_release, load_releases
 
 FORMATS = ("graphml", "dot", "csv", "json")
-ALL_FORMATS = frozenset(FORMATS)
-TIME_FIELDS = ("committer", "author")
+# the timestamp a log carries: the extraction recipe's date line is the
+# committer date (%cI), echoed in run_summary.json
+TIME_FIELD = "committer"
 
 MERGED_LABEL = "merged"
 
@@ -60,17 +61,14 @@ class RunConfig:
     revenue_models: Path | None = None
     backbone: BackboneParams = field(default_factory=BackboneParams)
     community_min_size: int = 3
-    time_field: str = "committer"
-    formats: frozenset[str] = ALL_FORMATS
+    formats: frozenset[str] = frozenset(FORMATS)
 
     def __post_init__(self):
         if not self.formats:
             raise ConfigError("format set must be non-empty")
-        unknown = self.formats - ALL_FORMATS
+        unknown = self.formats.difference(FORMATS)
         if unknown:
             raise ConfigError(f"unknown formats: {sorted(unknown)}")
-        if self.time_field not in TIME_FIELDS:
-            raise ConfigError(f"invalid time field {self.time_field!r}")
         if self.community_min_size < 1:
             raise ConfigError(f"community minimum size {self.community_min_size} is below 1")
         # a run replaces the whole output directory, so no input may lie inside it
@@ -241,6 +239,11 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]", "_", name)
 
 
+def _read_config(path: Path) -> str:
+    """A config file's text; a leading byte-order mark, as Notepad writes one, is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _load_firm_filter(text: str) -> frozenset[str]:
     # read_text has turned \r\n and \r into \n, so lines end as open() ends them
     firms = frozenset(line.split("#", 1)[0].strip() for line in text.split("\n")) - {""}
@@ -315,7 +318,7 @@ def _community_payload(g: CollaborationGraph, communities: list[SubCommunity]) -
     return {
         "release": g.window,
         "communities": [
-            {"members": sorted(g.ids[m] for m in c.members), "firms": dict(sorted(c.firms.items()))}
+            {"members": sorted(g.ids[m] for m in c.members), "firms": c.firms}
             for c in communities
         ],
         "firm_overlap": firm_overlap(communities),
@@ -336,16 +339,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     _check_replaceable(out_dir)
     # open the log first, so a missing log is reported before the other inputs
     with open(cfg.commit_log, encoding="utf-8") as log:
-        windows = load_releases(Path(cfg.releases).read_text(encoding="utf-8"))
-        resolver = IdentityResolver(
-            load_affiliation_map(Path(cfg.affiliations).read_text(encoding="utf-8"))
-        )
-        firm_filter = (
-            _load_firm_filter(Path(cfg.firms).read_text(encoding="utf-8")) if cfg.firms else None
-        )
-        revenue_text = (
-            Path(cfg.revenue_models).read_text(encoding="utf-8") if cfg.revenue_models else None
-        )
+        windows = load_releases(_read_config(cfg.releases))
+        resolver = IdentityResolver(load_affiliation_map(_read_config(cfg.affiliations)))
+        firm_filter = _load_firm_filter(_read_config(cfg.firms)) if cfg.firms else None
+        revenue_text = _read_config(cfg.revenue_models) if cfg.revenue_models else None
         # One pass over the log: identity before release, so a post-release
         # commit still fails the run on an alias-group conflict. Each record
         # is folded into its window's builder and dropped.
@@ -430,6 +427,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             write("homophily.csv", homophily_csv(homophily_rows))
             write("comparisons.csv", comparisons_csv(comparison_rows))
 
+        params = asdict(cfg.backbone)  # max_rank_k and min_embeddedness
         summary = {
             "commits": {
                 "accepted": report.accepted,
@@ -450,32 +448,18 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 "edges": merged.edge_count,
                 "density": density(merged),
             },
-            "backbone": {
-                "max_rank_k": cfg.backbone.max_rank_k,
-                "min_embeddedness": cfg.backbone.min_embeddedness,
-                "community_min_size": cfg.community_min_size,
-            },
-            "time_field": cfg.time_field,
+            "backbone": {**params, "community_min_size": cfg.community_min_size},
+            "time_field": TIME_FIELD,
             "formats": sorted(cfg.formats),
         }
 
         if "json" in cfg.formats:
             write("communities.json", _json_text(
-                {
-                    "min_size": cfg.community_min_size,
-                    "params": {
-                        "max_rank_k": cfg.backbone.max_rank_k,
-                        "min_embeddedness": cfg.backbone.min_embeddedness,
-                    },
-                    "windows": community_payloads,
-                }
+                {"min_size": cfg.community_min_size, "params": params, "windows": community_payloads}
             ))
+            # json writes tuples as arrays
             write("validation_report.json", _json_text(
-                {
-                    "accepted": report.accepted,
-                    "rejected": [[line, reason] for line, reason in report.rejected],
-                    "cleaned": [[sha, fix] for sha, fix in report.cleaned],
-                }
+                {"accepted": report.accepted, "rejected": report.rejected, "cleaned": report.cleaned}
             ))
             write("run_summary.json", _json_text(summary))
 

@@ -2,7 +2,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import parse_commit_log
@@ -76,6 +76,10 @@ def test_parse_rejects_unknown_and_missing_fields():
         ((), {"branch": "main"}, "unknown field: branch"),
         ((), {"zeta": 1, "alpha": 2}, "unknown field: zeta"),  # in input order
         ((), {"SHA": SHA_A}, "unknown field: SHA"),
+        # a field of the wrong type
+        ((), {"author_name": 1}, "author_name is not a string"),
+        ((), {"author_email": None}, "author_email is not a string"),
+        ((), {"timestamp": 1298973600}, "timestamp is not a string"),
     ],
 )
 def test_parse_names_the_first_field_fault(drop, extra, reason):
@@ -98,6 +102,16 @@ def test_parse_rejects_a_field_named_twice(line, reason):
     records, report = parse_commit_log(line)
     assert records == []
     assert report.rejected == [(1, reason)]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[]", f"[{make_line()}]", '"a.py"', "1", "null"],
+    ids=["empty-array", "array-of-record", "string", "number", "null"],
+)
+def test_parse_rejects_json_that_is_not_an_object(line):
+    _, report = parse_commit_log(line)
+    assert report.rejected == [(1, "not a JSON object")]
 
 
 def test_parse_rejects_a_byte_order_mark_as_json_loads_does():
@@ -333,6 +347,25 @@ def test_convert_then_parse_keeps_unicode_line_breaks(name):
     records, report = parse_commit_log(ndjson)
     assert report.accepted == 1
     assert records[0].author_name == name
+
+
+@given(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    st.text(alphabet="0123456789", max_size=9),
+    st.one_of(st.just("Z"), st.integers(min_value=-(23 * 60 + 59), max_value=23 * 60 + 59)),
+)
+@example(datetime(999, 6, 1, 10), "", "Z")
+@example(datetime(1000, 1, 1, 0, 30), "", 60)  # year 999 in UTC
+def test_convert_writes_the_date_parse_reads(local, fraction, offset):
+    if offset != "Z":
+        offset = f"{'-' if offset < 0 else '+'}{abs(offset) // 60:02d}:{abs(offset) % 60:02d}"
+    line = f"{local.isoformat(timespec='seconds')}{'.' if fraction else ''}{fraction}{offset}"
+    try:
+        ndjson, _ = convert_vcs_log(raw_record(date=line))
+    except CommitLogError:  # the UTC instant is outside years 1-9999
+        return
+    written = json.loads(ndjson)["timestamp"]
+    assert parse_rfc3339(written) == parse_rfc3339(line).replace(microsecond=0)
 
 
 @given(

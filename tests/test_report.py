@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_DIR,
+    GOLDEN_DIR,
     StrGraph,
     analyze_args,
     as_strings,
@@ -196,6 +197,17 @@ def test_firm_filter_lines_end_only_at_newlines(tmp_path):
     firms.write_bytes("Anvil\r\nBolt\r# comment\nCobalt\nAnn\u2028Co\n".encode())
     result = run_pipeline(run_config(tmp_path, firms=firms))
     assert result.summary["firms"] == sorted(["Anvil", "Bolt", "Cobalt", "Ann\u2028Co"])
+
+
+def test_config_files_with_a_byte_order_mark_match_golden(tmp_path):
+    # Notepad starts a UTF-8 file with a BOM; the commit log still rejects one per line
+    configs = {}
+    for option, name in [("releases", "releases.csv"), ("affiliations", "affiliations.ini"),
+                         ("firms", "firms.txt"), ("revenue_models", "revenue.csv")]:
+        configs[option] = tmp_path / name
+        configs[option].write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / name).read_bytes())
+    run_pipeline(run_config(tmp_path, **configs))
+    assert tree(tmp_path / "out") == tree(GOLDEN_DIR)
 
 
 def test_pipeline_empty_log_succeeds(tmp_path):
