@@ -90,6 +90,8 @@ def _write_replacing(path: Path, text: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def convert(raw_path, out_path):
     """Convert raw extraction-recipe output to the canonical NDJSON log."""
+    if out_path.resolve() == raw_path.resolve():
+        raise InputError(f"--out must not be the --raw input: {out_path}")
     with open(raw_path, encoding="utf-8", newline="") as raw:
         ndjson, merges_dropped = convert_vcs_log(raw)
     _write_replacing(out_path, ndjson)

@@ -33,10 +33,11 @@ RFC3339_RE = re.compile(
     r"([Zz]|[+-][0-9]{2}:[0-5][0-9])"
 )
 RECORD_SENTINEL = "\x01COMMIT\x01"
-# C0 control characters and lone surrogates: no address or firm name holds
-# one. XML 1.0 allows no C0 character but tab, LF and CR even escaped, so
-# GraphML could not hold most, and no UTF-8 output can hold a surrogate.
-CONTROL_RE = re.compile("[\x00-\x1f\ud800-\udfff]")
+# C0 control characters, lone surrogates and U+FFFE/U+FFFF: no address or
+# firm name holds one. XML 1.0 allows no C0 character but tab, LF and CR
+# even escaped, and neither of the last two, so GraphML could not hold
+# them, and no UTF-8 output can hold a surrogate.
+CONTROL_RE = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
 
 CANONICAL_FIELDS = ("sha", "author_name", "author_email", "timestamp", "files")
 _FIELD_SET = frozenset(CANONICAL_FIELDS)

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import compare_revenue_stream, load_revenue_models
@@ -28,7 +28,6 @@ from .ingest import InputError, ValidationReport, iter_commits
 from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
 from .slicing import POST_RELEASE, assign_release, load_releases
 
-FORMATS = ("graphml", "dot", "csv", "json")
 # the timestamp a log carries: the extraction recipe's date line is the
 # committer date (%cI), echoed in run_summary.json
 TIME_FIELD = "committer"
@@ -38,53 +37,12 @@ MERGED_LABEL = "merged"
 UND = "UND"
 
 # everything run_pipeline writes: these files at the top of the output
-# directory, and .graphml/.dot files in these subdirectories
+# directory, and graph files (GRAPH_SUFFIXES) in these subdirectories
 TABLE_FILES = frozenset({
     "evolution.csv", "homophily.csv", "comparisons.csv",
     "communities.json", "validation_report.json", "run_summary.json",
 })
 GRAPH_DIRS = frozenset({"graphs", "backbones"})
-GRAPH_SUFFIXES = frozenset({".graphml", ".dot"})
-
-
-class ConfigError(InputError):
-    """Bad run configuration (not a per-module load error)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    commit_log: Path
-    releases: Path
-    affiliations: Path
-    out_dir: Path
-    firms: Path | None = None
-    revenue_models: Path | None = None
-    backbone: BackboneParams = field(default_factory=BackboneParams)
-    community_min_size: int = 3
-    formats: frozenset[str] = frozenset(FORMATS)
-
-    def __post_init__(self):
-        if not self.formats:
-            raise ConfigError("format set must be non-empty")
-        unknown = self.formats.difference(FORMATS)
-        if unknown:
-            raise ConfigError(f"unknown formats: {sorted(unknown)}")
-        if self.community_min_size < 1:
-            raise ConfigError(f"community minimum size {self.community_min_size} is below 1")
-        # a run replaces the whole output directory, so no input may lie inside it
-        out_dir = Path(self.out_dir).resolve()
-        inputs = [self.commit_log, self.releases, self.affiliations, self.firms, self.revenue_models]
-        for path in inputs:
-            if path is not None and Path(path).resolve().is_relative_to(out_dir):
-                raise ConfigError(
-                    f"output directory must be distinct from input paths and not contain "
-                    f"them: {path}"
-                )
-
-
-class RunResult(NamedTuple):
-    files_written: list[Path]
-    summary: dict
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +90,6 @@ def comparisons_csv(rows: list[tuple[str, str, str, int, float | None, int, floa
 # ---------------------------------------------------------------------------
 # graph serialization
 
-@dataclass
-class ExportMemo:
-    """Quoted text that one export format reuses across the graphs of a run.
-
-    ``ids`` holds the id table's ids quoted, by node, and each firm name is
-    quoted once. ``nodes`` keeps the last node map rendered with its node
-    lines; a backbone shares its graph's map, so it reuses the graph's.
-    The exported text is the same with or without a memo.
-    """
-
-    ids: tuple[Sequence[str], list[str]] | None = None  # (id table, quoted ids)
-    firms: dict[str, str] = field(default_factory=dict)  # firm -> quoted firm
-    nodes: tuple[dict[int, str], str] | None = None  # (node map, its node lines)
-
-
 def escape(text: str) -> str:
     """XML character data: ``&``, ``<`` and ``>`` as entities, as xml.sax.saxutils.escape."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
@@ -168,64 +111,68 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-_GRAPHML_NODE = '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n'
-
-
-def _node_lines(
-    g: CollaborationGraph, memo: ExportMemo, quote_id, quote_firm, template: str
-) -> tuple[list[str], str]:
-    """The quoted ids of g's table, and g's node lines in id order.
-
-    Ids are quoted once per table and node lines rendered once per node
-    map. ``template`` takes the quoted id and the quoted firm.
-    """
-    if memo.ids is None or memo.ids[0] is not g.ids:
-        memo.ids = (g.ids, list(map(quote_id, g.ids)))
-    quoted = memo.ids[1]
-    if memo.nodes is None or memo.nodes[0] is not g.firms:
-        firms = memo.firms
-        line = template.format
-        lines = []
-        for node in sorted(g.firms):
-            firm = g.firms[node]
-            f = firms.get(firm)
-            if f is None:
-                f = firms[firm] = quote_firm(firm)
-            lines.append(line(quoted[node], f))
-        memo.nodes = (g.firms, "".join(lines))
-    return quoted, memo.nodes[1]
-
-
-def export_graphml(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
-    """GraphML with a "firm" node attribute, stable lexicographic ordering."""
-    if memo is None:
-        memo = ExportMemo()
-    q, nodes = _node_lines(g, memo, quoteattr, escape, _GRAPHML_NODE)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
-        '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
-        f'  <graph id={quoteattr(g.window)} edgedefault="undirected">\n',
-        nodes,
-    ]
-    parts += [f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in g.ends(sorted(g.edges))]
-    parts.append("  </graph>\n</graphml>\n")
-    return "".join(parts)
-
-
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: CollaborationGraph, memo: ExportMemo | None = None) -> str:
-    """Undirected DOT with the firm as a node attribute, stable ordering."""
-    if memo is None:
-        memo = ExportMemo()
-    q, nodes = _node_lines(g, memo, _dot_quote, _dot_quote, "  {} [firm={}];\n")
-    parts = [f"graph {_dot_quote(g.window)} {{\n", nodes]
-    parts += [f"  {q[u]} -- {q[v]};\n" for u, v in g.ends(sorted(g.edges))]
-    parts.append("}\n")
-    return "".join(parts)
+class GraphFormat(NamedTuple):
+    """How one graph file format writes a graph, in id order.
+
+    ``head`` takes the window name as ``quote_id`` quotes it, ``node`` the
+    quoted id and the quoted firm. ``edges`` gives the edge lines from the
+    quoted id table and the (u, v) ends of the sorted edges.
+    """
+
+    quote_id: Callable[[str], str]
+    quote_firm: Callable[[str], str]
+    head: str
+    node: str
+    edges: Callable[[Sequence[str], Iterable[tuple[int, int]]], list[str]]
+    tail: str
+
+
+# each format's name is its file suffix
+GRAPH_FORMATS = {
+    "graphml": GraphFormat(
+        quoteattr, escape,
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
+        '  <graph id={} edgedefault="undirected">\n',
+        '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n',
+        lambda q, ends: [f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in ends],
+        "  </graph>\n</graphml>\n",
+    ),
+    "dot": GraphFormat(
+        _dot_quote, _dot_quote,
+        "graph {} {{\n",
+        "  {} [firm={}];\n",
+        lambda q, ends: [f"  {q[u]} -- {q[v]};\n" for u, v in ends],
+        "}\n",
+    ),
+}
+FORMATS = (*GRAPH_FORMATS, "csv", "json")
+GRAPH_SUFFIXES = frozenset(f".{name}" for name in GRAPH_FORMATS)
+
+
+def _nodes(fmt: GraphFormat, g: CollaborationGraph, ids: Sequence[str], firms: dict[str, str]) -> str:
+    """g's node lines in id order, from its table's quoted ids and its firms quoted."""
+    line = fmt.node.format
+    return "".join([line(ids[node], firms[g.firms[node]]) for node in sorted(g.firms)])
+
+
+def _render(fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: str) -> str:
+    """g as fmt's text, from its table's quoted ids and its node lines."""
+    head = fmt.head.format(fmt.quote_id(g.window))
+    return "".join([head, nodes, *fmt.edges(quoted, g.ends(sorted(g.edges))), fmt.tail])
+
+
+def export_graph(g: CollaborationGraph, fmt: str) -> str:
+    """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
+    f = GRAPH_FORMATS[fmt]
+    quoted = list(map(f.quote_id, g.ids))
+    firms = {firm: f.quote_firm(firm) for firm in set(g.firms.values())}
+    return _render(f, g, quoted, _nodes(f, g, quoted, firms))
 
 
 def _json_text(payload) -> str:
@@ -234,6 +181,46 @@ def _json_text(payload) -> str:
 
 # ---------------------------------------------------------------------------
 # pipeline
+
+class ConfigError(InputError):
+    """Bad run configuration (not a per-module load error)."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    commit_log: Path
+    releases: Path
+    affiliations: Path
+    out_dir: Path
+    firms: Path | None = None
+    revenue_models: Path | None = None
+    backbone: BackboneParams = field(default_factory=BackboneParams)
+    community_min_size: int = 3
+    formats: frozenset[str] = frozenset(FORMATS)
+
+    def __post_init__(self):
+        if not self.formats:
+            raise ConfigError("format set must be non-empty")
+        unknown = self.formats.difference(FORMATS)
+        if unknown:
+            raise ConfigError(f"unknown formats: {sorted(unknown)}")
+        if self.community_min_size < 1:
+            raise ConfigError(f"community minimum size {self.community_min_size} is below 1")
+        # a run replaces the whole output directory, so no input may lie inside it
+        out_dir = Path(self.out_dir).resolve()
+        inputs = [self.commit_log, self.releases, self.affiliations, self.firms, self.revenue_models]
+        for path in inputs:
+            if path is not None and Path(path).resolve().is_relative_to(out_dir):
+                raise ConfigError(
+                    f"output directory must be distinct from input paths and not contain "
+                    f"them: {path}"
+                )
+
+
+class RunResult(NamedTuple):
+    files_written: list[Path]
+    summary: dict
+
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]", "_", name)
@@ -398,7 +385,13 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         homophily_rows = []
         comparison_rows = []
         community_payloads = []
-        memos = {"graphml": ExportMemo(), "dot": ExportMemo()}  # one per format, for the run
+        # Each selected graph format quotes the id table and every firm once
+        # for the run; the merged graph holds every node of every window.
+        firms = set(merged.firms.values())
+        graph_formats = [
+            (name, fmt, list(map(fmt.quote_id, ids)), {f: fmt.quote_firm(f) for f in firms})
+            for name, fmt in GRAPH_FORMATS.items() if name in cfg.formats
+        ]
         for i, g in enumerate([*window_graphs, merged], 1):
             is_window = g is not merged
             if is_window:
@@ -417,10 +410,11 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             bb = extract_backbone(g, cfg.backbone)
             communities = detect_subcommunities(bb, cfg.community_min_size)
             community_payloads.append(_community_payload(g, communities))
-            for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
-                if fmt in cfg.formats:
-                    write(f"graphs/{stem}.{fmt}", export(g, memos[fmt]))
-                    write(f"backbones/{stem}.{fmt}", export(bb, memos[fmt]))
+            for name, fmt, quoted, quoted_firms in graph_formats:
+                # the backbone shares g's node map, so it shares g's node lines
+                nodes = _nodes(fmt, g, quoted, quoted_firms)
+                write(f"graphs/{stem}.{name}", _render(fmt, g, quoted, nodes))
+                write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
 
         if "csv" in cfg.formats:
             write("evolution.csv", evolution_csv(evolution_rows))

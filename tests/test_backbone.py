@@ -18,7 +18,7 @@ from coopnet.backbone import (
     firm_overlap,
 )
 from coopnet.identity import DeveloperIdentity
-from coopnet.report import export_dot, export_graphml
+from coopnet.report import export_graph
 
 
 def graph_from_mask(n, mask, firm="HP"):
@@ -331,8 +331,8 @@ def test_int_ids_follow_id_order(data, params, min_size):
     assert got == oracle_communities(StrGraph("w", firms, kept), min_size)
 
     for graph, edges in ((g, expected.edges), (backbone, kept)):
-        graphml = edge_lines(export_graphml(graph), r'<edge source="(.*)" target="(.*)"/>')
-        dot = edge_lines(export_dot(graph), r'\n  "(.*)" -- "(.*)";')
+        graphml = edge_lines(export_graph(graph, "graphml"), r'<edge source="(.*)" target="(.*)"/>')
+        dot = edge_lines(export_graph(graph, "dot"), r'\n  "(.*)" -- "(.*)";')
         assert graphml == dot == sorted(edges)
 
 

@@ -348,6 +348,22 @@ def test_convert_out_is_directory_is_exit_3(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
 
 
+@pytest.mark.parametrize("spelling", ["raw.log", "./raw.log"])
+def test_convert_out_that_is_the_raw_input_is_exit_2(tmp_path, monkeypatch, spelling):
+    raw = tmp_path / "raw.log"
+    raw.write_text(raw_log())
+    before = raw.read_bytes()
+    converted = []
+    monkeypatch.setattr(cli, "convert_vcs_log", lambda raw: converted.append(raw))
+    out = f"{tmp_path}/{spelling}"
+    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", out])
+    assert result.exit_code == 2, result.output
+    assert "must not be the --raw input" in result.output
+    assert converted == []  # refused before reading
+    assert raw.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]
+
+
 def child_env():
     """The environment for a child interpreter that imports this checkout's coopnet."""
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)

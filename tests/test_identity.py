@@ -333,6 +333,13 @@ def test_load_ends_lines_only_at_newlines(mark):
         ("[emails]\nab@hp.example = HP\tInc\n", "HP\tInc"),
         ("[aliases]\na@x.example, a\x1f@y.example, a\x02@z.example\n", "a\x1f@y.example"),
         ("[bots]\nci\x7f\x01@project.example\n", "ci\x7f\x01@project.example"),
+        # noncharacters that XML 1.0 forbids
+        ("[domains]\nhp.example = H\ufffeP\n", "H\ufffeP"),
+        ("[domains]\nh\uffffp.example = HP\n", "h\uffffp.example"),
+        ("[emails]\na\uffffb@hp.example = HP\n", "a\uffffb@hp.example"),
+        ("[emails]\nab@hp.example = H\uffffP\n", "H\uffffP"),
+        ("[aliases]\na@x.example, a\ufffe@y.example\n", "a\ufffe@y.example"),
+        ("[bots]\nci\uffff@project.example\n", "ci\uffff@project.example"),
     ],
 )
 def test_load_rejects_control_characters_with_line_number(config, bad):
@@ -350,6 +357,8 @@ def test_load_allows_tabs_around_keys_and_firms():
 def test_resolver_excludes_email_with_control_character():
     resolver = IdentityResolver(load_affiliation_map("[domains]\nx.example = HP\n"))
     assert resolver.resolve("a\x01b@x.example") is None
+    assert resolver.resolve("a\ufffeb@x.example") is None
+    assert resolver.resolve("a\uffffb@x.example") is None
     assert resolver.resolve("ab@x.example").firm == "HP"
 
 

@@ -34,8 +34,7 @@ from coopnet.report import (
     RunConfig,
     comparisons_csv,
     evolution_csv,
-    export_dot,
-    export_graphml,
+    export_graph,
     export_metrics_csv,
     format_real,
     homophily_csv,
@@ -94,7 +93,7 @@ def test_evolution_and_homophily_headers():
 
 def test_graphml_single_node():
     g = make_graph({"dev@hp.example": "HP"}, window="r1")
-    text = export_graphml(g)
+    text = export_graph(g, "graphml")
     assert 'edgedefault="undirected"' in text
     assert '<data key="firm">HP</data>' in text
     assert text.count("<node") == 1
@@ -106,7 +105,7 @@ def test_graphml_roundtrip():
         [("a&b@x.example", "c@x.example"), ("c@x.example", "d@x.example")],
         window="r<1>",
     )
-    assert read_graphml(export_graphml(g)) == as_strings(g)
+    assert read_graphml(export_graph(g, "graphml")) == as_strings(g)
 
 
 # text mixing every character the XML quoting treats specially with plain,
@@ -122,16 +121,16 @@ def test_xml_quoting_matches_saxutils(text):
 
 def test_graphml_deterministic():
     g = make_graph({"b": "X", "a": "Y"}, [("a", "b")])
-    assert export_graphml(g) == export_graphml(g)
+    assert export_graph(g, "graphml") == export_graph(g, "graphml")
 
 
 def test_dot_empty_graph():
-    assert export_dot(make_graph({}, window="G")) == 'graph "G" {\n}\n'
+    assert export_graph(make_graph({}, window="G"), "dot") == 'graph "G" {\n}\n'
 
 
 def test_dot_single_edge():
     g = make_graph({"a": "HP", "b": "IBM"}, [("a", "b")])
-    text = export_dot(g)
+    text = export_graph(g, "dot")
     assert '"a" -- "b";' in text
     assert '"a" [firm="HP"];' in text
 
@@ -150,7 +149,7 @@ def test_dot_escapes_ids_repeated_across_edges():
         r'  "b\\s" -- "c";',
         "}",
     ]
-    assert export_dot(g) == "\n".join(lines) + "\n"
+    assert export_graph(g, "dot") == "\n".join(lines) + "\n"
 
 
 def test_run_config_validation(tmp_path):
@@ -208,6 +207,17 @@ def test_config_files_with_a_byte_order_mark_match_golden(tmp_path):
         configs[option].write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / name).read_bytes())
     run_pipeline(run_config(tmp_path, **configs))
     assert tree(tmp_path / "out") == tree(GOLDEN_DIR)
+
+
+@pytest.mark.parametrize("fmt, other", [("graphml", "dot"), ("dot", "graphml")])
+def test_one_graph_format_alone_matches_golden(tmp_path, fmt, other):
+    run_pipeline(run_config(tmp_path, formats=frozenset({fmt})))
+    out = tmp_path / "out"
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob(f"*.{fmt}"))
+    assert written == sorted(p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.rglob(f"*.{fmt}"))
+    for rel_path in written:
+        assert (out / rel_path).read_bytes() == (GOLDEN_DIR / rel_path).read_bytes()
+    assert list(out.rglob(f"*.{other}")) == []
 
 
 def test_pipeline_empty_log_succeeds(tmp_path):
@@ -425,7 +435,7 @@ def test_foreign_content_in_output_is_exit_2(tmp_path, monkeypatch, foreign):
     path.write_text("mine\n")
     before = tree(out)
     rendered = []
-    monkeypatch.setattr(report, "export_graphml", lambda g: rendered.append(g) or "")
+    monkeypatch.setattr(report, "_render", lambda fmt, g, *args: rendered.append(g) or "")
     result = CliRunner().invoke(main, analyze_args(tmp_path))
     assert result.exit_code == 2, result.output
     assert "does not write" in result.output
@@ -452,15 +462,17 @@ def test_output_path_that_is_a_file_is_refused(tmp_path):
 
 
 def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
-    original = report.export_graphml
+    original = report._render
+    graphml = report.GRAPH_FORMATS["graphml"]
     on_disk = []
 
-    def counting(g, *args):
-        (staging,) = siblings(tmp_path)
-        on_disk.append(sum(p.is_file() for p in staging.rglob("*")))
-        return original(g, *args)
+    def counting(fmt, *args):
+        if fmt is graphml:
+            (staging,) = siblings(tmp_path)
+            on_disk.append(sum(p.is_file() for p in staging.rglob("*")))
+        return original(fmt, *args)
 
-    monkeypatch.setattr(report, "export_graphml", counting)
+    monkeypatch.setattr(report, "_render", counting)
     run_pipeline(run_config(tmp_path))
     assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
     assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
@@ -613,17 +625,17 @@ def awkward_run_config(tmp_path):
 
 def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
     rendered = {"graphml": [], "dot": []}
-    for fmt in rendered:
-        original = getattr(report, f"export_{fmt}")
+    name_of = {fmt: name for name, fmt in report.GRAPH_FORMATS.items()}
+    original = report._render
 
-        def recording(g, *args, _fmt=fmt, _original=original):
-            rendered[_fmt].append(g)
-            return _original(g, *args)
+    def recording(fmt, g, *args):
+        rendered[name_of[fmt]].append(g)
+        return original(fmt, g, *args)
 
-        monkeypatch.setattr(report, f"export_{fmt}", recording)
+    monkeypatch.setattr(report, "_render", recording)
     run_pipeline(awkward_run_config(tmp_path))
     out = tmp_path / "out"
-    for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
+    for fmt in rendered:
         names = sorted(p.name for p in (out / "graphs").glob(f"*.{fmt}"))
         assert names == [f"01_r1.{fmt}", f"02_r2.{fmt}", f"merged.{fmt}"]
         graphs = rendered[fmt]
@@ -631,8 +643,8 @@ def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
         assert [g.node_count for g in graphs] == [4, 4, 5, 5, 5, 5]
         for name, g, bb in zip(names, graphs[::2], graphs[1::2]):
             assert bb.ids is g.ids and bb.firms is g.firms
-            assert (out / "graphs" / name).read_text(encoding="utf-8") == export(g)
-            assert (out / "backbones" / name).read_text(encoding="utf-8") == export(bb)
+            assert (out / "graphs" / name).read_text(encoding="utf-8") == export_graph(g, fmt)
+            assert (out / "backbones" / name).read_text(encoding="utf-8") == export_graph(bb, fmt)
     merged = read_graphml((out / "graphs" / "merged.graphml").read_text(encoding="utf-8"))
     assert merged.firms == dict.fromkeys(AWKWARD_EMAILS, "H&P <x>")
 
@@ -641,13 +653,15 @@ def test_export_quotes_each_id_and_firm_once_per_run(tmp_path, monkeypatch):
     calls = Counter()
 
     def counting(quote):
-        def wrapper(text, *args):
+        def wrapper(text):
             calls[quote.__name__, text] += 1
-            return quote(text, *args)
+            return quote(text)
         return wrapper
 
-    for name in ("quoteattr", "escape", "_dot_quote"):
-        monkeypatch.setattr(report, name, counting(getattr(report, name)))
+    for name, fmt in list(report.GRAPH_FORMATS.items()):
+        monkeypatch.setitem(report.GRAPH_FORMATS, name, fmt._replace(
+            quote_id=counting(fmt.quote_id), quote_firm=counting(fmt.quote_firm)
+        ))
     run_pipeline(awkward_run_config(tmp_path))
     for quote in ("quoteattr", "_dot_quote"):
         assert all(calls[quote, email] == 1 for email in AWKWARD_EMAILS)
@@ -655,13 +669,15 @@ def test_export_quotes_each_id_and_firm_once_per_run(tmp_path, monkeypatch):
 
 
 def test_every_graphml_file_parses_as_xml(tmp_path):
-    # an author address holding a control character is excluded, not made a node
+    # an author address holding a character XML 1.0 forbids is excluded, not made a node
     log = (FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8")
-    log += json.dumps({"sha": "e" * 40, "author_name": "Ctl", "author_email": "a\u0001b@anvil.io",
-                       "timestamp": "2021-01-12T09:00:00Z", "files": ["src/core.py"]}) + "\n"
+    shas = {"\u0001": "e" * 40, "\ufffe": "e" * 39 + "f", "\uffff": "e" * 38 + "ff"}
+    for char, sha in shas.items():
+        log += json.dumps({"sha": sha, "author_name": "Ctl", "author_email": f"a{char}b@anvil.io",
+                           "timestamp": "2021-01-12T09:00:00Z", "files": ["src/core.py"]}) + "\n"
     (tmp_path / "commits.ndjson").write_text(log, encoding="utf-8")
     result = run_pipeline(run_config(tmp_path, commit_log=tmp_path / "commits.ndjson"))
-    assert "e" * 40 in result.summary["excluded_shas"]
+    assert set(shas.values()) <= set(result.summary["excluded_shas"])
     files = [p for p in result.files_written if p.suffix == ".graphml"]
     assert len(files) == 8
     for path in files:

@@ -50,6 +50,8 @@ def test_load_single_release():
         ("name,date\na,01/02/2010\n", "invalid date"),
         ("name,date\n", "no releases"),
         ("name,date\na\x01b,2010-01-01\n", r"^row 2: release name 'a\\x01b' holds a control"),
+        ("name,date\na\ufffeb,2010-01-01\n", r"^row 2: release name 'a\\ufffeb' holds a control"),
+        ("name,date\na\uffffb,2010-01-01\n", r"^row 2: release name 'a\\uffffb' holds a control"),
         ('name,date\na,2010-01-01\n"b\nc",2011-01-01\n', "row 3: .* control character"),
         ("name,date\na,2010-01-01\npost-release,2011-01-01\n",
          "^row 3: release name post-release is reserved$"),
