@@ -9,9 +9,11 @@ size. Nodes and edges are the packed ints of :mod:`coopnet.graph`.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .graph import CollaborationGraph
@@ -34,8 +36,8 @@ class SubCommunity(NamedTuple):
     firms: Counter  # firm -> member count
 
 
-def edge_embeddedness(g: CollaborationGraph) -> dict[int, int]:
-    """Triangle count per packed edge: |N(u) & N(v)| for each edge {u, v}.
+def edge_embeddedness(g: CollaborationGraph) -> list[int]:
+    """Triangle count of each edge, in ``g.edges`` order: |N(u) & N(v)| for edge {u, v}.
 
     Each node with an edge gets one bit, numbered within g rather than by
     the run's id table, and its neighbours form an int bitset, so an edge
@@ -49,7 +51,7 @@ def edge_embeddedness(g: CollaborationGraph) -> dict[int, int]:
         j = index.setdefault(v, len(index))
         bits[u] = bits.get(u, 0) | 1 << j
         bits[v] = bits.get(v, 0) | 1 << i
-    return {e: (bits[u] & bits[v]).bit_count() for e, (u, v) in zip(g.edges, g.ends(g.edges))}
+    return [(bits[u] & bits[v]).bit_count() for u, v in g.ends(g.edges)]
 
 
 def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> CollaborationGraph:
@@ -59,14 +61,14 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
     broken by lexicographic neighbor id; an edge survives only if each
     endpoint ranks the other within the top max_rank_k. The backbone
     shares g's id table and node map, so both graphs have the same nodes;
-    treat it as read-only.
+    treat it as read-only. Its edges are a subsequence of g's, so ascending.
     """
     k, shift = params.max_rank_k, len(g.ids).bit_length()
     embeddedness = edge_embeddedness(g)
     # a tie's rank key (-strength << shift) | neighbour ascends as strength
     # descends, then as the neighbour's id ascends; each node keeps its k smallest
     top: defaultdict[int, list[int]] = defaultdict(list)
-    for (u, v), strength in zip(g.ends(embeddedness), embeddedness.values()):
+    for (u, v), strength in zip(g.ends(g.edges), embeddedness):
         rank = -strength << shift
         ties = top[u]
         if len(ties) < k or rank | v < ties[-1]:
@@ -76,14 +78,13 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
         if len(ties) < k or rank | u < ties[-1]:
             insort(ties, rank | u)
             del ties[k:]
-    kept = frozenset(
-        e
-        for e, (u, v), strength in zip(embeddedness, g.ends(embeddedness), embeddedness.values())
-        if strength >= params.min_embeddedness
+    keep = (
+        strength >= params.min_embeddedness
         and (-strength << shift | v) <= top[u][-1]
         and (-strength << shift | u) <= top[v][-1]
+        for (u, v), strength in zip(g.ends(g.edges), embeddedness)
     )
-    return g._replace(edges=kept)
+    return g._replace(edges=array("q", compress(g.edges, keep)))
 
 
 def detect_subcommunities(backbone: CollaborationGraph, min_size: int) -> list[SubCommunity]:

@@ -5,12 +5,14 @@ edge connects two developers iff they modified at least one common file
 within the window. Graphs are simple: no self-loops, no duplicates.
 
 The graphs of a run share its sorted id table: node ``u`` is ``ids[u]``,
-so int order is id order, and sorted packed edges are in id-pair order.
+so int order is id order, and a graph's ascending packed edges are in
+id-pair order.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from array import array
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .identity import DeveloperIdentity
@@ -24,7 +26,7 @@ class CollaborationGraph(NamedTuple):
     window: str
     ids: Sequence[str]  # the run's sorted id table, shared by its graphs
     firms: dict[int, str]  # node -> firm
-    edges: frozenset[int]  # packed u * len(ids) + v, u < v
+    edges: array  # array('q') of packed u * len(ids) + v, u < v, ascending
 
     def ends(self, edges: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The (u, v) nodes of each packed edge, in the order given."""
@@ -39,6 +41,11 @@ class CollaborationGraph(NamedTuple):
         return len(self.edges)
 
 
+def edge_array(packed: Iterable[int]) -> array:
+    """The distinct packed edges of ``packed`` in ascending order, 8 bytes each."""
+    return array("q", sorted(set(packed)))
+
+
 class WindowBuilder:
     """One release window's graph, folded in one commit at a time.
 
@@ -47,13 +54,17 @@ class WindowBuilder:
     dropped entirely, nodes and edges both. Isolated contributors remain
     nodes. A file's first developer is kept as a plain id; its set is made
     only when a second, different developer touches it, so the many files of
-    a wide history that one developer touches cost no set. :meth:`graph`
+    a wide history that one developer touches cost no set. A path is kept as
+    the first string ``paths`` holds for it; a run passes one dict to every
+    window, so a path touched in several windows is one string. :meth:`graph`
     ends the fold: it packs each set's pairs through an id index (in a run,
     the run's; a test may pass a window-local one) and releases the maps.
     """
 
-    def __init__(self, firm_filter: frozenset[str] | None = None):
+    def __init__(self, firm_filter: frozenset[str] | None = None,
+                 paths: dict[str, str] | None = None):
         self.firm_filter = firm_filter
+        self.paths: dict[str, str] = {} if paths is None else paths  # path -> its kept string
         self.commits = 0
         self.firms: dict[str, str] = {}  # node id -> firm
         self.first: dict[str, str] = {}  # file -> the first node id to touch it
@@ -65,8 +76,9 @@ class WindowBuilder:
             return
         node = identity.canonical_id
         self.firms[node] = identity.firm
-        first, shared = self.first, self.shared
+        first, shared, paths = self.first, self.shared, self.paths
         for path in files:
+            path = paths.setdefault(path, path)
             dev = first.setdefault(path, node)
             if dev != node:
                 devs = shared.get(path)
@@ -78,27 +90,26 @@ class WindowBuilder:
     def graph(self, window: str, ids: Sequence[str], index: dict[str, int]) -> CollaborationGraph:
         """The window's graph over the id table ``ids``, whose index maps id -> node."""
         n = len(ids)
-        edges = {
+        edges = edge_array(
             u * n + v
             for devs in self.shared.values()
             for u, v in combinations(sorted(map(index.__getitem__, devs)), 2)
-        }
+        )
         # the index's own ints are the node keys, so a node costs no new int
         firms = {index[node]: firm for node, firm in self.firms.items()}
-        self.firms, self.first, self.shared = {}, {}, {}
-        return CollaborationGraph(window, ids, firms, frozenset(edges))
+        self.firms, self.first, self.shared, self.paths = {}, {}, {}, {}
+        return CollaborationGraph(window, ids, firms, edges)
 
 
 def merge_graphs(graphs: Sequence[CollaborationGraph], window: str) -> CollaborationGraph:
     """Union of nodes and edges across graphs of one id table (firms must agree per node)."""
     ids = graphs[0].ids if graphs else []
     firms: dict[int, str] = {}
-    edges: set[int] = set()
     for g in graphs:
         if g.ids is not ids:
             raise GraphError(f"graph {g.window} has another id table")
         for node, firm in g.firms.items():
             if firms.setdefault(node, firm) != firm:
                 raise GraphError(f"node {ids[node]} has conflicting firms across windows")
-        edges.update(g.edges)
-    return CollaborationGraph(window, ids, firms, frozenset(edges))
+    edges = edge_array(chain.from_iterable(g.edges for g in graphs))
+    return CollaborationGraph(window, ids, firms, edges)

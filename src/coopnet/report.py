@@ -17,6 +17,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -119,15 +120,15 @@ class GraphFormat(NamedTuple):
     """How one graph file format writes a graph, in id order.
 
     ``head`` takes the window name as ``quote_id`` quotes it, ``node`` the
-    quoted id and the quoted firm. ``edges`` gives the edge lines from the
-    quoted id table and the (u, v) ends of the sorted edges.
+    quoted id and the quoted firm. ``edges`` yields the edge lines from the
+    quoted id table and the (u, v) ends of the ascending edges.
     """
 
     quote_id: Callable[[str], str]
     quote_firm: Callable[[str], str]
     head: str
     node: str
-    edges: Callable[[Sequence[str], Iterable[tuple[int, int]]], list[str]]
+    edges: Callable[[Sequence[str], Iterable[tuple[int, int]]], Iterator[str]]
     tail: str
 
 
@@ -140,14 +141,14 @@ GRAPH_FORMATS = {
         '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
         '  <graph id={} edgedefault="undirected">\n',
         '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n',
-        lambda q, ends: [f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in ends],
+        lambda q, ends: (f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in ends),
         "  </graph>\n</graphml>\n",
     ),
     "dot": GraphFormat(
         _dot_quote, _dot_quote,
         "graph {} {{\n",
         "  {} [firm={}];\n",
-        lambda q, ends: [f"  {q[u]} -- {q[v]};\n" for u, v in ends],
+        lambda q, ends: (f"  {q[u]} -- {q[v]};\n" for u, v in ends),
         "}\n",
     ),
 }
@@ -161,10 +162,13 @@ def _nodes(fmt: GraphFormat, g: CollaborationGraph, ids: Sequence[str], firms: d
     return "".join([line(ids[node], firms[g.firms[node]]) for node in sorted(g.firms)])
 
 
-def _render(fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: str) -> str:
-    """g as fmt's text, from its table's quoted ids and its node lines."""
+def _render(fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: str) -> Iterator[str]:
+    """g as fmt's text in parts: the head, the node lines, one part per edge line, the tail.
+
+    The edge lines are made as they are read, in g's edge (id-pair) order.
+    """
     head = fmt.head.format(fmt.quote_id(g.window))
-    return "".join([head, nodes, *fmt.edges(quoted, g.ends(sorted(g.edges))), fmt.tail])
+    return chain((head, nodes), fmt.edges(quoted, g.ends(g.edges)), (fmt.tail,))
 
 
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
@@ -172,7 +176,20 @@ def export_graph(g: CollaborationGraph, fmt: str) -> str:
     f = GRAPH_FORMATS[fmt]
     quoted = list(map(f.quote_id, g.ids))
     firms = {firm: f.quote_firm(firm) for firm in set(g.firms.values())}
-    return _render(f, g, quoted, _nodes(f, g, quoted, firms))
+    return "".join(_render(f, g, quoted, _nodes(f, g, quoted, firms)))
+
+
+# parts joined per write: a graph file's text is never held whole, and a
+# few thousand lines per call keep the calls few
+CHUNK_PARTS = 4096
+
+
+def write_parts(path: Path, parts: Iterable[str]) -> None:
+    """Write the concatenated parts to path as UTF-8, CHUNK_PARTS parts per write."""
+    parts = iter(parts)
+    with open(path, "w", encoding="utf-8") as f:
+        while chunk := list(islice(parts, CHUNK_PARTS)):
+            f.write("".join(chunk))
 
 
 def _json_text(payload) -> str:
@@ -334,7 +351,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         # commit still fails the run on an alias-group conflict. Each record
         # is folded into its window's builder and dropped.
         report = ValidationReport()
-        builders = {w.name: WindowBuilder(firm_filter) for w in windows}
+        # one string per distinct path, shared by every window's builder
+        paths: dict[str, str] = {}
+        builders = {w.name: WindowBuilder(firm_filter, paths) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
         # A window ends at 23:59:59Z and is compared in whole seconds, so the
@@ -364,18 +383,18 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     ids = sorted(resolver.identities)
     index = {node: i for i, node in enumerate(ids)}
     window_graphs = [builders[w.name].graph(w.name, ids, index) for w in windows]
-    # nothing below needs the identities or the index: free them before
-    # rendering, where a run's memory peaks
-    del resolver, index
+    # nothing below needs the identities, the index or the path strings:
+    # free them before rendering, where a run's memory peaks
+    del resolver, index, paths
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:
         written: list[str] = []
 
-        def write(rel_path: str, text: str) -> None:
+        def write(rel_path: str, parts: Iterable[str]) -> None:
             target = staging / rel_path
             target.parent.mkdir(exist_ok=True)
-            target.write_text(text, encoding="utf-8")
+            write_parts(target, parts)
             written.append(rel_path)
 
         # One pass per graph; the merged graph is the last one, so scope comes
@@ -417,9 +436,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
 
         if "csv" in cfg.formats:
-            write("evolution.csv", evolution_csv(evolution_rows))
-            write("homophily.csv", homophily_csv(homophily_rows))
-            write("comparisons.csv", comparisons_csv(comparison_rows))
+            write("evolution.csv", [evolution_csv(evolution_rows)])
+            write("homophily.csv", [homophily_csv(homophily_rows)])
+            write("comparisons.csv", [comparisons_csv(comparison_rows)])
 
         params = asdict(cfg.backbone)  # max_rank_k and min_embeddedness
         summary = {
@@ -448,14 +467,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         }
 
         if "json" in cfg.formats:
-            write("communities.json", _json_text(
+            write("communities.json", [_json_text(
                 {"min_size": cfg.community_min_size, "params": params, "windows": community_payloads}
-            ))
+            )])
             # json writes tuples as arrays
-            write("validation_report.json", _json_text(
+            write("validation_report.json", [_json_text(
                 {"accepted": report.accepted, "rejected": report.rejected, "cleaned": report.cleaned}
-            ))
-            write("run_summary.json", _json_text(summary))
+            )])
+            write("run_summary.json", [_json_text(summary)])
 
     files_written = [Path(cfg.out_dir) / rel_path for rel_path in sorted(written)]
     return RunResult(files_written=files_written, summary=summary)

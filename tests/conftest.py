@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from coopnet.graph import CollaborationGraph, WindowBuilder
+from coopnet.graph import CollaborationGraph, WindowBuilder, edge_array
 from coopnet.identity import IdentityResolver
 from coopnet.ingest import ValidationReport, iter_commits
 
@@ -62,14 +62,14 @@ def make_graph(firms: dict[str, str], edges=(), window: str = "w", ids=None) -> 
     ids = sorted(firms) if ids is None else ids
     assert ids == sorted(set(ids)), "id table must be sorted and distinct"
     index = {node: i for i, node in enumerate(ids)}
-    packed = set()
+    packed = []
     for e in edges:
         u, v = sorted(index[node] for node in e)
         assert ids[u] in firms and ids[v] in firms, "edge endpoint missing from node map"
         assert u != v, "self-loop in test input"
-        packed.add(u * len(ids) + v)
+        packed.append(u * len(ids) + v)
     return CollaborationGraph(
-        window, ids, {index[node]: firm for node, firm in firms.items()}, frozenset(packed)
+        window, ids, {index[node]: firm for node, firm in firms.items()}, edge_array(packed)
     )
 
 

@@ -1,6 +1,7 @@
 """Graph construction tests, including the nested-loop brute-force oracle."""
 
 import random
+from array import array
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_strings, identity_pairs, make_graph, window_graph
+from coopnet.backbone import BackboneParams, extract_backbone
 from coopnet.graph import GraphError, WindowBuilder, merge_graphs
 from coopnet.identity import DeveloperIdentity
 from coopnet.ingest import CommitRecord
@@ -48,7 +50,7 @@ def test_shared_file_creates_edge():
 def test_no_shared_file_no_edge_but_nodes_remain():
     records = [commit(1, "a", ["x.py"]), commit(2, "b", ["y.py"])]
     g = window_graph("w", identity_pairs(records, identity_map()))
-    assert g.edges == frozenset()
+    assert set(g.edges) == set()
     assert as_strings(g).firms.keys() == {node("a"), node("b")}
 
 
@@ -58,7 +60,7 @@ def test_firm_filter_drops_developer_and_edges():
         "w", identity_pairs(records, identity_map()), frozenset({"HP", "IBM"})
     )
     assert as_strings(g).firms.keys() == {node("a")}
-    assert g.edges == frozenset()
+    assert set(g.edges) == set()
 
 
 def test_unknown_author_skipped():
@@ -107,6 +109,23 @@ def test_merge_graphs_refuses_conflicting_firms():
     g2 = make_graph({"b": "IBM"}, window="w2", ids=ids)
     with pytest.raises(GraphError, match="node b has conflicting firms"):
         merge_graphs([g1, g2], "merged")
+
+
+def test_windows_share_one_string_per_path():
+    paths = {}
+    builders = [WindowBuilder(paths=paths) for _ in range(2)]
+    people = identity_map()
+    for builder in builders:
+        for dev in "ab":
+            # an equal path in a new string object each time, as each parsed record holds one
+            builder.add(people[node(dev)], ["".join(["nova/", "api.py"])])
+    (first,), (second,) = (b.shared for b in builders)
+    assert first == second == "nova/api.py"
+    assert first is second is next(iter(builders[0].first)) is paths["nova/api.py"]
+    ids = sorted(people)
+    index = {i: n for n, i in enumerate(ids)}
+    builders[0].graph("w1", ids, index)
+    assert builders[0].paths == {} and paths  # the run's map outlives one window's graph
 
 
 def seeded_window(seed):
@@ -228,3 +247,30 @@ def test_adding_a_commit_is_monotone(assignments, extra):
     assert before.firms.keys() <= after.firms.keys()
     assert before.edges <= after.edges
 
+
+def assert_ascending_edges(g):
+    assert isinstance(g.edges, array) and g.edges.typecode == "q"
+    assert all(a < b for a, b in zip(g.edges, g.edges[1:]))  # strictly: no duplicate
+    assert all(u < v for u, v in g.ends(g.edges))
+
+
+@given(st.lists(commit_lists, min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2))
+def test_edges_are_an_ascending_int_array(windows, k, floor):
+    people = identity_map()
+    ids = sorted(people)
+    index = {i: n for n, i in enumerate(ids)}
+    paths = {}
+    graphs = []
+    for w, assignments in enumerate(windows):
+        builder = WindowBuilder(paths=paths)
+        for dev, files in assignments:
+            builder.add(people[node(dev)], files)
+        graphs.append(builder.graph(f"w{w}", ids, index))
+    merged = merge_graphs(graphs, "merged")
+    assert set(merged.edges) == set().union(*(g.edges for g in graphs))
+    for g in [*graphs, merged]:
+        assert_ascending_edges(g)
+        backbone = extract_backbone(g, BackboneParams(k, floor))
+        assert_ascending_edges(backbone)
+        assert set(backbone.edges) <= set(g.edges)

@@ -27,7 +27,7 @@ from conftest import (
     read_graphml,
 )
 from coopnet import report
-from coopnet.backbone import BackboneParams
+from coopnet.backbone import BackboneParams, extract_backbone
 from coopnet.cli import main
 from coopnet.report import (
     ConfigError,
@@ -282,16 +282,16 @@ def test_graph_exports_roundtrip_from_pipeline(tmp_path):
 def test_pipeline_rolls_back_partial_outputs(tmp_path, monkeypatch):
     target = tmp_path / "out"
     cfg = run_config(tmp_path, out_dir=target)
-    original_write = Path.write_text
+    original_write = report.write_parts
     calls = {"n": 0}
 
-    def failing_write(self, *args, **kwargs):
+    def failing_write(path, parts):
         calls["n"] += 1
         if calls["n"] > 3:
             raise OSError("disk full")
-        return original_write(self, *args, **kwargs)
+        return original_write(path, parts)
 
-    monkeypatch.setattr(Path, "write_text", failing_write)
+    monkeypatch.setattr(report, "write_parts", failing_write)
     with pytest.raises(OSError):
         run_pipeline(cfg)
     monkeypatch.undo()
@@ -362,27 +362,38 @@ def test_input_in_output_directory_is_exit_2(tmp_path, option, field, source, in
         run_config(tmp_path, **{field: path, "out_dir": out_dir})
 
 
+# the file each failing write hits: the first graph file, a later graph
+# file, a backbone and run_summary.json
+FAILED_FILE = {
+    1: "graphs/01_onyx.graphml",
+    9: "graphs/03_quartz.graphml",
+    10: "backbones/03_quartz.graphml",
+    22: "run_summary.json",
+}
+
+
 @pytest.mark.parametrize("first_run", [True, False])
-@pytest.mark.parametrize("fail_at", [1, 9, 22])  # a graph file, a backbone, run_summary.json
+@pytest.mark.parametrize("fail_at", sorted(FAILED_FILE))
 def test_failed_write_leaves_previous_tree(tmp_path, monkeypatch, first_run, fail_at):
     out = tmp_path / "out"
     if not first_run:
         run_pipeline(run_config(tmp_path, formats=frozenset({"dot", "csv"})))
     before = tree(out) if out.exists() else None
-    original_write = Path.write_text
+    original_write = report.write_parts
     calls = []
 
-    def failing_write(self, *args, **kwargs):
-        calls.append(self)
+    def failing_write(path, parts):
+        calls.append(path)
         if len(calls) == fail_at:
             raise OSError("disk full")
-        return original_write(self, *args, **kwargs)
+        return original_write(path, parts)
 
-    monkeypatch.setattr(Path, "write_text", failing_write)
+    monkeypatch.setattr(report, "write_parts", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(run_config(tmp_path))
     monkeypatch.undo()
     assert len(calls) == fail_at
+    assert calls[-1].as_posix().endswith(f"/new/{FAILED_FILE[fail_at]}")
     assert (tree(out) if out.exists() else None) == before
     assert siblings(tmp_path) == []
 
@@ -476,6 +487,38 @@ def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
     run_pipeline(run_config(tmp_path))
     assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
     assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
+
+
+def test_graph_files_written_in_chunks_equal_export(tmp_path):
+    # 100 developers of two firms on one file: a clique of 4,950 edges, more
+    # edge lines than one write joins, in one release and the merged graph
+    emails = [f"d{i:03d}@{'xy'[i % 2]}.example" for i in range(100)]
+    commits = [(email, "2021-01-10T09:00:00Z", ["hub.py"]) for email in emails]
+    cfg = small_run_config(
+        tmp_path, commits, "name,date\nr1,2021-03-01\n", "[domains]\nx.example = X\ny.example = Y\n"
+    )
+    run_pipeline(cfg)
+    firms = {email: email[5].upper() for email in emails}
+    window = make_graph(firms, combinations(emails, 2), window="r1")
+    assert window.edge_count == 4950 > report.CHUNK_PARTS
+    out = tmp_path / "out"
+    for stem, g in (("01_r1", window), ("merged", window._replace(window="merged"))):
+        backbone = extract_backbone(g, BackboneParams())
+        for fmt in report.GRAPH_FORMATS:
+            assert (out / "graphs" / f"{stem}.{fmt}").read_bytes() == export_graph(g, fmt).encode()
+            assert (out / "backbones" / f"{stem}.{fmt}").read_bytes() == (
+                export_graph(backbone, fmt).encode()
+            )
+
+
+@pytest.mark.parametrize("empty_chunks, lines", [(0, 0), (0, 1), (0, 9000), (1, 1), (2, 9000)])
+def test_write_parts_writes_every_part(tmp_path, empty_chunks, lines):
+    # whole chunks of empty parts must not end the file early
+    parts = [""] * (report.CHUNK_PARTS * empty_chunks)
+    parts += [f"line {i} \u00e9\n" for i in range(lines)] + [""]
+    path = tmp_path / "f.txt"
+    report.write_parts(path, iter(parts))
+    assert path.read_bytes() == "".join(parts).encode("utf-8")
 
 
 def write_log(path: Path, commits) -> Path:
