@@ -12,23 +12,32 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
 from .graph import CollaborationGraph
 
 
-@dataclass(frozen=True)
-class BackboneParams:
+class _BackboneFields(NamedTuple):
     max_rank_k: int = 5
     min_embeddedness: int = 1
 
-    def __post_init__(self):
+
+class BackboneParams(_BackboneFields):
+    """Backbone settings, checked whenever one is made, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_rank_k < 1:
             raise ValueError("max_rank_k must be >= 1")
         if self.min_embeddedness < 0:
             raise ValueError("min_embeddedness must be >= 0")
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
 class SubCommunity(NamedTuple):

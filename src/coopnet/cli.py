@@ -1,16 +1,15 @@
 """coopnet command line interface.
 
-Exit codes: 0 success, 2 config/parse error, 3 I/O error.
+Exit codes: 0 success, 2 config/parse error (a usage error too), 3 I/O error.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import tempfile
 from pathlib import Path
-
-import click
 
 from .backbone import BackboneParams
 from .ingest import InputError, ValidationReport, convert_vcs_log, iter_commits
@@ -23,52 +22,36 @@ EXIT_IO = 3
 _CONFIG_ERRORS = (InputError, FileNotFoundError, UnicodeDecodeError)
 
 
-class _ExitCodeGroup(click.Group):
-    """Maps input errors to exit 2 and other I/O errors to exit 3, for every subcommand."""
+def _at_least(low: int):
+    """An argparse type: an int no smaller than low."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except _CONFIG_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+
+    return integer
 
 
-@click.group(cls=_ExitCodeGroup)
-def main():
-    """Reconstruct firm-level collaboration networks from commit history."""
-
-
-@main.command()
-@click.option("--log", "commit_log", required=True, type=click.Path(path_type=Path))
-@click.option("--releases", required=True, type=click.Path(path_type=Path))
-@click.option("--affiliations", required=True, type=click.Path(path_type=Path))
-@click.option("--firms", type=click.Path(path_type=Path))
-@click.option("--revenue-models", type=click.Path(path_type=Path))
-@click.option("--backbone-k", "max_rank_k", type=click.IntRange(min=1),
-              default=BackboneParams.max_rank_k, show_default=True)
-@click.option("--backbone-min-embeddedness", "min_embeddedness", type=click.IntRange(min=0),
-              default=BackboneParams.min_embeddedness, show_default=True)
-@click.option("--community-min-size", type=click.IntRange(min=1),
-              default=RunConfig.community_min_size, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-@click.option("--formats", default=",".join(FORMATS), show_default=True,
-              help=f"Comma-separated subset of {','.join(FORMATS)}.")
-def analyze(max_rank_k, min_embeddedness, formats, **options):
+def analyze(args: argparse.Namespace) -> None:
     """Run the full pipeline and write analysis artifacts."""
     result = run_pipeline(RunConfig(
-        backbone=BackboneParams(max_rank_k, min_embeddedness),
-        formats=frozenset(f.strip() for f in formats.split(",") if f.strip()),
-        **options,
+        commit_log=args.commit_log,
+        releases=args.releases,
+        affiliations=args.affiliations,
+        out_dir=args.out_dir,
+        firms=args.firms,
+        revenue_models=args.revenue_models,
+        backbone=BackboneParams(args.max_rank_k, args.min_embeddedness),
+        community_min_size=args.community_min_size,
+        formats=frozenset(f.strip() for f in args.formats.split(",") if f.strip()),
     ))
     commits = result.summary["commits"]
-    click.echo(
+    print(
         f"analyzed {commits['analyzed']} commits across "
         f"{len(result.summary['windows'])} releases; "
-        f"wrote {len(result.files_written)} files to {options['out_dir']}"
+        f"wrote {len(result.files_written)} files to {args.out_dir}"
     )
 
 
@@ -85,36 +68,101 @@ def _write_replacing(path: Path, text: str) -> None:
         os.replace(new, path)
 
 
-@main.command()
-@click.option("--raw", "raw_path", required=True, type=click.Path(path_type=Path))
-@click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-def convert(raw_path, out_path):
+def convert(args: argparse.Namespace) -> None:
     """Convert raw extraction-recipe output to the canonical NDJSON log."""
+    raw_path, out_path = args.raw_path, args.out_path
     if out_path.resolve() == raw_path.resolve():
         raise InputError(f"--out must not be the --raw input: {out_path}")
     with open(raw_path, encoding="utf-8", newline="") as raw:
         ndjson, merges_dropped = convert_vcs_log(raw)
     _write_replacing(out_path, ndjson)
     records = ndjson.count("\n")  # json.dumps escapes every newline inside a record
-    click.echo(f"wrote {records} records ({merges_dropped} merge commits dropped)")
+    print(f"wrote {records} records ({merges_dropped} merge commits dropped)")
 
 
-@main.command()
-@click.option("--log", "log_path", required=True, type=click.Path(path_type=Path))
-def validate(log_path):
+def validate(args: argparse.Namespace) -> None:
     """Parse a commit log and report acceptance, rejections, and fixes."""
     report = ValidationReport()
-    with open(log_path, encoding="utf-8") as log:
+    with open(args.log_path, encoding="utf-8") as log:
         for _ in iter_commits(log, report):
             pass
-    click.echo(f"accepted: {report.accepted}")
-    click.echo(f"rejected: {len(report.rejected)}")
+    print(f"accepted: {report.accepted}")
+    print(f"rejected: {len(report.rejected)}")
     for line_number, reason in report.rejected:
-        click.echo(f"  line {line_number}: {reason}")
-    click.echo(f"cleaned: {len(report.cleaned)}")
+        print(f"  line {line_number}: {reason}")
+    print(f"cleaned: {len(report.cleaned)}")
     for sha, fix in report.cleaned:
-        click.echo(f"  {sha[:12]}: {fix}")
+        print(f"  {sha[:12]}: {fix}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: --rel must not stand for --releases
+    parser = argparse.ArgumentParser(
+        prog="coopnet", allow_abbrev=False,
+        description="Reconstruct firm-level collaboration networks from commit history.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command(analyze)
+    sub.add_argument("--log", dest="commit_log", required=True, type=Path, metavar="PATH",
+                     help="canonical NDJSON commit log")
+    sub.add_argument("--releases", required=True, type=Path, metavar="PATH",
+                     help="release schedule CSV")
+    sub.add_argument("--affiliations", required=True, type=Path, metavar="PATH",
+                     help="affiliation config (INI-like)")
+    sub.add_argument("--firms", type=Path, metavar="PATH",
+                     help="firm filter, one firm per line; also the firm universe")
+    sub.add_argument("--revenue-models", type=Path, metavar="PATH", help="revenue stream CSV")
+    sub.add_argument("--backbone-k", dest="max_rank_k", type=_at_least(1), metavar="N",
+                     default=BackboneParams._field_defaults["max_rank_k"],
+                     help="reciprocal rank cutoff for backbone extraction, x>=1 "
+                          "(default: %(default)s)")
+    sub.add_argument("--backbone-min-embeddedness", dest="min_embeddedness", type=_at_least(0),
+                     default=BackboneParams._field_defaults["min_embeddedness"], metavar="N",
+                     help="minimum triangles per kept edge, x>=0 (default: %(default)s)")
+    sub.add_argument("--community-min-size", type=_at_least(1), metavar="N",
+                     default=RunConfig._field_defaults["community_min_size"],
+                     help="smallest reported sub-community, x>=1 (default: %(default)s)")
+    sub.add_argument("--out", dest="out_dir", required=True, type=Path, metavar="PATH",
+                     help="output directory, replaced as a whole on success")
+    sub.add_argument("--formats", default=",".join(FORMATS), metavar="LIST",
+                     help=f"comma-separated subset of {','.join(FORMATS)}. "
+                          "(default: %(default)s)")
+
+    sub = command(convert)
+    sub.add_argument("--raw", dest="raw_path", required=True, type=Path, metavar="PATH",
+                     help="raw git log output of the extraction recipe")
+    sub.add_argument("--out", dest="out_path", required=True, type=Path, metavar="PATH",
+                     help="NDJSON log to write, replaced only once it is whole")
+
+    sub = command(validate)
+    sub.add_argument("--log", dest="log_path", required=True, type=Path, metavar="PATH",
+                     help="canonical NDJSON commit log")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on argv (default sys.argv[1:]) and return its exit code."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
+    try:
+        args.run(args)
+    except _CONFIG_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,7 +12,8 @@ id-pair order.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, combinations, repeat
+from bisect import bisect_left
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .identity import DeveloperIdentity
@@ -101,6 +102,10 @@ class WindowBuilder:
         return CollaborationGraph(window, ids, firms, edges)
 
 
+# merge_graphs' set holds the edges of one of this many slices of the packed range
+MERGE_SLICES = 16
+
+
 def merge_graphs(graphs: Sequence[CollaborationGraph], window: str) -> CollaborationGraph:
     """Union of nodes and edges across graphs of one id table (firms must agree per node)."""
     ids = graphs[0].ids if graphs else []
@@ -111,5 +116,16 @@ def merge_graphs(graphs: Sequence[CollaborationGraph], window: str) -> Collabora
         for node, firm in g.firms.items():
             if firms.setdefault(node, firm) != firm:
                 raise GraphError(f"node {ids[node]} has conflicting firms across windows")
-    edges = edge_array(chain.from_iterable(g.edges for g in graphs))
+    # united one slice of the packed range at a time: no set of every edge
+    n = len(ids)
+    edges = array("q")
+    starts = [0] * len(graphs)  # each graph's first edge past the slices done
+    for s in range(1, MERGE_SLICES + 1):
+        stop = n * n * s // MERGE_SLICES
+        part: set[int] = set()
+        for k, g in enumerate(graphs):
+            end = bisect_left(g.edges, stop, starts[k])
+            part.update(g.edges[starts[k]:end])
+            starts[k] = end
+        edges.extend(sorted(part))
     return CollaborationGraph(window, ids, firms, edges)

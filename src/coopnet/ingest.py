@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, NamedTuple
 
@@ -61,11 +60,29 @@ class CommitRecord(NamedTuple):
     files: tuple[str, ...]  # deduplicated, lexicographically sorted
 
 
-@dataclass
 class ValidationReport:
-    accepted: int = 0
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    cleaned: list[tuple[str, str]] = field(default_factory=list)
+    """What a parse accepted, rejected (line, reason) and cleaned (sha, fix); filled as it goes."""
+
+    __slots__ = ("accepted", "rejected", "cleaned")
+
+    def __init__(self, accepted: int = 0, rejected: list[tuple[int, str]] | None = None,
+                 cleaned: list[tuple[str, str]] | None = None):
+        self.accepted = accepted
+        self.rejected = [] if rejected is None else rejected
+        self.cleaned = [] if cleaned is None else cleaned
+
+    def _state(self) -> tuple:
+        return self.accepted, self.rejected, self.cleaned
+
+    def __eq__(self, other):
+        if type(other) is not ValidationReport:
+            return NotImplemented
+        return self._state() == other._state()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return "ValidationReport(accepted=%r, rejected=%r, cleaned=%r)" % self._state()
 
 
 def parse_rfc3339(text: str) -> datetime:

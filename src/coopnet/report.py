@@ -15,7 +15,6 @@ import shutil
 import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import chain, islice
 from pathlib import Path
@@ -203,19 +202,25 @@ class ConfigError(InputError):
     """Bad run configuration (not a per-module load error)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     commit_log: Path
     releases: Path
     affiliations: Path
     out_dir: Path
     firms: Path | None = None
     revenue_models: Path | None = None
-    backbone: BackboneParams = field(default_factory=BackboneParams)
+    backbone: BackboneParams = BackboneParams()
     community_min_size: int = 3
     formats: frozenset[str] = frozenset(FORMATS)
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """One run's inputs and settings, checked whenever one is made, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.formats:
             raise ConfigError("format set must be non-empty")
         unknown = self.formats.difference(FORMATS)
@@ -232,6 +237,10 @@ class RunConfig:
                     f"output directory must be distinct from input paths and not contain "
                     f"them: {path}"
                 )
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
 class RunResult(NamedTuple):
@@ -440,7 +449,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             write("homophily.csv", [homophily_csv(homophily_rows)])
             write("comparisons.csv", [comparisons_csv(comparison_rows)])
 
-        params = asdict(cfg.backbone)  # max_rank_k and min_embeddedness
+        params = cfg.backbone._asdict()  # max_rank_k and min_embeddedness
         summary = {
             "commits": {
                 "accepted": report.accepted,

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
 from xml.etree import ElementTree
 
 import pytest
 
+from coopnet.cli import main
 from coopnet.graph import CollaborationGraph, WindowBuilder, edge_array
 from coopnet.identity import IdentityResolver
 from coopnet.ingest import ValidationReport, iter_commits
@@ -28,6 +31,24 @@ def analyze_args(tmp_path, **extra):
     for key, value in extra.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """Call the CLI's `main(args)` in process; its exit code and what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(args)
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())
 
 
 class StrGraph(NamedTuple):

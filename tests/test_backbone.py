@@ -146,6 +146,15 @@ def test_invalid_params_rejected():
         BackboneParams(min_embeddedness=-1)
 
 
+def test_replaced_params_are_checked_again():
+    params = BackboneParams(max_rank_k=3)
+    assert params._replace(min_embeddedness=0) == BackboneParams(3, 0)
+    with pytest.raises(ValueError, match="max_rank_k must be >= 1"):
+        params._replace(max_rank_k=0)
+    with pytest.raises(ValueError, match="min_embeddedness must be >= 0"):
+        params._replace(min_embeddedness=-1)
+
+
 def test_two_triangles_give_two_communities():
     g = make_graph(
         {"a": "HP", "b": "HP", "c": "IBM", "x": "IBM", "y": "HP", "z": "IBM"},

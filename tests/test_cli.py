@@ -4,19 +4,37 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import FIXTURE_DIR, analyze_args
+from conftest import FIXTURE_DIR, GOLDEN_DIR, analyze_args, run_cli
 from coopnet import cli
-from coopnet.cli import main
 from coopnet.ingest import RECORD_SENTINEL
 
 
 def test_analyze_runs_fixture(tmp_path):
-    result = CliRunner().invoke(main, analyze_args(tmp_path))
+    result = run_cli(analyze_args(tmp_path))
     assert result.exit_code == 0, result.output
     assert (tmp_path / "out" / "evolution.csv").exists()
     assert "analyzed 22 commits" in result.output
+    files = sum(p.is_file() for p in (tmp_path / "out").rglob("*"))
+    assert result.stdout == (
+        f"analyzed 22 commits across 3 releases; wrote {files} files to {tmp_path / 'out'}\n"
+    )
+    assert result.stderr == ""
+
+
+def test_validate_prints_counts_rejections_and_fixes():
+    result = run_cli(["validate", "--log", str(FIXTURE_DIR / "commits.ndjson")])
+    assert result.exit_code == 0
+    golden = json.loads((GOLDEN_DIR / "validation_report.json").read_text(encoding="utf-8"))
+    assert golden["rejected"] and golden["cleaned"]
+    expected = [
+        f"accepted: {golden['accepted']}",
+        f"rejected: {len(golden['rejected'])}",
+        *(f"  line {n}: {reason}" for n, reason in golden["rejected"]),
+        f"cleaned: {len(golden['cleaned'])}",
+        *(f"  {sha[:12]}: {fix}" for sha, fix in golden["cleaned"]),
+    ]
+    assert result.stdout == "\n".join(expected) + "\n"
 
 
 def test_analyze_excludes_an_email_holding_a_lone_surrogate(tmp_path):
@@ -30,7 +48,7 @@ def test_analyze_excludes_an_email_holding_a_lone_surrogate(tmp_path):
     )
     args = analyze_args(tmp_path)
     args[args.index("--log") + 1] = str(log)
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     assert "analyzed 22 commits" in result.output
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text(encoding="utf-8"))
@@ -40,7 +58,7 @@ def test_analyze_excludes_an_email_holding_a_lone_surrogate(tmp_path):
 def test_analyze_missing_releases_is_config_error(tmp_path):
     args = analyze_args(tmp_path)
     args[args.index("--releases") + 1] = str(tmp_path / "nope.csv")
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert not (tmp_path / "out").exists()
 
@@ -49,7 +67,7 @@ def test_analyze_missing_log_is_reported_before_other_inputs(tmp_path):
     args = analyze_args(tmp_path)
     args[args.index("--log") + 1] = str(tmp_path / "nolog.ndjson")
     args[args.index("--releases") + 1] = str(tmp_path / "nope.csv")
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "nolog.ndjson" in result.output
 
@@ -59,7 +77,7 @@ def test_analyze_bad_config_is_exit_2(tmp_path):
     bad.write_text("name,date\nb,2020-01-01\na,2019-01-01\n")
     args = analyze_args(tmp_path)
     args[args.index("--releases") + 1] = str(bad)
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "ascending" in result.output
 
@@ -69,7 +87,7 @@ def test_analyze_non_utf8_input_is_exit_2(tmp_path):
     bad.write_bytes(b"name,date\n\xff,2021-01-01\n")
     args = analyze_args(tmp_path)
     args[args.index("--releases") + 1] = str(bad)
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
 
 
@@ -91,7 +109,7 @@ def test_analyze_alias_conflict_after_last_release_is_exit_2(tmp_path):
     args = analyze_args(tmp_path)
     args[args.index("--log") + 1] = str(log)
     args[args.index("--affiliations") + 1] = str(affiliations)
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "multiple firms" in result.output
     assert not (tmp_path / "out").exists()
@@ -99,11 +117,11 @@ def test_analyze_alias_conflict_after_last_release_is_exit_2(tmp_path):
 
 def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
     out = tmp_path / "out"
-    assert CliRunner().invoke(main, analyze_args(tmp_path)).exit_code == 0
+    assert run_cli(analyze_args(tmp_path)).exit_code == 0
     before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
     firms = tmp_path / "firms.txt"
     firms.write_text("# no firm yet\n\n   \n\t# Anvil\n")
-    result = CliRunner().invoke(main, analyze_args(tmp_path, firms=firms))
+    result = run_cli(analyze_args(tmp_path, firms=firms))
     assert result.exit_code == 2
     assert "lists no firms" in result.output
     assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
@@ -129,29 +147,81 @@ def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
 )
 def test_analyze_bad_csv_config_is_exit_2_and_keeps_out(tmp_path, name, old, new, message):
     out = tmp_path / "out"
-    assert CliRunner().invoke(main, analyze_args(tmp_path)).exit_code == 0
+    assert run_cli(analyze_args(tmp_path)).exit_code == 0
     before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
     bad = tmp_path / name
     bad.write_text((FIXTURE_DIR / name).read_text(encoding="utf-8").replace(old, new),
                    encoding="utf-8")
     option = {"releases.csv": "releases", "revenue.csv": "revenue_models"}[name]
-    result = CliRunner().invoke(main, analyze_args(tmp_path, **{option: bad}))
+    result = run_cli(analyze_args(tmp_path, **{option: bad}))
     assert result.exit_code == 2, result.output
     assert f"error: {message}\n" in result.output
     assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
     assert sorted(tmp_path.glob(".out.*")) == []
 
 
-def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
-    result = CliRunner().invoke(main, analyze_args(tmp_path, backbone_k=0))
+def without(args, option):
+    """args with option and its value left out."""
+    i = args.index(option)
+    return args[:i] + args[i + 2:]
+
+
+@pytest.mark.parametrize("args", [
+    # an abbreviation is refused, not read as the option it starts
+    lambda tmp: [a if a != "--releases" else "--rel" for a in analyze_args(tmp)],
+    lambda tmp: [],
+    lambda tmp: without(analyze_args(tmp), "--log"),
+    lambda tmp: analyze_args(tmp) + ["--bogus", "1"],
+    lambda tmp: analyze_args(tmp, community_min_size="three"),
+    lambda tmp: ["analyse", *analyze_args(tmp)[1:]],
+    lambda tmp: ["validate", "--lo", str(FIXTURE_DIR / "commits.ndjson")],
+    lambda tmp: ["convert", "--raw", str(FIXTURE_DIR / "commits.ndjson")],
+], ids=["abbreviated-option", "no-subcommand", "missing-required-option", "unknown-option",
+        "non-integer", "unknown-subcommand", "validate-abbreviated",
+        "convert-missing-out"])
+def test_usage_error_is_exit_2_with_usage_on_stderr(tmp_path, args):
+    result = run_cli(args(tmp_path))
     assert result.exit_code == 2
+    assert result.stderr.startswith("usage: coopnet")
+    assert "error: " in result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ([], []),
+    (["analyze"], ["(default: 5)", "(default: 1)", "(default: 3)",
+                   "(default: graphml,dot,csv,json)"]),
+    (["convert"], []),
+    (["validate"], []),
+])
+def test_help_exits_0_and_shows_every_default(command, defaults):
+    result = run_cli([*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    text = " ".join(result.stdout.split())  # the help wraps at the terminal width
+    assert text.startswith(f"usage: {' '.join(['coopnet', *command])} ")
+    assert text.count("(default: ") == len(defaults)
+    for default in defaults:
+        assert default in text
+    if not command:
+        for name in ("analyze", "convert", "validate"):
+            assert f" {name} " in text
+
+
+def test_analyze_backbone_k_out_of_range_is_exit_2(tmp_path):
+    result = run_cli(analyze_args(tmp_path, backbone_k=0))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: coopnet analyze")
+    assert "argument --backbone-k: 0 is not in the range x>=1" in result.stderr
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("size", [0, -2])
 def test_analyze_community_min_size_below_1_is_exit_2(tmp_path, size):
-    result = CliRunner().invoke(main, analyze_args(tmp_path, community_min_size=size))
+    result = run_cli(analyze_args(tmp_path, community_min_size=size))
     assert result.exit_code == 2
+    assert result.stderr.startswith("usage: coopnet analyze")
     assert not (tmp_path / "out").exists()
 
 
@@ -160,15 +230,13 @@ def test_analyze_internal_value_error_is_not_exit_2(tmp_path, monkeypatch):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(cli, "run_pipeline", broken)
-    result = CliRunner().invoke(main, analyze_args(tmp_path))
-    assert result.exit_code != 2
-    assert isinstance(result.exception, ValueError)
+    # not mapped to an exit code: it escapes, and the interpreter exits 1
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli(analyze_args(tmp_path))
 
 
 def test_analyze_tunable_backbone_flags(tmp_path):
-    result = CliRunner().invoke(
-        main,
-        analyze_args(
+    result = run_cli(analyze_args(
             tmp_path, backbone_k=2, backbone_min_embeddedness=2, community_min_size=4
         ),
     )
@@ -179,7 +247,7 @@ def test_analyze_tunable_backbone_flags(tmp_path):
 
 
 def test_analyze_formats_flag(tmp_path):
-    result = CliRunner().invoke(main, analyze_args(tmp_path, formats="dot,csv"))
+    result = run_cli(analyze_args(tmp_path, formats="dot,csv"))
     assert result.exit_code == 0, result.output
     out = tmp_path / "out"
     assert list((out / "graphs").glob("*.graphml")) == []
@@ -208,15 +276,16 @@ def test_convert_and_validate(tmp_path):
         + "\n"
     )
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "1 merge commits dropped" in result.output
+    assert result.stdout == "wrote 1 records (1 merge commits dropped)\n"
     assert len(out.read_text().splitlines()) == 1
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # the mode write_text would give
 
-    result = CliRunner().invoke(main, ["validate", "--log", str(out)])
+    result = run_cli(["validate", "--log", str(out)])
     assert result.exit_code == 0
     assert "accepted: 1" in result.output
     assert "rejected: 0" in result.output
@@ -226,14 +295,14 @@ def test_convert_bad_raw_is_exit_2(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_text("garbage without sentinel\n")
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
 
 
 def test_validate_reports_problems(tmp_path):
     log = tmp_path / "log.ndjson"
     log.write_text('{"sha": "zz"}\n')
-    result = CliRunner().invoke(main, ["validate", "--log", str(log)])
+    result = run_cli(["validate", "--log", str(log)])
     assert result.exit_code == 0
     assert "rejected: 1" in result.output
 
@@ -249,7 +318,7 @@ def test_malformed_lines_are_rejected_not_a_crash(tmp_path):
     log = tmp_path / "commits.ndjson"
     log.write_text("\n".join([*bad, json.dumps(good)]) + "\n", encoding="utf-8")
 
-    result = CliRunner().invoke(main, ["validate", "--log", str(log)])
+    result = run_cli(["validate", "--log", str(log)])
     assert result.exit_code == 0, result.output
     assert "accepted: 1\nrejected: 4\n" in result.output
     assert "line 1: invalid JSON: nested too deeply\n" in result.output
@@ -258,7 +327,7 @@ def test_malformed_lines_are_rejected_not_a_crash(tmp_path):
     assert "line 3: timestamp is not RFC 3339\n" in result.output
     assert "line 4: timestamp is not RFC 3339\n" in result.output
 
-    result = CliRunner().invoke(main, analyze_args(tmp_path, log=log))
+    result = run_cli(analyze_args(tmp_path, log=log))
     assert result.exit_code == 0, result.output
     assert "analyzed 1 commits" in result.output
     report = json.loads((tmp_path / "out" / "validation_report.json").read_text(encoding="utf-8"))
@@ -266,14 +335,14 @@ def test_malformed_lines_are_rejected_not_a_crash(tmp_path):
 
 
 def test_validate_missing_file_is_config_error(tmp_path):
-    result = CliRunner().invoke(main, ["validate", "--log", str(tmp_path / "nope")])
+    result = run_cli(["validate", "--log", str(tmp_path / "nope")])
     assert result.exit_code == 2
 
 
 def test_validate_non_utf8_log_is_exit_2(tmp_path):
     log = tmp_path / "log.ndjson"
     log.write_bytes(b'{"sha": "\xff"}\n')
-    result = CliRunner().invoke(main, ["validate", "--log", str(log)])
+    result = run_cli(["validate", "--log", str(log)])
     assert result.exit_code == 2
     assert "error:" in result.output
 
@@ -282,7 +351,7 @@ def test_convert_non_utf8_raw_is_exit_2(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_bytes(RECORD_SENTINEL.encode() + b"\n\xff\n")
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert not out.exists()
 
@@ -297,12 +366,12 @@ def test_convert_then_validate_keeps_unicode_line_breaks(tmp_path, name):
     raw = tmp_path / "raw.log"
     raw.write_bytes(raw_log(name).encode())
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "wrote 1 records" in result.output
     assert json.loads(out.read_bytes())["author_name"] == name
 
-    result = CliRunner().invoke(main, ["validate", "--log", str(out)])
+    result = run_cli(["validate", "--log", str(out)])
     assert result.exit_code == 0
     assert "accepted: 1" in result.output
     assert "rejected: 0" in result.output
@@ -313,7 +382,7 @@ def test_convert_error_offset_counts_crlf_bytes(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_bytes((good + RECORD_SENTINEL + "\r\n" + "f" * 40 + "\r\n").encode())
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert f"unterminated record at byte {len(good.encode())}" in result.output
 
@@ -324,7 +393,7 @@ def test_convert_date_out_of_range_in_utc_is_exit_2(tmp_path):
     late = raw_log().replace("2011-03-01T10:00:00+00:00", "0001-01-01T00:00:00+01:00")
     raw.write_text(good + late)
     out = tmp_path / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert f"unparseable committer date in record at byte {len(good.encode())}\n" in result.output
     assert not out.exists()
@@ -334,7 +403,7 @@ def test_convert_out_in_missing_directory_is_exit_2(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_text(raw_log())
     out = tmp_path / "missing" / "log.ndjson"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(out)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
     assert "error:" in result.output
 
@@ -342,7 +411,7 @@ def test_convert_out_in_missing_directory_is_exit_2(tmp_path):
 def test_convert_out_is_directory_is_exit_3(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_text(raw_log())
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", str(tmp_path)])
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(tmp_path)])
     assert result.exit_code == 3
     assert "i/o error:" in result.output
     assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
@@ -356,7 +425,7 @@ def test_convert_out_that_is_the_raw_input_is_exit_2(tmp_path, monkeypatch, spel
     converted = []
     monkeypatch.setattr(cli, "convert_vcs_log", lambda raw: converted.append(raw))
     out = f"{tmp_path}/{spelling}"
-    result = CliRunner().invoke(main, ["convert", "--raw", str(raw), "--out", out])
+    result = run_cli(["convert", "--raw", str(raw), "--out", out])
     assert result.exit_code == 2, result.output
     assert "must not be the --raw input" in result.output
     assert converted == []  # refused before reading
@@ -380,7 +449,7 @@ def test_convert_failed_write_leaves_old_target(tmp_path):
     limit = (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
     code = (
         "import resource, sys; from coopnet.cli import main; "
-        f"resource.setrlimit(resource.RLIMIT_FSIZE, {limit}); main()"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, {limit}); sys.exit(main())"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, "convert", "--raw", str(raw), "--out", str(out)],
@@ -390,6 +459,21 @@ def test_convert_failed_write_leaves_old_target(tmp_path):
     assert "File too large" in result.stderr
     assert out.read_bytes() == b"old log\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]
+
+
+def test_import_loads_no_third_party_or_dataclasses():
+    # the CLI parses with argparse and the records need no code generation;
+    # -S skips the site step, so no site-packages is on the path and
+    # nothing is loaded before coopnet
+    code = "import sys, coopnet.cli; print(*sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=child_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "coopnet.cli" in loaded
+    assert not loaded & {"click", "dataclasses", "inspect"}
 
 
 def test_import_loads_no_web_stack():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import as_strings, identity_pairs, make_graph, window_graph
 from coopnet.backbone import BackboneParams, extract_backbone
+from coopnet import graph
 from coopnet.graph import GraphError, WindowBuilder, merge_graphs
 from coopnet.identity import DeveloperIdentity
 from coopnet.ingest import CommitRecord
@@ -94,6 +95,27 @@ def test_merge_graphs_unions_nodes_and_edges():
     assert merged.ids is ids
     assert as_strings(merged).firms == {"a": "HP", "b": "HP", "c": "IBM"}
     assert as_strings(merged).edges == {("a", "b"), ("b", "c")}
+
+
+@pytest.mark.parametrize("slices", [1, 3, graph.MERGE_SLICES, 5000])
+def test_merge_graphs_unions_edges_across_slices(monkeypatch, slices):
+    # 5000 slices of a 1600-value packed range leave most slices empty
+    monkeypatch.setattr(graph, "MERGE_SLICES", slices)
+    rng = random.Random(slices)
+    ids = [f"d{i:02d}" for i in range(40)]
+    firms = dict.fromkeys(ids, "HP")
+    pairs = list(combinations(ids, 2))
+    graphs = [make_graph(firms, rng.sample(pairs, 200), window=f"w{w}", ids=ids) for w in range(4)]
+    graphs.append(make_graph({"d00": "HP"}, window="empty", ids=ids))
+    merged = merge_graphs(graphs, "merged")
+    union = set().union(*(g.edges for g in graphs))
+    assert list(merged.edges) == sorted(union)
+    assert merged.edges.typecode == "q"
+
+
+def test_merge_graphs_of_no_graph_is_empty():
+    merged = merge_graphs([], "merged")
+    assert merged.node_count == 0 and merged.edge_count == 0
 
 
 def test_merge_graphs_refuses_another_id_table():

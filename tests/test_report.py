@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -12,7 +11,6 @@ from xml.dom import minidom
 from xml.sax import saxutils
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,10 +23,10 @@ from conftest import (
     make_graph,
     parse_commit_log,
     read_graphml,
+    run_cli,
 )
 from coopnet import report
 from coopnet.backbone import BackboneParams, extract_backbone
-from coopnet.cli import main
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -160,6 +158,19 @@ def test_run_config_validation(tmp_path):
     log = FIXTURE_DIR / "commits.ndjson"
     with pytest.raises(ConfigError, match="distinct"):
         run_config(tmp_path, out_dir=log)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"formats": frozenset()}, "non-empty"),
+    ({"formats": frozenset({"svg"})}, "unknown formats"),
+    ({"community_min_size": 0}, "community minimum size 0 is below 1"),
+    ({"out_dir": FIXTURE_DIR}, "distinct"),
+])
+def test_replaced_run_config_is_checked_again(tmp_path, change, message):
+    cfg = run_config(tmp_path)
+    assert cfg._replace(community_min_size=4) == run_config(tmp_path, community_min_size=4)
+    with pytest.raises(ConfigError, match=message):
+        cfg._replace(**change)
 
 
 @pytest.mark.parametrize("size", [0, -2])
@@ -354,7 +365,7 @@ def test_input_in_output_directory_is_exit_2(tmp_path, option, field, source, in
     path = out / source if inside else tmp_path / source
     shutil.copy(FIXTURE_DIR / source, path)
     out_dir = out if inside else path
-    result = CliRunner().invoke(main, analyze_args(tmp_path, **{option: path, "out": out_dir}))
+    result = run_cli(analyze_args(tmp_path, **{option: path, "out": out_dir}))
     assert result.exit_code == 2, result.output
     assert "distinct" in result.output
     assert path.read_bytes() == (FIXTURE_DIR / source).read_bytes()
@@ -447,7 +458,7 @@ def test_foreign_content_in_output_is_exit_2(tmp_path, monkeypatch, foreign):
     before = tree(out)
     rendered = []
     monkeypatch.setattr(report, "_render", lambda fmt, g, *args: rendered.append(g) or "")
-    result = CliRunner().invoke(main, analyze_args(tmp_path))
+    result = run_cli(analyze_args(tmp_path))
     assert result.exit_code == 2, result.output
     assert "does not write" in result.output
     assert rendered == []  # refused before any work
@@ -619,7 +630,7 @@ def test_each_window_graph_is_the_cofile_graph_of_its_commits(tmp_path, seed, fi
     )
     if firm_filter is not None:
         (tmp_path / "firms.txt").write_text(firm_filter)
-        cfg = dataclasses.replace(cfg, firms=tmp_path / "firms.txt")
+        cfg = cfg._replace(firms=tmp_path / "firms.txt")
     result = run_pipeline(cfg)
 
     # brute force: each record's window by date, then every pair of kept developers
