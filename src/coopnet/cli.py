@@ -9,7 +9,9 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .backbone import BackboneParams
 from .ingest import InputError, ValidationReport, convert_vcs_log, iter_commits
@@ -18,8 +20,10 @@ from .report import FORMATS, RunConfig, run_pipeline
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# a missing or undecodable input file is a configuration problem, not an I/O failure
-_CONFIG_ERRORS = (InputError, FileNotFoundError, UnicodeDecodeError)
+# a missing or undecodable input file, or a path of the wrong kind, is a
+# configuration problem, not an I/O failure
+_CONFIG_ERRORS = (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                  UnicodeDecodeError)
 
 
 def _at_least(low: int):
@@ -55,8 +59,9 @@ def analyze(args: argparse.Namespace) -> None:
     )
 
 
-def _write_replacing(path: Path, text: str) -> None:
-    """Write text to a new file that replaces path only once it is whole.
+@contextmanager
+def _write_replacing(path: Path) -> Iterator[TextIO]:
+    """Yield a new text file that replaces path only once the block succeeds.
 
     The file is made in a private sibling directory, so it gets the mode
     any new file gets; on any error the directory is removed with it and
@@ -64,7 +69,8 @@ def _write_replacing(path: Path, text: str) -> None:
     """
     with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as staging:
         new = Path(staging, path.name)
-        new.write_text(text, encoding="utf-8")
+        with open(new, "w", encoding="utf-8") as out:
+            yield out
         os.replace(new, path)
 
 
@@ -73,10 +79,8 @@ def convert(args: argparse.Namespace) -> None:
     raw_path, out_path = args.raw_path, args.out_path
     if out_path.resolve() == raw_path.resolve():
         raise InputError(f"--out must not be the --raw input: {out_path}")
-    with open(raw_path, encoding="utf-8", newline="") as raw:
-        ndjson, merges_dropped = convert_vcs_log(raw)
-    _write_replacing(out_path, ndjson)
-    records = ndjson.count("\n")  # json.dumps escapes every newline inside a record
+    with open(raw_path, encoding="utf-8", newline="") as raw, _write_replacing(out_path) as out:
+        records, merges_dropped = convert_vcs_log(raw, out)
     print(f"wrote {records} records ({merges_dropped} merge commits dropped)")
 
 

@@ -22,7 +22,8 @@ import io
 import json
 import re
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 SHA_RE = re.compile(r"[0-9a-f]{40}")  # fullmatch: "$" would let a trailing \n through
 # RFC 3339 section 5.6 date-time. fromisoformat checks the date and time
@@ -274,57 +275,53 @@ def csv_pairs(
             yield row_number, row[0].strip(), row[1].strip()
 
 
-def convert_vcs_log(raw: Iterable[str] | str) -> tuple[str, int]:
-    """Convert raw extraction-recipe output into canonical NDJSON.
+def convert_vcs_log(raw: Iterable[str] | str, out: TextIO) -> tuple[int, int]:
+    """Convert raw extraction-recipe output into canonical NDJSON, written to ``out``.
 
     The recipe emits, per commit: the sentinel line, then sha, author name,
     author email and the committer ISO-8601 date on separate lines, then
-    the name-only file list. Merge records (zero file lines) are dropped;
-    the drop count is returned alongside the NDJSON text.
+    the name-only file list. Each record's line is written once the next
+    sentinel, or the end of input, closes it, so only the open record is
+    held. Merge records (zero file lines) are dropped. Returns (records
+    written, merge records dropped).
 
     Raises CommitLogError, naming the byte offset of the offending record,
-    when the sentinel is missing or a record is truncated. The offsets
-    count line endings as read, so open a file with newline="".
+    when the sentinel is missing, a record is truncated or its date is
+    unparseable; part of the output may have been written by then. The offsets count line endings
+    as read, so open a file with newline="".
     """
     if isinstance(raw, str):
         raw = io.StringIO(raw, newline="")
-    # Group lines into records delimited by the sentinel.
-    records: list[tuple[int, list[str]]] = []
-    at = 0
-    for line in raw:
+    lines = iter(raw)
+    written = merges_dropped = at = start = 0
+    body: list[str] | None = None  # the open record's lines; it starts at byte start
+    for line in chain(lines, [RECORD_SENTINEL]):  # a last sentinel closes the last record
         text = line.rstrip("\r\n")
+        if text == RECORD_SENTINEL and body is not None:
+            while body and not body[-1].strip():
+                body.pop()
+            fault = "unterminated record" if len(body) < 4 else None
+            if fault is None:
+                try:  # a merge record's date is checked too
+                    timestamp = parse_rfc3339(body[3])
+                except ValueError:
+                    fault = "unparseable committer date in record"
+            if fault:
+                for _ in lines:  # an unreadable line further on is still the error reported,
+                    pass  # as when the whole input was read before any record was checked
+                raise CommitLogError(f"{fault} at byte {start}")
+            files = [f for f in body[4:] if f.strip()]
+            if files:
+                obj = dict(zip(CANONICAL_FIELDS, [*body[:3], format_rfc3339(timestamp), files]))
+                out.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                written += 1
+            else:
+                merges_dropped += 1
         if text == RECORD_SENTINEL:
-            records.append((at, []))
-        elif records:
-            records[-1][1].append(text)
+            start, body = at, []
+        elif body is not None:
+            body.append(text)
         elif text.strip():
             raise CommitLogError(f"missing sentinel before content at byte {at}")
         at += len(line.encode("utf-8"))
-
-    out_lines = []
-    merges_dropped = 0
-    for at, body in records:
-        while body and not body[-1].strip():
-            body.pop()
-        if len(body) < 4:
-            raise CommitLogError(f"unterminated record at byte {at}")
-        sha, author_name, author_email, date_line = body[:4]
-        try:
-            timestamp = parse_rfc3339(date_line)
-        except ValueError:
-            raise CommitLogError(
-                f"unparseable committer date in record at byte {at}"
-            ) from None
-        files = [f for f in body[4:] if f.strip()]
-        if not files:
-            merges_dropped += 1
-            continue
-        obj = {
-            "sha": sha,
-            "author_name": author_name,
-            "author_email": author_email,
-            "timestamp": format_rfc3339(timestamp),
-            "files": files,
-        }
-        out_lines.append(json.dumps(obj, ensure_ascii=False))
-    return "".join(line + "\n" for line in out_lines), merges_dropped
+    return written, merges_dropped

@@ -11,7 +11,7 @@ import pytest
 from coopnet.cli import main
 from coopnet.graph import CollaborationGraph, WindowBuilder, edge_array
 from coopnet.identity import IdentityResolver
-from coopnet.ingest import ValidationReport, iter_commits
+from coopnet.ingest import ValidationReport, convert_vcs_log, iter_commits
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixture"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -109,6 +109,18 @@ def parse_commit_log(stream):
     """All accepted records of `iter_commits`, with the finished report."""
     report = ValidationReport()
     return list(iter_commits(stream, report)), report
+
+
+def convert_text(raw):
+    """`convert_vcs_log` on raw into memory: the NDJSON text and the merge records dropped.
+
+    The records it says it wrote are checked against the lines written.
+    """
+    out = io.StringIO()
+    written, merges = convert_vcs_log(raw, out)
+    ndjson = out.getvalue()
+    assert written == ndjson.count("\n")  # json.dumps escapes every newline inside a record
+    return ndjson, merges
 
 
 def canonicalize_identities(records, amap):

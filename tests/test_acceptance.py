@@ -25,6 +25,7 @@ from conftest import (
     as_strings,
     id_pair,
     canonicalize_identities,
+    convert_text,
     degree_centrality,
     identity_pairs,
     make_graph,
@@ -393,9 +394,7 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
             capture_output=True,
             text=True,
         ).stdout
-        from coopnet.ingest import convert_vcs_log
-
-        ndjson, _ = convert_vcs_log(raw)
+        ndjson, _ = convert_text(raw)
         records, _ = parse_commit_log(ndjson)
         releases = (
             "name,date\nAustin,2010-10-21\nBexar,2011-02-03\nCactus,2011-04-15\n"

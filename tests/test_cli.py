@@ -387,6 +387,19 @@ def test_convert_error_offset_counts_crlf_bytes(tmp_path):
     assert f"unterminated record at byte {len(good.encode())}" in result.output
 
 
+def test_convert_non_utf8_after_a_bad_record_is_reported_first(tmp_path):
+    # the undecodable byte, not the record far before it, is the fault
+    # reported, as when the whole log was read before any record was checked
+    bad = raw_log().replace("2011-03-01T10:00:00+00:00", "2011-03-01")
+    raw = tmp_path / "raw.log"
+    raw.write_bytes((raw_log() * 2000 + bad + raw_log() * 2000).encode() + b"\xff\n")
+    out = tmp_path / "log.ndjson"
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.log"]
+
+
 def test_convert_date_out_of_range_in_utc_is_exit_2(tmp_path):
     good = raw_log()
     raw = tmp_path / "raw.log"
@@ -408,13 +421,55 @@ def test_convert_out_in_missing_directory_is_exit_2(tmp_path):
     assert "error:" in result.output
 
 
-def test_convert_out_is_directory_is_exit_3(tmp_path):
+def test_convert_out_is_directory_is_exit_2(tmp_path):
     raw = tmp_path / "raw.log"
     raw.write_text(raw_log())
     result = run_cli(["convert", "--raw", str(raw), "--out", str(tmp_path)])
-    assert result.exit_code == 3
-    assert "i/o error:" in result.output
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: [Errno 21] ")
     assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
+
+
+@pytest.mark.parametrize("command, option", [
+    ("analyze", "log"), ("analyze", "releases"), ("analyze", "affiliations"),
+    ("analyze", "firms"), ("analyze", "revenue_models"), ("validate", "log"),
+    ("convert", "raw"),
+])
+@pytest.mark.parametrize("kind", ["directory", "through-file"])
+def test_input_path_of_the_wrong_kind_is_exit_2(tmp_path, command, option, kind):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / "dir" if kind == "directory" else tmp_path / "file" / "x"
+    args = {
+        "analyze": analyze_args(tmp_path, **{option: path}),
+        "validate": ["validate", "--log", str(path)],
+        "convert": ["convert", "--raw", str(path), "--out", str(tmp_path / "out")],
+    }[command]
+    result = run_cli(args)
+    assert result.exit_code == 2, result.output
+    errno = "21" if kind == "directory" else "20"
+    assert result.stderr.startswith(f"error: [Errno {errno}] ")
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
+@pytest.mark.parametrize("bad", [
+    raw_log().replace("2011-03-01T10:00:00+00:00", "2011-03-01"),
+    RECORD_SENTINEL + "\n" + "f" * 40 + "\nDev Two\n",
+], ids=["bad-date", "truncated"])
+def test_convert_failure_after_many_records_keeps_existing_out(tmp_path, bad):
+    good = raw_log() * 2000  # staged lines reach the disk before the fault is read
+    raw = tmp_path / "raw.log"
+    raw.write_text(good + bad + raw_log())
+    out = tmp_path / "log.ndjson"
+    out.write_bytes(b"old log\n")
+    result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    reason = "unparseable committer date in" if "2011-03-01\n" in bad else "unterminated"
+    assert result.stderr == f"error: {reason} record at byte {len(good.encode())}\n"
+    assert result.stdout == ""
+    assert out.read_bytes() == b"old log\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]
 
 
 @pytest.mark.parametrize("spelling", ["raw.log", "./raw.log"])
@@ -423,7 +478,7 @@ def test_convert_out_that_is_the_raw_input_is_exit_2(tmp_path, monkeypatch, spel
     raw.write_text(raw_log())
     before = raw.read_bytes()
     converted = []
-    monkeypatch.setattr(cli, "convert_vcs_log", lambda raw: converted.append(raw))
+    monkeypatch.setattr(cli, "convert_vcs_log", lambda *args: converted.append(args))
     out = f"{tmp_path}/{spelling}"
     result = run_cli(["convert", "--raw", str(raw), "--out", out])
     assert result.exit_code == 2, result.output
@@ -459,6 +514,44 @@ def test_convert_failed_write_leaves_old_target(tmp_path):
     assert "File too large" in result.stderr
     assert out.read_bytes() == b"old log\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]
+
+
+# a python -S launcher that spawns an import-only child and a convert child
+# in turn and prints each one's exit code and peak RSS (KiB) from wait4; a
+# child's ru_maxrss starts from its spawner's peak, which pytest's would hide
+PEAK_RSS_LAUNCHER = """
+import os, sys
+raw, out = sys.argv[1:]
+for argv in (["-c", "import coopnet.cli"], ["-m", "coopnet.cli", "convert", "--raw", raw, "--out", out]):
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    print("peak", os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_convert_peak_rss_does_not_grow_with_the_log(tmp_path):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB on Linux")
+    raw = tmp_path / "raw.log"
+    with open(raw, "w", encoding="utf-8") as f:
+        for i in range(27_000):  # about 4 MB
+            f.write("\n".join([
+                RECORD_SENTINEL, f"{i:040x}", f"Dev {i % 97}", f"dev{i % 97}@hp.example",
+                f"2011-03-{i % 28 + 1:02d}T10:00:00+00:00", f"src/mod{i % 13}/file{i % 101}.py",
+                f"docs/{i % 7}.rst",
+            ]) + "\n\n")
+    assert 3_500_000 < raw.stat().st_size < 4_500_000
+    out = tmp_path / "log.ndjson"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, str(raw), str(out)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "wrote 27000 records (0 merge commits dropped)" in result.stdout
+    peaks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("peak ")]
+    assert [code for code, _ in peaks] == ["0", "0"], result.stderr
+    import_only, converting = (int(kib) / 1024 for _, kib in peaks)
+    assert converting < import_only + 4, (import_only, converting)
 
 
 def test_import_loads_no_third_party_or_dataclasses():

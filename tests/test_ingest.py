@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import parse_commit_log
+from conftest import convert_text, parse_commit_log
 from coopnet.ingest import (
     RECORD_SENTINEL,
     CommitLogError,
-    convert_vcs_log,
     is_valid_email,
     normalize_email,
     parse_rfc3339,
@@ -298,7 +297,7 @@ def raw_record(sha=SHA_A, name="Dev One", email="dev1@hp.example",
 
 
 def test_convert_transcribes_record():
-    ndjson, merges = convert_vcs_log(raw_record())
+    ndjson, merges = convert_text(raw_record())
     assert merges == 0
     obj = json.loads(ndjson)
     assert obj == {
@@ -312,7 +311,7 @@ def test_convert_transcribes_record():
 
 def test_convert_drops_merge_records():
     raw = raw_record() + raw_record(sha=SHA_B, files=())
-    ndjson, merges = convert_vcs_log(raw)
+    ndjson, merges = convert_text(raw)
     assert merges == 1
     assert len(ndjson.splitlines()) == 1
 
@@ -321,18 +320,18 @@ def test_convert_errors_on_truncated_record():
     good = raw_record()
     truncated = "\n".join([RECORD_SENTINEL, SHA_B, "Dev Two", "dev2@hp.example"]) + "\n"
     with pytest.raises(CommitLogError) as excinfo:
-        convert_vcs_log(good + truncated)
+        convert_text(good + truncated)
     assert f"byte {len(good.encode())}" in str(excinfo.value)
 
 
 def test_convert_errors_on_missing_sentinel():
     with pytest.raises(CommitLogError, match="missing sentinel"):
-        convert_vcs_log("deadbeef\nno sentinel here\n")
+        convert_text("deadbeef\nno sentinel here\n")
 
 
 def test_convert_then_parse_is_lossless():
     raw = raw_record() + raw_record(sha=SHA_B, email="dev2@hp.example", files=("x/y.c",))
-    ndjson, _ = convert_vcs_log(raw)
+    ndjson, _ = convert_text(raw)
     records, report = parse_commit_log(ndjson)
     assert report.accepted == 2 and not report.rejected
     assert records[0].files == ("a.py", "b.py")
@@ -342,7 +341,7 @@ def test_convert_then_parse_is_lossless():
 
 @pytest.mark.parametrize("name", LINE_BREAKING_NAMES)
 def test_convert_then_parse_keeps_unicode_line_breaks(name):
-    ndjson, _ = convert_vcs_log(raw_record(name=name))
+    ndjson, _ = convert_text(raw_record(name=name))
     assert name in ndjson
     records, report = parse_commit_log(ndjson)
     assert report.accepted == 1
@@ -361,7 +360,7 @@ def test_convert_writes_the_date_parse_reads(local, fraction, offset):
         offset = f"{'-' if offset < 0 else '+'}{abs(offset) // 60:02d}:{abs(offset) % 60:02d}"
     line = f"{local.isoformat(timespec='seconds')}{'.' if fraction else ''}{fraction}{offset}"
     try:
-        ndjson, _ = convert_vcs_log(raw_record(date=line))
+        ndjson, _ = convert_text(raw_record(date=line))
     except CommitLogError:  # the UTC instant is outside years 1-9999
         return
     written = json.loads(ndjson)["timestamp"]
@@ -392,7 +391,7 @@ def test_convert_parse_roundtrip_property(commits):
     raw = "".join(
         raw_record(sha=sha, files=files) for sha, files in commits
     )
-    ndjson, merges = convert_vcs_log(raw)
+    ndjson, merges = convert_text(raw)
     assert merges == 0
     records, report = parse_commit_log(ndjson)
     # a repeated sha is rejected; its first occurrence is the one kept
