@@ -453,11 +453,12 @@ def test_input_path_of_the_wrong_kind_is_exit_2(tmp_path, command, option, kind)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
 
-@pytest.mark.parametrize("bad", [
-    raw_log().replace("2011-03-01T10:00:00+00:00", "2011-03-01"),
-    RECORD_SENTINEL + "\n" + "f" * 40 + "\nDev Two\n",
+@pytest.mark.parametrize("bad, reason", [
+    (raw_log().replace("2011-03-01T10:00:00+00:00", "2011-03-01"),
+     "unparseable committer date in record"),
+    (RECORD_SENTINEL + "\n" + "f" * 40 + "\nDev Two\n", "unterminated record"),
 ], ids=["bad-date", "truncated"])
-def test_convert_failure_after_many_records_keeps_existing_out(tmp_path, bad):
+def test_convert_failure_after_many_records_keeps_existing_out(tmp_path, bad, reason):
     good = raw_log() * 2000  # staged lines reach the disk before the fault is read
     raw = tmp_path / "raw.log"
     raw.write_text(good + bad + raw_log())
@@ -465,8 +466,7 @@ def test_convert_failure_after_many_records_keeps_existing_out(tmp_path, bad):
     out.write_bytes(b"old log\n")
     result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
-    reason = "unparseable committer date in" if "2011-03-01\n" in bad else "unterminated"
-    assert result.stderr == f"error: {reason} record at byte {len(good.encode())}\n"
+    assert result.stderr == f"error: {reason} at byte {len(good.encode())}\n"
     assert result.stdout == ""
     assert out.read_bytes() == b"old log\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.ndjson", "raw.log"]
