@@ -68,16 +68,11 @@ def compare_revenue_stream(
             f"{sorted(stream.competing_firms - universe)}"
         )
     alpha_nodes, alpha_edges = group_counts(mix, stream.competing_firms)
-    complement = universe - stream.competing_firms
-    if complement:
-        beta_nodes, beta_edges = group_counts(mix, complement)
-        den_beta = pair_density(beta_nodes, beta_edges)
-    else:
-        beta_edges, den_beta = 0, None
+    beta_nodes, beta_edges = group_counts(mix, universe - stream.competing_firms)
     return DensityComparison(
         stream=stream.name,
         n_alpha=alpha_edges,
         den_alpha=pair_density(alpha_nodes, alpha_edges),
         n_beta=beta_edges,
-        den_beta=den_beta,
+        den_beta=pair_density(beta_nodes, beta_edges),
     )

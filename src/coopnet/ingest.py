@@ -7,8 +7,8 @@ Two commit-history formats are supported:
 * the raw text produced by the documented ``git log`` extraction recipe
   (sentinel-separated records), bridged to NDJSON by :func:`convert_vcs_log`.
 
-Both read a string or an open file. Lines end only at \n, \r\n and \r, the
-rule open() applies, so a U+2028 or U+0085 inside a JSON string is data.
+Lines end only at \n, \r\n and \r, the rule open() applies, so a U+2028
+or U+0085 inside a JSON string is data.
 Per-line problems never abort a parse; they are collected in a
 :class:`ValidationReport` so nothing is silently dropped.
 The rules all inputs share live here too: :class:`InputError`,
@@ -66,24 +66,10 @@ class ValidationReport:
 
     __slots__ = ("accepted", "rejected", "cleaned")
 
-    def __init__(self, accepted: int = 0, rejected: list[tuple[int, str]] | None = None,
-                 cleaned: list[tuple[str, str]] | None = None):
-        self.accepted = accepted
-        self.rejected = [] if rejected is None else rejected
-        self.cleaned = [] if cleaned is None else cleaned
-
-    def _state(self) -> tuple:
-        return self.accepted, self.rejected, self.cleaned
-
-    def __eq__(self, other):
-        if type(other) is not ValidationReport:
-            return NotImplemented
-        return self._state() == other._state()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return "ValidationReport(accepted=%r, rejected=%r, cleaned=%r)" % self._state()
+    def __init__(self):
+        self.accepted = 0
+        self.rejected: list[tuple[int, str]] = []
+        self.cleaned: list[tuple[str, str]] = []
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -208,7 +194,7 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
     return record, fixes
 
 
-def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Iterator[CommitRecord]:
+def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[CommitRecord]:
     """Yield the accepted records of a canonical NDJSON commit log, in input order.
 
     Malformed lines are rejected with a reason in ``report``; blank lines
@@ -217,8 +203,6 @@ def iter_commits(stream: Iterable[str] | str, report: ValidationReport) -> Itera
     lists deduplicated and sorted. The report is complete once the
     generator is exhausted.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream, newline=None)
     seen: set[int] = set()  # an int of a 40-hex sha is 48 bytes, its str 89
     for line_number, line in enumerate(stream, start=1):
         if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
@@ -275,7 +259,7 @@ def csv_pairs(
             yield row_number, row[0].strip(), row[1].strip()
 
 
-def convert_vcs_log(raw: Iterable[str] | str, out: TextIO) -> tuple[int, int]:
+def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
     """Convert raw extraction-recipe output into canonical NDJSON, written to ``out``.
 
     The recipe emits, per commit: the sentinel line, then sha, author name,
@@ -290,8 +274,6 @@ def convert_vcs_log(raw: Iterable[str] | str, out: TextIO) -> tuple[int, int]:
     unparseable; part of the output may have been written by then. The offsets count line endings
     as read, so open a file with newline="".
     """
-    if isinstance(raw, str):
-        raw = io.StringIO(raw, newline="")
     lines = iter(raw)
     written = merges_dropped = at = start = 0
     body: list[str] | None = None  # the open record's lines; it starts at byte start

@@ -56,9 +56,7 @@ def format_real(value: float | None) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return UND
-    if isinstance(value, float):
+    if value is None or isinstance(value, float):
         return format_real(value)
     text = str(value)
     if any(c in text for c in ',"\n\r'):
@@ -280,9 +278,13 @@ def _check_replaceable(out_dir: Path) -> None:
     """Refuse an existing output path holding anything a run does not write.
 
     A successful run replaces the whole directory, so this is checked
-    before any work, and nothing of the user's is deleted.
+    before any work, and nothing of the user's is deleted. So is a path
+    that runs through a file, which no run could make.
     """
     if not os.path.lexists(out_dir):
+        ancestor = next(p for p in out_dir.parents if os.path.lexists(p))
+        if not ancestor.is_dir():
+            raise ConfigError(f"output path {out_dir} runs through {ancestor}, not a directory")
         return
     if not out_dir.is_dir():
         raise ConfigError(f"output path {out_dir} exists and is not a directory")
@@ -365,9 +367,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         builders = {w.name: WindowBuilder(firm_filter, paths) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
-        # A window ends at 23:59:59Z and is compared in whole seconds, so the
-        # release depends only on the UTC date: look each date up once.
-        release_of_day: dict[date, str] = {}
+        release_of_day: dict[date, str] = {}  # each UTC date is looked up once
         for record in iter_commits(log, report):
             identity = resolver.resolve(record.author_email)
             if identity is None:
@@ -376,7 +376,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             day = record.timestamp.date()  # timestamps are UTC
             label = release_of_day.get(day)
             if label is None:
-                label = release_of_day[day] = assign_release(record.timestamp, windows)
+                label = release_of_day[day] = assign_release(day, windows)
             if label == POST_RELEASE:
                 post_release += 1
             else:

@@ -1,16 +1,16 @@
 """Release windows: partitioning the commit stream by release date.
 
-Each window is a half-open interval (previous release date, release date],
-expressed in UTC, so a window holds only its name and end: its start is
-the previous window's end. The first window is unbounded below; commits
-after the last release date get the post-release marker and are excluded
-from analysis.
+Each window is a half-open interval (previous release date, release date]
+of UTC dates, so a window holds only its name and end: its start is the
+previous window's end. A release owns its whole UTC date. The first window
+is unbounded below; commits after the last release date get the
+post-release marker and are excluded from analysis.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from datetime import datetime, timezone
+from datetime import date, datetime
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -25,15 +25,11 @@ class ReleaseConfigError(InputError):
 
 class ReleaseWindow(NamedTuple):
     name: str
-    end: datetime  # inclusive; the window starts after the previous one's end
+    end: date  # inclusive; the window starts after the previous one's end
 
 
 def load_releases(config: str) -> list[ReleaseWindow]:
-    """Parse releases CSV (header name,date) into ordered windows.
-
-    Calendar dates are expanded to 23:59:59Z of that day and assign_release
-    compares whole seconds, so a release owns its whole UTC day.
-    """
+    """Parse releases CSV (header name,date) into ordered windows."""
     windows: list[ReleaseWindow] = []
     seen: set[str] = set()
     rows = csv_pairs(config, "name,date", "releases", ReleaseConfigError)
@@ -50,12 +46,11 @@ def load_releases(config: str) -> list[ReleaseWindow]:
             raise ReleaseConfigError(f"row {row_number}: duplicate release name {name}")
         seen.add(name)
         try:
-            day = datetime.strptime(date_text, "%Y-%m-%d")
+            end = datetime.strptime(date_text, "%Y-%m-%d").date()
         except ValueError:
             raise ReleaseConfigError(
                 f"row {row_number}: invalid date {date_text!r}"
             ) from None
-        end = day.replace(hour=23, minute=59, second=59, tzinfo=timezone.utc)
         if windows and end <= windows[-1].end:
             raise ReleaseConfigError(f"row {row_number}: dates not strictly ascending")
         windows.append(ReleaseWindow(name=name, end=end))
@@ -64,9 +59,9 @@ def load_releases(config: str) -> list[ReleaseWindow]:
     return windows
 
 
-def assign_release(t: datetime, windows: list[ReleaseWindow]) -> str:
-    """Name of the window containing t, or the post-release marker."""
-    i = bisect_left(windows, t.replace(microsecond=0), key=attrgetter("end"))  # whole-second ends
+def assign_release(day: date, windows: list[ReleaseWindow]) -> str:
+    """Name of the window containing the UTC date day, or the post-release marker."""
+    i = bisect_left(windows, day, key=attrgetter("end"))
     if i == len(windows):
         return POST_RELEASE
     return windows[i].name

@@ -105,19 +105,23 @@ def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | Non
     return {node: (d, d / (n - 1) if n >= 2 else None) for node, d in degree.items()}
 
 
-def parse_commit_log(stream):
-    """All accepted records of `iter_commits`, with the finished report."""
+def parse_commit_log(text: str):
+    """All accepted records of `iter_commits` on text, with the finished report.
+
+    text is read as open() reads a file, with universal newlines.
+    """
     report = ValidationReport()
-    return list(iter_commits(stream, report)), report
+    return list(iter_commits(io.StringIO(text, newline=None), report)), report
 
 
-def convert_text(raw):
+def convert_text(raw: str):
     """`convert_vcs_log` on raw into memory: the NDJSON text and the merge records dropped.
 
+    raw is read with its line endings kept, as convert opens its input.
     The records it says it wrote are checked against the lines written.
     """
     out = io.StringIO()
-    written, merges = convert_vcs_log(raw, out)
+    written, merges = convert_vcs_log(io.StringIO(raw, newline=""), out)
     ndjson = out.getvalue()
     assert written == ndjson.count("\n")  # json.dumps escapes every newline inside a record
     return ndjson, merges

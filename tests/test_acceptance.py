@@ -169,14 +169,14 @@ def test_criterion_2_graph_construction_oracle():
                 )
             per_window: dict[str, list[CommitRecord]] = {w.name: [] for w in windows}
             for record in commits:
-                label = assign_release(record.timestamp, windows)
+                label = assign_release(record.timestamp.date(), windows)
                 assert label != POST_RELEASE
                 per_window[label].append(record)
 
             # independent oracle: nested loops over commit pairs per window
             touched: dict[tuple[str, str], set[str]] = {}
             for record in commits:
-                label = assign_release(record.timestamp, windows)
+                label = assign_release(record.timestamp.date(), windows)
                 touched.setdefault((label, record.author_email), set()).update(record.files)
             for w in windows:
                 g = window_graph(w.name, identity_pairs(per_window[w.name], identities))
@@ -417,7 +417,7 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
         })
         per_window = {w.name: [] for w in windows}
         for record in records:
-            label = assign_release(record.timestamp, windows)
+            label = assign_release(record.timestamp.date(), windows)
             if label != POST_RELEASE:
                 per_window[label].append(record)
         graphs = {

@@ -72,6 +72,23 @@ def test_analyze_missing_log_is_reported_before_other_inputs(tmp_path):
     assert "nolog.ndjson" in result.output
 
 
+@pytest.mark.parametrize("out", ["file/out", "file/a/out"])
+@pytest.mark.parametrize("log", ["fixture", "missing"])
+def test_analyze_out_through_a_file_is_exit_2_before_any_input_is_read(tmp_path, out, log):
+    (tmp_path / "file").write_text("")
+    args = analyze_args(tmp_path, out=tmp_path / out)
+    if log == "missing":  # the output path is named, so the log was never opened
+        args[args.index("--log") + 1] = str(tmp_path / "nolog.ndjson")
+    result = run_cli(args)
+    assert result.exit_code == 2, result.output
+    root = tmp_path.resolve()
+    assert result.stderr == (
+        f"error: output path {root / out} runs through {root / 'file'}, not a directory\n"
+    )
+    assert result.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no directory, no staging sibling
+
+
 def test_analyze_bad_config_is_exit_2(tmp_path):
     bad = tmp_path / "bad_releases.csv"
     bad.write_text("name,date\nb,2020-01-01\na,2019-01-01\n")

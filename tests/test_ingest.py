@@ -261,9 +261,12 @@ def test_parse_skips_blank_lines_and_counts_reconcile():
 
 def test_parse_is_deterministic():
     text = "\n".join([make_line(), make_line(sha=SHA_B), "not json"])
-    first = parse_commit_log(text)
-    second = parse_commit_log(text)
-    assert first == second
+
+    def parse():
+        records, report = parse_commit_log(text)
+        return records, report.accepted, report.rejected, report.cleaned
+
+    assert parse() == parse()
 
 
 # "ok": valid as given; "fixable": valid once trimmed and lowercased

@@ -556,7 +556,7 @@ def small_run_config(tmp_path, commits, releases, affiliations):
     )
 
 
-# instants at the edges of UTC days; a release's window ends at 23:59:59Z
+# instants at the edges of UTC days; a release owns its whole UTC date
 DAY_EDGES = [
     "2021-02-28T23:59:59.999999Z",
     "2021-03-01T00:00:00Z",
@@ -587,22 +587,22 @@ def test_release_lookup_per_utc_date_matches_assign_release(tmp_path, monkeypatc
     )
     looked_up = []
 
-    def counting(t, windows):
-        looked_up.append(t)
-        return assign_release(t, windows)
+    def counting(day, windows):
+        looked_up.append(day)
+        return assign_release(day, windows)
 
     monkeypatch.setattr(report, "assign_release", counting)
     result = run_pipeline(cfg)
     records, _ = parse_commit_log(cfg.commit_log.read_text(encoding="utf-8"))
     windows = load_releases(DAY_EDGE_RELEASES)
     kept = [r for r in records if r.author_email != "ci@x.example"]
-    expected = Counter(assign_release(r.timestamp, windows) for r in kept)
+    expected = Counter(assign_release(r.timestamp.date(), windows) for r in kept)
     commits_of = {w["release"]: w["commits"] for w in result.summary["windows"]}
     assert commits_of == {w.name: expected[w.name] for w in windows}
     assert result.summary["commits"]["post_release"] == expected[POST_RELEASE] == 4
     assert expected["a"] == 14 and expected["b"] == 8  # both sides of each day edge are hit
     # one lookup per distinct UTC date
-    dates = Counter(t.date() for t in looked_up)
+    dates = Counter(looked_up)
     assert set(dates) == {r.timestamp.date() for r in kept}
     assert set(dates.values()) == {1}
 

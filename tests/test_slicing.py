@@ -1,6 +1,8 @@
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coopnet.slicing import (
     POST_RELEASE,
@@ -23,21 +25,22 @@ def utc(*args):
 def test_load_builds_half_open_windows():
     windows = load_releases(CONFIG)
     assert [w.name for w in windows] == ["first", "second", "third"]
-    assert windows[0].end == utc(2010, 10, 21, 23, 59, 59)
-    # each window owns its end; the second after it belongs to the next window
+    assert [w.end for w in windows] == [date(2010, 10, 21), date(2011, 2, 3), date(2011, 4, 15)]
+    # each window owns its end; the date after it belongs to the next window
     for w, after in zip(windows, ["second", "third", POST_RELEASE]):
         assert assign_release(w.end, windows) == w.name
-        assert assign_release(w.end + timedelta(seconds=1), windows) == after
+        assert assign_release(w.end + timedelta(days=1), windows) == after
     # the first window is unbounded below
-    assert assign_release(datetime.min.replace(tzinfo=timezone.utc), windows) == "first"
+    assert assign_release(date.min, windows) == "first"
 
 
 def test_load_single_release():
     windows = load_releases("name,date\nonly,2020-01-01\n")
     assert [w.name for w in windows] == ["only"]
-    assert assign_release(datetime.min.replace(tzinfo=timezone.utc), windows) == "only"
-    assert assign_release(windows[0].end, windows) == "only"
-    assert assign_release(windows[0].end + timedelta(seconds=1), windows) == POST_RELEASE
+    assert windows[0].end == date(2020, 1, 1)
+    assert assign_release(date.min, windows) == "only"
+    assert assign_release(date(2020, 1, 1), windows) == "only"
+    assert assign_release(date(2020, 1, 2), windows) == POST_RELEASE
 
 
 @pytest.mark.parametrize(
@@ -65,22 +68,19 @@ def test_load_rejects_bad_config(config, match):
 
 def test_assignment_of_mid_window_instant():
     windows = load_releases(CONFIG)
-    assert assign_release(utc(2011, 3, 1, 12, 0, 0), windows) == "third"
+    assert assign_release(utc(2011, 3, 1, 12, 0, 0).date(), windows) == "third"
 
 
 def test_release_date_itself_is_inclusive():
     windows = load_releases(CONFIG)
-    assert assign_release(utc(2011, 2, 3, 23, 59, 59), windows) == "second"
-    # the release owns its whole day, fractions of the last second included
-    assert assign_release(utc(2011, 2, 3, 23, 59, 59, 500000), windows) == "second"
-    assert assign_release(utc(2011, 2, 3, 23, 59, 59, 999999), windows) == "second"
-    # one second later falls into the next window
-    assert assign_release(utc(2011, 2, 4, 0, 0, 0), windows) == "third"
+    assert assign_release(date(2011, 2, 3), windows) == "second"
+    # the next date falls into the next window
+    assert assign_release(date(2011, 2, 4), windows) == "third"
 
 
 def test_after_last_release_is_post_release():
     windows = load_releases(CONFIG)
-    assert assign_release(utc(2011, 5, 1), windows) == POST_RELEASE
+    assert assign_release(date(2011, 5, 1), windows) == POST_RELEASE
 
 
 def test_every_instant_gets_exactly_one_label():
@@ -94,8 +94,46 @@ def test_every_instant_gets_exactly_one_label():
         utc(2011, 4, 16),
         utc(2020, 1, 1),
     ]
-    labels = [assign_release(t, windows) for t in instants]
-    names = {w.name for w in windows} | {POST_RELEASE}
-    assert all(label in names for label in labels)
-    counts = {name: labels.count(name) for name in names}
-    assert sum(counts.values()) == len(instants)
+    labels = [assign_release(t.date(), windows) for t in instants]
+    assert labels == ["first", "first", "second", "second", "third", POST_RELEASE, POST_RELEASE]
+
+
+def second_rule(t: datetime, windows) -> str:
+    """The window of instant t when a window ends at 23:59:59Z of its date
+    and t is compared in whole seconds: the rule a release's date stands for."""
+    t = t.astimezone(timezone.utc).replace(microsecond=0)
+    for w in windows:
+        if t <= datetime.combine(w.end, time(23, 59, 59), timezone.utc):
+            return w.name
+    return POST_RELEASE
+
+
+# offsets up to +-14 h, the widest any zone uses
+OFFSETS = st.integers(-14 * 60, 14 * 60).map(lambda m: timezone(timedelta(minutes=m)))
+RELEASE_DATES = st.lists(
+    st.dates(date(2010, 1, 1), date(2012, 12, 31)), min_size=1, max_size=5, unique=True
+).map(sorted)
+
+
+@st.composite
+def instants_and_releases(draw):
+    """Release dates and an aware instant, often within 2 s of a UTC midnight after one."""
+    dates = draw(RELEASE_DATES)
+    near = st.builds(
+        lambda day, micros: datetime.combine(day, time(), timezone.utc)
+        + timedelta(days=1, microseconds=micros),
+        st.sampled_from(dates), st.integers(-2_000_000, 2_000_000),
+    )
+    anywhere = st.datetimes(
+        datetime(2009, 6, 1), datetime(2013, 6, 30), timezones=st.just(timezone.utc)
+    )
+    t = draw(st.one_of(near, anywhere)).astimezone(draw(OFFSETS))
+    return t, dates
+
+
+@given(instants_and_releases())
+def test_utc_date_assignment_matches_the_whole_second_rule(case):
+    t, dates = case
+    config = "name,date\n" + "".join(f"r{i},{d.isoformat()}\n" for i, d in enumerate(dates))
+    windows = load_releases(config)
+    assert assign_release(t.astimezone(timezone.utc).date(), windows) == second_rule(t, windows)
