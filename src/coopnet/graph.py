@@ -47,58 +47,87 @@ def edge_array(packed: Iterable[int]) -> array:
     return array("q", sorted(set(packed)))
 
 
+# a window's touch log is rewritten as its distinct (file, developer) pairs
+# once it is past this many bytes and twice its size after its last rewrite
+FOLD_MIN_BYTES = 1 << 20
+
+
 class WindowBuilder:
-    """One release window's graph, folded in one commit at a time.
+    """One release window's graph, logged one commit at a time.
 
     ``commits`` counts every commit added, a filtered-out developer's too.
     With a firm filter (a set of firm names), developers of other firms are
     dropped entirely, nodes and edges both. Isolated contributors remain
-    nodes. A file's first developer is kept as a plain id; its set is made
-    only when a second, different developer touches it, so the many files of
-    a wide history that one developer touches cost no set. A path is kept as
-    the first string ``paths`` holds for it; a run passes one dict to every
-    window, so a path touched in several windows is one string. :meth:`graph`
-    ends the fold: it packs each set's pairs through an id index (in a run,
-    the run's; a test may pass a window-local one) and releases the maps.
+    nodes. A kept commit is logged as its file names in UTF-8 (a lone
+    surrogate as its three bytes), 0xFF between two names and 0xFE after the
+    last, in one bytearray, and its developer's id, the identity's own
+    string, in a list. No UTF-8 sequence holds either byte, so a touch costs
+    its name's bytes plus one, a commit eight more, and a file that one
+    developer touches costs no dict entry. A log past FOLD_MIN_BYTES and
+    twice its size after its last rewrite is rewritten as its distinct
+    (file, developer) pairs, one entry per developer, so a history that
+    touches the same files again and again holds each pair once.
+    :meth:`graph` folds the log: each file's first developer, then a set
+    once a second, different developer touches it. It packs each set's
+    pairs through an id index (in a run, the run's; a test may pass a
+    window-local one) and releases the log.
     """
 
-    def __init__(self, firm_filter: frozenset[str] | None = None,
-                 paths: dict[str, str] | None = None):
+    def __init__(self, firm_filter: frozenset[str] | None = None):
         self.firm_filter = firm_filter
-        self.paths: dict[str, str] = {} if paths is None else paths  # path -> its kept string
         self.commits = 0
         self.firms: dict[str, str] = {}  # node id -> firm
-        self.first: dict[str, str] = {}  # file -> the first node id to touch it
-        self.shared: dict[str, set[str]] = {}  # file -> node ids, once there are two
+        self.log = bytearray()  # each entry's encoded file names, 0xFF between, 0xFE after
+        self.devs: list[str] = []  # the node id of each entry in log
+        self.fold_at = FOLD_MIN_BYTES  # the log's size that triggers a rewrite
 
-    def add(self, identity: DeveloperIdentity, files: Iterable[str]) -> None:
+    def add(self, identity: DeveloperIdentity, files: Sequence[str]) -> None:
         self.commits += 1
         if self.firm_filter is not None and identity.firm not in self.firm_filter:
             return
         node = identity.canonical_id
         self.firms[node] = identity.firm
-        first, shared, paths = self.first, self.shared, self.paths
-        for path in files:
-            path = paths.setdefault(path, path)
-            dev = first.setdefault(path, node)
-            if dev != node:
-                devs = shared.get(path)
-                if devs is None:
-                    shared[path] = {dev, node}
-                else:
+        if files:
+            # surrogatepass writes a lone surrogate as its three bytes: one-to-one on str
+            self.log += b"\xff".join([f.encode("utf-8", "surrogatepass") for f in files])
+            self.log += b"\xfe"
+            self.devs.append(node)
+            if len(self.log) > self.fold_at:
+                self._rewrite()
+
+    def _fold(self) -> dict[bytes, str | set[str]]:
+        """Each logged file's first node id, or its set of ids once a second one touched it."""
+        devs_of: dict[bytes, str | set[str]] = {}
+        for names, node in zip(bytes(self.log).split(b"\xfe"), self.devs):
+            for key in names.split(b"\xff"):
+                devs = devs_of.setdefault(key, node)
+                if isinstance(devs, set):
                     devs.add(node)
+                elif devs != node:
+                    devs_of[key] = {devs, node}
+        return devs_of
+
+    def _rewrite(self) -> None:
+        """Rewrite the log as one entry per developer: the distinct files it touched."""
+        files_of: dict[str, list[bytes]] = {}
+        for key, devs in self._fold().items():
+            for node in (devs,) if isinstance(devs, str) else devs:
+                files_of.setdefault(node, []).append(key)
+        self.log = bytearray(b"\xfe".join(map(b"\xff".join, files_of.values())) + b"\xfe")
+        self.devs = list(files_of)
+        self.fold_at = max(FOLD_MIN_BYTES, 2 * len(self.log))
 
     def graph(self, window: str, ids: Sequence[str], index: dict[str, int]) -> CollaborationGraph:
         """The window's graph over the id table ``ids``, whose index maps id -> node."""
         n = len(ids)
         edges = edge_array(
             u * n + v
-            for devs in self.shared.values()
+            for devs in self._fold().values() if isinstance(devs, set)
             for u, v in combinations(sorted(map(index.__getitem__, devs)), 2)
         )
         # the index's own ints are the node keys, so a node costs no new int
         firms = {index[node]: firm for node, firm in self.firms.items()}
-        self.firms, self.first, self.shared, self.paths = {}, {}, {}, {}
+        self.firms, self.log, self.devs = {}, bytearray(), []
         return CollaborationGraph(window, ids, firms, edges)
 
 

@@ -61,6 +61,21 @@ class CommitRecord(NamedTuple):
     files: tuple[str, ...]  # deduplicated, lexicographically sorted
 
 
+# a sha's first two bytes pick one of SHA_BUCKETS buckets; a bucket is its
+# shas' other SHA_TAIL bytes end to end, so a seen sha costs 18 bytes beyond
+# its bucket's one header
+SHA_BUCKETS = 1 << 16
+SHA_TAIL = 18
+
+
+def _holds(bucket: bytes, tail: bytes) -> bool:
+    """Whether bucket holds tail as one of its SHA_TAIL-byte entries, not across two."""
+    at = bucket.find(tail)
+    while at > 0 and at % SHA_TAIL:  # a match across two entries: look from the next one on
+        at = bucket.find(tail, at + SHA_TAIL - at % SHA_TAIL)
+    return at != -1
+
+
 class ValidationReport:
     """What a parse accepted, rejected (line, reason) and cleaned (sha, fix); filled as it goes."""
 
@@ -203,7 +218,7 @@ def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[Co
     lists deduplicated and sorted. The report is complete once the
     generator is exhausted.
     """
-    seen: set[int] = set()  # an int of a 40-hex sha is 48 bytes, its str 89
+    seen = [b""] * SHA_BUCKETS  # an empty bucket is the one shared b""
     for line_number, line in enumerate(stream, start=1):
         if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
             continue
@@ -215,11 +230,12 @@ def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[Co
             reason = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
             report.rejected.append((line_number, reason))
             continue
-        key = int(record.sha, 16)
-        if key in seen:
+        key = bytes.fromhex(record.sha)
+        bucket, tail = key[0] << 8 | key[1], key[2:]
+        if _holds(seen[bucket], tail):
             report.rejected.append((line_number, "duplicate sha"))
             continue
-        seen.add(key)
+        seen[bucket] += tail
         report.accepted += 1
         for fix in fixes:
             report.cleaned.append((record.sha, fix))

@@ -153,19 +153,35 @@ FORMATS = (*GRAPH_FORMATS, "csv", "json")
 GRAPH_SUFFIXES = frozenset(f".{name}" for name in GRAPH_FORMATS)
 
 
-def _nodes(fmt: GraphFormat, g: CollaborationGraph, ids: Sequence[str], firms: dict[str, str]) -> str:
-    """g's node lines in id order, from its table's quoted ids and its firms quoted."""
+# lines joined per part of a graph file, and so per write: a file's whole
+# text is never held, and a few thousand lines per write keep the writes few
+CHUNK_PARTS = 4096
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The lines joined CHUNK_PARTS at a time; graph lines are never empty, so "" is the end."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, CHUNK_PARTS)):
+        yield chunk
+
+
+def _nodes(
+    fmt: GraphFormat, g: CollaborationGraph, ids: Sequence[str], firms: dict[str, str]
+) -> list[str]:
+    """g's node lines in id order, from its table's quoted ids and its firms quoted, in chunks."""
     line = fmt.node.format
-    return "".join([line(ids[node], firms[g.firms[node]]) for node in sorted(g.firms)])
+    return list(_chunks(line(ids[node], firms[g.firms[node]]) for node in sorted(g.firms)))
 
 
-def _render(fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: str) -> Iterator[str]:
-    """g as fmt's text in parts: the head, the node lines, one part per edge line, the tail.
+def _render(
+    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: list[str]
+) -> Iterator[str]:
+    """g as fmt's text in parts: the head, the node chunks, the edge lines in chunks, the tail.
 
     The edge lines are made as they are read, in g's edge (id-pair) order.
     """
     head = fmt.head.format(fmt.quote_id(g.window))
-    return chain((head, nodes), fmt.edges(quoted, g.ends(g.edges)), (fmt.tail,))
+    return chain((head, *nodes), _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
 
 
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
@@ -176,17 +192,11 @@ def export_graph(g: CollaborationGraph, fmt: str) -> str:
     return "".join(_render(f, g, quoted, _nodes(f, g, quoted, firms)))
 
 
-# parts joined per write: a graph file's text is never held whole, and a
-# few thousand lines per call keep the calls few
-CHUNK_PARTS = 4096
-
-
 def write_parts(path: Path, parts: Iterable[str]) -> None:
-    """Write the concatenated parts to path as UTF-8, CHUNK_PARTS parts per write."""
-    parts = iter(parts)
+    """Write the concatenated parts to path as UTF-8, one write per part as it comes."""
     with open(path, "w", encoding="utf-8") as f:
-        while chunk := list(islice(parts, CHUNK_PARTS)):
-            f.write("".join(chunk))
+        for part in parts:
+            f.write(part)
 
 
 def _json_text(payload) -> str:
@@ -360,11 +370,9 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         revenue_text = _read_config(cfg.revenue_models) if cfg.revenue_models else None
         # One pass over the log: identity before release, so a post-release
         # commit still fails the run on an alias-group conflict. Each record
-        # is folded into its window's builder and dropped.
+        # is logged in its window's builder and dropped.
         report = ValidationReport()
-        # one string per distinct path, shared by every window's builder
-        paths: dict[str, str] = {}
-        builders = {w.name: WindowBuilder(firm_filter, paths) for w in windows}
+        builders = {w.name: WindowBuilder(firm_filter) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
         release_of_day: dict[date, str] = {}  # each UTC date is looked up once
@@ -392,9 +400,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     ids = sorted(resolver.identities)
     index = {node: i for i, node in enumerate(ids)}
     window_graphs = [builders[w.name].graph(w.name, ids, index) for w in windows]
-    # nothing below needs the identities, the index or the path strings:
-    # free them before rendering, where a run's memory peaks
-    del resolver, index, paths
+    # nothing below needs the identities or the index: free them before rendering
+    del resolver, index
     merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:

@@ -1,6 +1,7 @@
 """Graph construction tests, including the nested-loop brute-force oracle."""
 
 import random
+import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -133,21 +134,50 @@ def test_merge_graphs_refuses_conflicting_firms():
         merge_graphs([g1, g2], "merged")
 
 
-def test_windows_share_one_string_per_path():
-    paths = {}
-    builders = [WindowBuilder(paths=paths) for _ in range(2)]
-    people = identity_map()
-    for builder in builders:
-        for dev in "ab":
-            # an equal path in a new string object each time, as each parsed record holds one
-            builder.add(people[node(dev)], ["".join(["nova/", "api.py"])])
-    (first,), (second,) = (b.shared for b in builders)
-    assert first == second == "nova/api.py"
-    assert first is second is next(iter(builders[0].first)) is paths["nova/api.py"]
-    ids = sorted(people)
-    index = {i: n for n, i in enumerate(ids)}
-    builders[0].graph("w1", ids, index)
-    assert builders[0].paths == {} and paths  # the run's map outlives one window's graph
+def held_by_builder(touches):
+    """The builder of (identity, files) touches, and the bytes it holds once they are added.
+
+    Each file name is made anew for its commit, as a parsed record makes it,
+    so a builder that keeps a name's string is charged for it.
+    """
+    builder = WindowBuilder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for identity, files in touches:
+            builder.add(identity, ["".join(["src/", name]) for name in files])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return builder, held
+
+
+def test_a_wide_window_holds_each_touch_in_a_few_bytes_beyond_its_name():
+    # 20,000 files touched once each by 500 developers: no file has two
+    people = {d: DeveloperIdentity(f"d{d}@x.example", "HP") for d in range(500)}
+    touches = [(people[i % 500], [f"pkg{i // 100:04d}/module_{i:06d}.py"]) for i in range(20_000)]
+    _, held = held_by_builder(touches)
+    name_bytes = sum(len("src/" + files[0]) for _, files in touches)
+    # a one-file commit is its name's bytes, a 0xFE and a list slot; a kept
+    # str and a dict entry per file cost about 120 bytes a touch
+    assert held < name_bytes + 24 * len(touches)
+
+
+def test_a_repeat_heavy_window_holds_each_distinct_pair_in_a_few_bytes(monkeypatch):
+    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 4096)
+    rng = random.Random(3)
+    people = [DeveloperIdentity(f"d{d}@x.example", "HP") for d in range(100)]
+    pairs = {(d, f"d{d:03d}/f{k}.py") for d in range(100) for k in range(10)}
+    touches = [
+        (people[d], [f"d{d:03d}/f{k}.py" for k in rng.sample(range(10), rng.randint(1, 4))])
+        for d in (rng.randrange(100) for _ in range(20_000))
+    ]
+    builder, held = held_by_builder(touches)
+    assert builder.commits == 20_000
+    pair_bytes = sum(len("src/" + path) + 9 for _, path in pairs)
+    # rewrites keep the log within twice its distinct pairs; without them
+    # it would hold all of about 50,000 touches
+    assert held < 3 * pair_bytes
 
 
 def seeded_window(seed):
@@ -212,11 +242,64 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
     assert all(u < v for u, v in (divmod(e, len(g.ids)) for e in g.edges))  # no self-loop
-    # a set is made only for a file that two different developers touched
     builder = WindowBuilder(firm_filter)
     for identity, files in pairs:
         builder.add(identity, files)
-    assert (builder.commits, builder.firms, builder.shared) == (len(pairs), firms, shared)
+    assert (builder.commits, builder.firms) == (len(pairs), firms)
+
+
+# names that a lossy encoding, or a terminator a name could hold, would merge
+AWKWARD_NAMES = [
+    "caf\u00e9.py", "cafe\u0301.py", "lone\ud800.py", "lone\udfff.py", "lone?.py",
+    "nul\x00.py", "nul.py", "max\uffff.py", "max\ufffd.py", "\u4e2d\u6587/\U0001f600.py",
+]
+
+
+def repeat_heavy_window(seed):
+    """(identity, files) pairs of 12 developers who touch 30 files of their own and the
+    awkward names, again and again."""
+    rng = random.Random(seed)
+    devs = [f"r{i:02d}" for i in range(12)]
+    identities = identity_map({d: ("HP", "IBM", "RedHat")[i % 3] for i, d in enumerate(devs)})
+    own = {d: [f"{d}/f{k}.py" for k in range(30)] for d in devs}
+    pairs = []
+    for _ in range(400):
+        d = rng.choice(devs)
+        files = rng.sample(own[d], rng.randint(1, 3))
+        if rng.random() < 0.3:
+            files.append(rng.choice(AWKWARD_NAMES))
+        pairs.append((identities[node(d)], tuple(sorted(set(files)))))
+    return pairs
+
+
+@pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
+@pytest.mark.parametrize("seed", range(3))
+def test_folded_touch_log_matches_cofile_oracle(monkeypatch, seed, firm_filter):
+    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 256)
+    rewrites = []
+    rewrite = WindowBuilder._rewrite
+    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1) or rewrite(self))
+    pairs = repeat_heavy_window(seed)
+    assert set(AWKWARD_NAMES) <= cofile_oracle(pairs, None)[2].keys()  # each is shared
+    firms, edges, _ = cofile_oracle(pairs, firm_filter)
+    builder = WindowBuilder(firm_filter)
+    for identity, files in pairs:
+        builder.add(identity, files)
+    assert len(rewrites) >= 3  # the log crossed its fold threshold again and again
+    assert (builder.commits, builder.firms) == (len(pairs), firms)
+    ids = sorted(firms)
+    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)})
+    assert as_strings(g).firms == firms
+    assert as_strings(g).edges == edges
+
+
+def test_awkward_names_are_distinct_files():
+    # one developer per name: a name that two encoded alike would make an edge
+    devs = {f"n{i}": "HP" for i in range(len(AWKWARD_NAMES))}
+    people = identity_map(devs)
+    pairs = [(people[node(d)], (name,)) for d, name in zip(devs, AWKWARD_NAMES)]
+    g = window_graph("w", pairs)
+    assert g.node_count == len(AWKWARD_NAMES) and g.edge_count == 0
 
 
 # --- properties -----------------------------------------------------------
@@ -282,10 +365,9 @@ def test_edges_are_an_ascending_int_array(windows, k, floor):
     people = identity_map()
     ids = sorted(people)
     index = {i: n for n, i in enumerate(ids)}
-    paths = {}
     graphs = []
     for w, assignments in enumerate(windows):
-        builder = WindowBuilder(paths=paths)
+        builder = WindowBuilder()
         for dev, files in assignments:
             builder.add(people[node(dev)], files)
         graphs.append(builder.graph(f"w{w}", ids, index))

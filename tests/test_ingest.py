@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import datetime, timezone
 
@@ -218,6 +219,46 @@ def test_parse_rejects_later_duplicate_sha():
     assert records[0].files == ("a.py",)
     assert report.accepted == 2
     assert report.rejected == [(1, "timestamp is not RFC 3339"), (4, "duplicate sha")]
+
+
+def duplicate_oracle(shas):
+    """A plain set's verdict on a log of these shas: its duplicate lines, and the count accepted."""
+    seen, duplicates = set(), []
+    for line_number, sha in enumerate(shas, start=1):
+        if sha in seen:
+            duplicates.append((line_number, "duplicate sha"))
+        seen.add(sha)
+    return duplicates, len(seen)
+
+
+# shas of two buckets whose 18-byte tails repeat a short pattern from some
+# offset on, so that one sha's tail often stands across two stored tails
+bucket_shas = st.builds(
+    lambda prefix, pattern, offset: prefix + bytes((pattern * 20)[offset:offset + 18]).hex(),
+    st.sampled_from(["abcd", "0000"]),
+    st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+# the third sha's tail is found in the first two's tails end to end, at offset 5
+ACROSS = [bytes(range(18)), bytes(range(100, 118)), bytes([*range(5, 18), *range(100, 105)])]
+
+
+@given(st.lists(bucket_shas, max_size=60))
+@example(["abcd" + tail.hex() for tail in [*ACROSS, ACROSS[2]]])
+def test_duplicate_rejections_match_a_set(shas):
+    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
+    duplicates, accepted = duplicate_oracle(shas)
+    assert report.rejected == duplicates
+    assert report.accepted == accepted == len(records)
+
+
+def test_every_line_of_a_repeated_log_is_a_duplicate():
+    shas = [hashlib.sha1(str(i).encode()).hexdigest() for i in range(3000)]
+    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas * 2))
+    assert [r.sha for r in records] == shas
+    assert report.rejected == [(len(shas) + i, "duplicate sha") for i in range(1, len(shas) + 1)]
 
 
 # U+2028 and U+0085 may stand unescaped in a JSON string, and str.splitlines

@@ -500,18 +500,39 @@ def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
     assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
 
 
-def test_graph_files_written_in_chunks_equal_export(tmp_path):
-    # 100 developers of two firms on one file: a clique of 4,950 edges, more
-    # edge lines than one write joins, in one release and the merged graph
-    emails = [f"d{i:03d}@{'xy'[i % 2]}.example" for i in range(100)]
-    commits = [(email, "2021-01-10T09:00:00Z", ["hub.py"]) for email in emails]
+def test_graph_files_written_in_chunks_equal_export(tmp_path, monkeypatch):
+    # 100 developers of two firms on one file, a clique of 4,950 edges, beside
+    # 5,000 developers alone on their own files: more edge lines, and more
+    # node lines, than one chunk holds, in one release and the merged graph
+    hub = [f"d{i:03d}@{'xy'[i % 2]}.example" for i in range(100)]
+    alone = [f"s{i:04d}@x.example" for i in range(5000)]
+    commits = [(email, "2021-01-10T09:00:00Z", ["hub.py"]) for email in hub]
+    commits += [(email, "2021-01-10T09:00:00Z", [f"{email}.py"]) for email in alone]
     cfg = small_run_config(
         tmp_path, commits, "name,date\nr1,2021-03-01\n", "[domains]\nx.example = X\ny.example = Y\n"
     )
+    entries_per_write = []
+
+    def recording_open(*args, **kwargs):
+        f = open(*args, **kwargs)
+        write = f.write
+
+        def counted(text):
+            # a node or edge entry: a GraphML element, or a DOT statement
+            entries = text.count("<node ") + text.count("<edge ") + text.count(";\n")
+            entries_per_write.append(entries)
+            return write(text)
+
+        f.write = counted
+        return f
+
+    monkeypatch.setattr(report, "open", recording_open, raising=False)
     run_pipeline(cfg)
-    firms = {email: email[5].upper() for email in emails}
-    window = make_graph(firms, combinations(emails, 2), window="r1")
+    assert max(entries_per_write) == report.CHUNK_PARTS  # no write holds more than one chunk
+    firms = {email: email[5].upper() for email in hub} | dict.fromkeys(alone, "X")
+    window = make_graph(firms, combinations(hub, 2), window="r1")
     assert window.edge_count == 4950 > report.CHUNK_PARTS
+    assert window.node_count == 5100 > report.CHUNK_PARTS
     out = tmp_path / "out"
     for stem, g in (("01_r1", window), ("merged", window._replace(window="merged"))):
         backbone = extract_backbone(g, BackboneParams())
