@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config/parse error (a usage error too), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -79,6 +80,10 @@ def convert(args: argparse.Namespace) -> None:
     raw_path, out_path = args.raw_path, args.out_path
     if out_path.resolve() == raw_path.resolve():
         raise InputError(f"--out must not be the --raw input: {out_path}")
+    if out_path.is_dir():  # refused before the log is read, and named as given
+        raise IsADirectoryError(errno.EISDIR, "--out is a directory", str(out_path))
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "--out is not in a directory", str(out_path))
     with open(raw_path, encoding="utf-8", newline="") as raw, _write_replacing(out_path) as out:
         records, merges_dropped = convert_vcs_log(raw, out)
     print(f"wrote {records} records ({merges_dropped} merge commits dropped)")

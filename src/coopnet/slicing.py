@@ -9,6 +9,7 @@ post-release marker and are excluded from analysis.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from datetime import date, datetime
 from operator import attrgetter
@@ -17,6 +18,8 @@ from typing import NamedTuple
 from .ingest import CONTROL_RE, InputError, csv_pairs
 
 POST_RELEASE = "post-release"
+# ASCII digits only: strptime alone takes 2021-3-1 and non-ASCII digits
+DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class ReleaseConfigError(InputError):
@@ -46,6 +49,8 @@ def load_releases(config: str) -> list[ReleaseWindow]:
             raise ReleaseConfigError(f"row {row_number}: duplicate release name {name}")
         seen.add(name)
         try:
+            if not DATE_RE.fullmatch(date_text):
+                raise ValueError
             end = datetime.strptime(date_text, "%Y-%m-%d").date()
         except ValueError:
             raise ReleaseConfigError(

@@ -429,21 +429,29 @@ def test_convert_date_out_of_range_in_utc_is_exit_2(tmp_path):
     assert not out.exists()
 
 
-def test_convert_out_in_missing_directory_is_exit_2(tmp_path):
+def test_convert_out_in_missing_directory_is_exit_2(tmp_path, monkeypatch):
     raw = tmp_path / "raw.log"
     raw.write_text(raw_log())
+    converted = []
+    monkeypatch.setattr(cli, "convert_vcs_log", lambda *args: converted.append(args))
     out = tmp_path / "missing" / "log.ndjson"
     result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 2
-    assert "error:" in result.output
+    assert result.stderr == f"error: [Errno 2] --out is not in a directory: {str(out)!r}\n"
+    assert ".log.ndjson." not in result.stderr  # the private staging name is not shown
+    assert converted == []  # refused before reading
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]
 
 
-def test_convert_out_is_directory_is_exit_2(tmp_path):
+def test_convert_out_is_directory_is_exit_2(tmp_path, monkeypatch):
     raw = tmp_path / "raw.log"
     raw.write_text(raw_log())
+    converted = []
+    monkeypatch.setattr(cli, "convert_vcs_log", lambda *args: converted.append(args))
     result = run_cli(["convert", "--raw", str(raw), "--out", str(tmp_path)])
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: [Errno 21] ")
+    assert result.stderr == f"error: [Errno 21] --out is a directory: {str(tmp_path)!r}\n"
+    assert converted == []  # refused before reading
     assert [p.name for p in tmp_path.iterdir()] == ["raw.log"]  # no temp file is left
 
 

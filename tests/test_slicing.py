@@ -51,6 +51,9 @@ def test_load_single_release():
         ("name,date\na,2010-01-01\nb,2010-01-01\n", "ascending"),
         ("release,when\na,2010-01-01\n", "header"),
         ("name,date\na,01/02/2010\n", "invalid date"),
+        ("name,date\na,2021-3-1\n", "invalid date '2021-3-1'"),
+        ("name,date\na,\u0662\u0660\u0662\u0661-09-01\n", "invalid date"),
+        ("name,date\na,2021-03-1\u0660\n", "invalid date"),
         ("name,date\n", "no releases"),
         ("name,date\na\x01b,2010-01-01\n", r"^row 2: release name 'a\\x01b' holds a control"),
         ("name,date\na\ufffeb,2010-01-01\n", r"^row 2: release name 'a\\ufffeb' holds a control"),
