@@ -16,16 +16,17 @@ import stat
 import tempfile
 from contextlib import contextmanager
 from datetime import date
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .backbone import BackboneParams, SubCommunity, detect_subcommunities, extract_backbone, firm_overlap
-from .coopetition import compare_revenue_stream, load_revenue_models
+from .backbone import BackboneParams, detect_subcommunities, extract_backbone, firm_overlap
+from .coopetition import RevenueStream, compare_revenue_stream, load_revenue_models
 from .graph import CollaborationGraph, WindowBuilder, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
 from .ingest import InputError, ValidationReport, iter_commits
-from .metrics import density, firm_assortativity, firm_mixing, same_firm_edge_fraction
+from .metrics import FirmMixing, density, firm_assortativity, firm_mixing, same_firm_edge_fraction
 from .slicing import POST_RELEASE, assign_release, load_releases
 
 # the timestamp a log carries: the extraction recipe's date line is the
@@ -184,11 +185,16 @@ def _render(
     return chain((head, *nodes), _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
 
 
+def _quoted(name: str, g: CollaborationGraph) -> tuple[str, GraphFormat, list[str], dict[str, str]]:
+    """The graph format called name, with g's id table and each of g's firms quoted by it once."""
+    fmt = GRAPH_FORMATS[name]
+    quoted = list(map(fmt.quote_id, g.ids))
+    return name, fmt, quoted, {firm: fmt.quote_firm(firm) for firm in set(g.firms.values())}
+
+
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
     """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
-    f = GRAPH_FORMATS[fmt]
-    quoted = list(map(f.quote_id, g.ids))
-    firms = {firm: f.quote_firm(firm) for firm in set(g.firms.values())}
+    _, f, quoted, firms = _quoted(fmt, g)
     return "".join(_render(f, g, quoted, _nodes(f, g, quoted, firms)))
 
 
@@ -339,29 +345,8 @@ def _replacing(out_dir: Path) -> Iterator[Path]:
     shutil.rmtree(sibling)
 
 
-def _community_payload(g: CollaborationGraph, communities: list[SubCommunity]) -> dict:
-    return {
-        "release": g.window,
-        "communities": [
-            {"members": sorted(g.ids[m] for m in c.members), "firms": c.firms}
-            for c in communities
-        ],
-        "firm_overlap": firm_overlap(communities),
-    }
-
-
-def run_pipeline(cfg: RunConfig) -> RunResult:
-    """Run the full analysis and write all artifacts under cfg.out_dir.
-
-    Raises the originating module's error on bad inputs (the CLI maps
-    these to exit codes). Each artifact is written as soon as it is
-    rendered, into a staging directory that replaces cfg.out_dir only when
-    the whole run succeeds; on any error cfg.out_dir is left as it was.
-    An existing cfg.out_dir holding anything a run does not write is
-    refused with ConfigError before any work.
-    """
-    out_dir = Path(cfg.out_dir).resolve()
-    _check_replaceable(out_dir)
+def _read_and_fold(cfg: RunConfig) -> tuple:
+    """Read the inputs, in order, and fold the log into one builder per release window."""
     # open the log first, so a missing log is reported before the other inputs
     with open(cfg.commit_log, encoding="utf-8") as log:
         windows = load_releases(_read_config(cfg.releases))
@@ -395,14 +380,110 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     else:
         universe = {i.firm for i in resolver.identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
+    return (report, excluded_shas, post_release), universe, streams, sorted(resolver.identities), builders
 
+
+def _build_and_merge(ids: list[str], builders: dict[str, WindowBuilder]) -> tuple:
+    """Each window's graph over the id table, in release order, and their merged graph."""
     # the run's id table: node i is ids[i], so int order is id order
-    ids = sorted(resolver.identities)
     index = {node: i for i, node in enumerate(ids)}
-    window_graphs = [builders[w.name].graph(w.name, ids, index) for w in windows]
-    # nothing below needs the identities or the index: free them before rendering
-    del resolver, index
-    merged = merge_graphs(window_graphs, MERGED_LABEL)
+    window_graphs = [builder.graph(name, ids, index) for name, builder in builders.items()]
+    return window_graphs, merge_graphs(window_graphs, MERGED_LABEL)
+
+
+def _analyze_graph(
+    cfg: RunConfig, streams: list[RevenueStream], universe: set[str], graph_formats: list,
+    write: Callable, g: CollaborationGraph, scope: str, release: str, stem: str,
+) -> tuple[FirmMixing, list[tuple], dict]:
+    """g's firm mixing, comparison rows and communities, once g and its backbone are written as stem."""
+    mixing = firm_mixing(g)
+    comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
+    bb = extract_backbone(g, cfg.backbone)
+    communities = detect_subcommunities(bb, cfg.community_min_size)
+    for name, fmt, quoted, quoted_firms in graph_formats:
+        # the backbone shares g's node map, so it shares g's node lines
+        nodes = _nodes(fmt, g, quoted, quoted_firms)
+        write(f"graphs/{stem}.{name}", _render(fmt, g, quoted, nodes))
+        write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
+    return mixing, comparisons, {
+        "release": g.window,
+        "communities": [
+            {"members": sorted(g.ids[m] for m in c.members), "firms": c.firms}
+            for c in communities
+        ],
+        "firm_overlap": firm_overlap(communities),
+    }
+
+
+def _write_tables(
+    cfg: RunConfig, write: Callable, tally: tuple, universe: set[str], merged: CollaborationGraph,
+    builders: dict[str, WindowBuilder], window_graphs: list[CollaborationGraph], analyses: list,
+) -> dict:
+    """Write the selected formats' tables from each graph's analysis, and return the run summary."""
+    report, excluded_shas, post_release = tally
+    evolution_rows, homophily_rows = [], []
+    for g, (mix, _, _) in zip(window_graphs, analyses):  # analyses ends with the merged graph's
+        evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
+        homophily_rows.append((g.window, same_firm_edge_fraction(mix), firm_assortativity(mix)))
+    if "csv" in cfg.formats:
+        write("evolution.csv", [evolution_csv(evolution_rows)])
+        write("homophily.csv", [homophily_csv(homophily_rows)])
+        write("comparisons.csv", [comparisons_csv([row for _, rows, _ in analyses for row in rows])])
+
+    params = cfg.backbone._asdict()  # max_rank_k and min_embeddedness
+    summary = {
+        "commits": {
+            "accepted": report.accepted,
+            "rejected": len(report.rejected),
+            "excluded": len(excluded_shas),
+            "post_release": post_release,
+            "analyzed": sum(b.commits for b in builders.values()),
+        },
+        "excluded_shas": sorted(excluded_shas),
+        "identities": len(merged.ids),  # the run's id table
+        "firms": sorted(universe),
+        "windows": [
+            {"release": r, "commits": builders[r].commits, "nodes": n, "edges": e, "density": d}
+            for r, n, e, d in evolution_rows
+        ],
+        "merged": {
+            "nodes": merged.node_count,
+            "edges": merged.edge_count,
+            "density": density(merged),
+        },
+        "backbone": {**params, "community_min_size": cfg.community_min_size},
+        "time_field": TIME_FIELD,
+        "formats": sorted(cfg.formats),
+    }
+
+    if "json" in cfg.formats:
+        write("communities.json", [_json_text(
+            {"min_size": cfg.community_min_size, "params": params, "windows": [p for *_, p in analyses]}
+        )])
+        # json writes tuples as arrays
+        write("validation_report.json", [_json_text(
+            {"accepted": report.accepted, "rejected": report.rejected, "cleaned": report.cleaned}
+        )])
+        write("run_summary.json", [_json_text(summary)])
+    return summary
+
+
+def run_pipeline(cfg: RunConfig) -> RunResult:
+    """Run the full analysis and write all artifacts under cfg.out_dir.
+
+    The run is four stages, each returning only what the later ones read:
+    _read_and_fold, _build_and_merge, _analyze_graph on each graph, and
+    _write_tables. Raises the originating module's error on bad inputs
+    (the CLI maps these to exit codes). Each artifact is written as soon
+    as it is rendered, into a staging directory that replaces cfg.out_dir
+    only when the whole run succeeds; on any error cfg.out_dir is left as
+    it was. An existing cfg.out_dir holding anything a run does not write
+    is refused with ConfigError before any work.
+    """
+    out_dir = Path(cfg.out_dir).resolve()
+    _check_replaceable(out_dir)
+    tally, universe, streams, ids, builders = _read_and_fold(cfg)
+    window_graphs, merged = _build_and_merge(ids, builders)
 
     with _replacing(out_dir) as staging:
         written: list[str] = []
@@ -413,84 +494,15 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             write_parts(target, parts)
             written.append(rel_path)
 
-        # One pass per graph; the merged graph is the last one, so scope comes
-        # from position, not name (a release may itself be named "merged").
-        # Each graph file is written as soon as it is rendered.
-        evolution_rows = []
-        homophily_rows = []
-        comparison_rows = []
-        community_payloads = []
-        # Each selected graph format quotes the id table and every firm once
-        # for the run; the merged graph holds every node of every window.
-        firms = set(merged.firms.values())
-        graph_formats = [
-            (name, fmt, list(map(fmt.quote_id, ids)), {f: fmt.quote_firm(f) for f in firms})
-            for name, fmt in GRAPH_FORMATS.items() if name in cfg.formats
-        ]
-        for i, g in enumerate([*window_graphs, merged], 1):
-            is_window = g is not merged
-            if is_window:
-                scope, release, stem = "window", g.window, f"{i:02d}_{_slug(g.window)}"
-            else:
-                scope, release, stem = MERGED_LABEL, "all", MERGED_LABEL
-            mixing = firm_mixing(g)
-            if is_window:
-                evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
-                homophily_rows.append(
-                    (g.window, same_firm_edge_fraction(mixing), firm_assortativity(mixing))
-                )
-            for stream in streams:
-                cmp = compare_revenue_stream(mixing, stream, universe)
-                comparison_rows.append((scope, release, *cmp))  # cmp is the row's tail
-            bb = extract_backbone(g, cfg.backbone)
-            communities = detect_subcommunities(bb, cfg.community_min_size)
-            community_payloads.append(_community_payload(g, communities))
-            for name, fmt, quoted, quoted_firms in graph_formats:
-                # the backbone shares g's node map, so it shares g's node lines
-                nodes = _nodes(fmt, g, quoted, quoted_firms)
-                write(f"graphs/{stem}.{name}", _render(fmt, g, quoted, nodes))
-                write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
-
-        if "csv" in cfg.formats:
-            write("evolution.csv", [evolution_csv(evolution_rows)])
-            write("homophily.csv", [homophily_csv(homophily_rows)])
-            write("comparisons.csv", [comparisons_csv(comparison_rows)])
-
-        params = cfg.backbone._asdict()  # max_rank_k and min_embeddedness
-        summary = {
-            "commits": {
-                "accepted": report.accepted,
-                "rejected": len(report.rejected),
-                "excluded": len(excluded_shas),
-                "post_release": post_release,
-                "analyzed": sum(b.commits for b in builders.values()),
-            },
-            "excluded_shas": sorted(excluded_shas),
-            "identities": len(ids),
-            "firms": sorted(universe),
-            "windows": [
-                {"release": r, "commits": builders[r].commits, "nodes": n, "edges": e, "density": d}
-                for r, n, e, d in evolution_rows
-            ],
-            "merged": {
-                "nodes": merged.node_count,
-                "edges": merged.edge_count,
-                "density": density(merged),
-            },
-            "backbone": {**params, "community_min_size": cfg.community_min_size},
-            "time_field": TIME_FIELD,
-            "formats": sorted(cfg.formats),
-        }
-
-        if "json" in cfg.formats:
-            write("communities.json", [_json_text(
-                {"min_size": cfg.community_min_size, "params": params, "windows": community_payloads}
-            )])
-            # json writes tuples as arrays
-            write("validation_report.json", [_json_text(
-                {"accepted": report.accepted, "rejected": report.rejected, "cleaned": report.cleaned}
-            )])
-            write("run_summary.json", [_json_text(summary)])
+        # quoted once for the run: the merged graph holds every node of every window
+        graph_formats = [_quoted(name, merged) for name in GRAPH_FORMATS if name in cfg.formats]
+        analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, write)
+        analyses = []
+        for i, g in enumerate(window_graphs, 1):
+            analyses.append(analyze(g, "window", g.window, f"{i:02d}_{_slug(g.window)}"))
+        # merged last in every table; scope is passed, as a release may itself be named "merged"
+        analyses.append(analyze(merged, MERGED_LABEL, "all", MERGED_LABEL))
+        summary = _write_tables(cfg, write, tally, universe, merged, builders, window_graphs, analyses)
 
     files_written = [Path(cfg.out_dir) / rel_path for rel_path in sorted(written)]
     return RunResult(files_written=files_written, summary=summary)

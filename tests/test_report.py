@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -27,6 +28,8 @@ from conftest import (
 )
 from coopnet import report
 from coopnet.backbone import BackboneParams, extract_backbone
+from coopnet.graph import WindowBuilder
+from coopnet.identity import IdentityResolver
 from coopnet.report import (
     ConfigError,
     RunConfig,
@@ -200,6 +203,52 @@ def test_pipeline_missing_input_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         run_pipeline(cfg)
     assert not (tmp_path / "out").exists()
+
+
+# the order in which a run reads its inputs, so the first missing one is the one reported
+INPUT_ORDER = ["commit_log", "releases", "affiliations", "firms", "revenue_models"]
+
+
+@pytest.mark.parametrize("first_missing", range(len(INPUT_ORDER)))
+def test_inputs_are_read_in_order(tmp_path, first_missing):
+    missing = {field: tmp_path / f"missing-{field}" for field in INPUT_ORDER[first_missing:]}
+    with pytest.raises(FileNotFoundError) as caught:
+        run_pipeline(run_config(tmp_path, **missing))
+    assert caught.value.filename == str(missing[INPUT_ORDER[first_missing]])
+    assert not (tmp_path / "out").exists() and siblings(tmp_path) == []
+
+
+def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch):
+    # by the first file written, the identity resolver is unreachable and every
+    # window's touch log has been released
+    resolvers, builders, first_write = [], [], []
+
+    def tracked_resolver(amap):
+        resolver = IdentityResolver(amap)
+        resolvers.append(weakref.ref(resolver))
+        return resolver
+
+    def tracked_builder(firm_filter):
+        builders.append(WindowBuilder(firm_filter))
+        return builders[-1]
+
+    write_parts = report.write_parts
+
+    def checking(path, parts):
+        if not first_write:
+            gc.collect()
+            freed = [ref() is None for ref in resolvers]
+            first_write.append((freed, [(bytes(b.log), b.devs) for b in builders]))
+        write_parts(path, parts)
+
+    monkeypatch.setattr(report, "IdentityResolver", tracked_resolver)
+    monkeypatch.setattr(report, "WindowBuilder", tracked_builder)
+    monkeypatch.setattr(report, "write_parts", checking)
+    run_pipeline(run_config(tmp_path))
+    [(freed, logs)] = first_write
+    assert freed == [True]
+    assert logs == [(b"", [])] * 3
+    assert all(b.commits for b in builders)  # each window held commits before its log was freed
 
 
 def test_firm_filter_lines_end_only_at_newlines(tmp_path):
