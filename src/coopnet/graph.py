@@ -51,6 +51,9 @@ def edge_array(packed: Iterable[int]) -> array:
 # once it is past this many bytes and twice its size after its last rewrite
 FOLD_MIN_BYTES = 1 << 20
 
+# a touch log's entries are joined into one chunk once they reach this many bytes
+LOG_CHUNK_BYTES = 1 << 14
+
 
 class WindowBuilder:
     """One release window's graph, logged one commit at a time.
@@ -58,47 +61,69 @@ class WindowBuilder:
     ``commits`` counts every commit added, a filtered-out developer's too.
     With a firm filter (a set of firm names), developers of other firms are
     dropped entirely, nodes and edges both. Isolated contributors remain
-    nodes. A kept commit is logged as its file names in UTF-8 (a lone
-    surrogate as its three bytes), 0xFF between two names and 0xFE after the
-    last, in one bytearray, and its developer's id, the identity's own
-    string, in a list. No UTF-8 sequence holds either byte, so a touch costs
-    its name's bytes plus one, a commit eight more, and a file that one
-    developer touches costs no dict entry. A log past FOLD_MIN_BYTES and
-    twice its size after its last rewrite is rewritten as its distinct
-    (file, developer) pairs, one entry per developer, so a history that
-    touches the same files again and again holds each pair once.
-    :meth:`graph` folds the log: each file's first developer, then a set
-    once a second, different developer touches it. It packs each set's
-    pairs through an id index (in a run, the run's; a test may pass a
-    window-local one) and releases the log.
+    nodes. A kept commit is logged as an entry, its file names in UTF-8 (a
+    lone surrogate as its three bytes) with 0xFF between two, and its
+    developer's id, the identity's own string, in a list. No UTF-8 sequence
+    holds 0xFF or 0xFE. Entries wait in ``tail`` until they reach
+    LOG_CHUNK_BYTES and are then joined, each followed by 0xFE, into one
+    immutable ``bytes`` chunk of ``log``. No buffer is ever resized, so the
+    logs of many windows, growing side by side, leave no freed copies behind
+    in the heap. A touch costs its name's bytes plus one, a commit eight more, and a file
+    that one developer touches costs no dict entry. A commit of no files is
+    an empty entry, which the fold skips (the parser refuses an empty file
+    name). A log past FOLD_MIN_BYTES and twice its size after its last
+    rewrite is rewritten as its distinct (file, developer) pairs, one entry
+    per developer, so a history that touches the same files again and again
+    holds each pair once. The builder keeps no firm: :meth:`graph` takes
+    each node's firm from the run's firm list, aligned with the id table.
+    It folds the log (each file's first developer, then a set once a
+    second, different developer touches it), packs each set's pairs through
+    an id index (in a run, the run's; a test may pass a window-local one)
+    and releases the log.
     """
 
     def __init__(self, firm_filter: frozenset[str] | None = None):
         self.firm_filter = firm_filter
         self.commits = 0
-        self.firms: dict[str, str] = {}  # node id -> firm
-        self.log = bytearray()  # each entry's encoded file names, 0xFF between, 0xFE after
-        self.devs: list[str] = []  # the node id of each entry in log
+        self.log: list[bytes] = []  # chunks of whole entries, each entry followed by 0xFE
+        self.tail: list[bytes] = []  # the entries logged since the last chunk
+        self.tail_bytes = 0  # the tail's size as a chunk
+        self.size = 0  # the whole log's size, chunks and tail
+        self.devs: list[str] = []  # the node id of each entry, chunked or not
         self.fold_at = FOLD_MIN_BYTES  # the log's size that triggers a rewrite
 
     def add(self, identity: DeveloperIdentity, files: Sequence[str]) -> None:
         self.commits += 1
         if self.firm_filter is not None and identity.firm not in self.firm_filter:
             return
-        node = identity.canonical_id
-        self.firms[node] = identity.firm
-        if files:
-            # surrogatepass writes a lone surrogate as its three bytes: one-to-one on str
-            self.log += b"\xff".join([f.encode("utf-8", "surrogatepass") for f in files])
-            self.log += b"\xfe"
-            self.devs.append(node)
-            if len(self.log) > self.fold_at:
-                self._rewrite()
+        # surrogatepass writes a lone surrogate as its three bytes: one-to-one on str
+        entry = b"\xff".join([f.encode("utf-8", "surrogatepass") for f in files])
+        self._log(identity.canonical_id, entry)
+        if self.size > self.fold_at:
+            self._rewrite()
+
+    def _log(self, node: str, entry: bytes) -> None:
+        self.devs.append(node)
+        self.tail.append(entry)
+        self.tail_bytes += len(entry) + 1
+        self.size += len(entry) + 1
+        if self.tail_bytes >= LOG_CHUNK_BYTES:
+            self.tail.append(b"")  # so that the last entry is followed by 0xFE too
+            self.log.append(b"\xfe".join(self.tail))
+            self.tail, self.tail_bytes = [], 0
+
+    def _entries(self) -> Iterator[bytes]:
+        """The logged entries in order, chunked and not."""
+        for chunk in self.log:
+            yield from chunk[:-1].split(b"\xfe")
+        yield from self.tail
 
     def _fold(self) -> dict[bytes, str | set[str]]:
         """Each logged file's first node id, or its set of ids once a second one touched it."""
         devs_of: dict[bytes, str | set[str]] = {}
-        for names, node in zip(bytes(self.log).split(b"\xfe"), self.devs):
+        for names, node in zip(self._entries(), self.devs):
+            if not names:  # a commit of no files
+                continue
             for key in names.split(b"\xff"):
                 devs = devs_of.setdefault(key, node)
                 if isinstance(devs, set):
@@ -109,16 +134,26 @@ class WindowBuilder:
 
     def _rewrite(self) -> None:
         """Rewrite the log as one entry per developer: the distinct files it touched."""
-        files_of: dict[str, list[bytes]] = {}
+        files_of: dict[str, list[bytes]] = {node: [] for node in self.devs}
         for key, devs in self._fold().items():
             for node in (devs,) if isinstance(devs, str) else devs:
-                files_of.setdefault(node, []).append(key)
-        self.log = bytearray(b"\xfe".join(map(b"\xff".join, files_of.values())) + b"\xfe")
-        self.devs = list(files_of)
-        self.fold_at = max(FOLD_MIN_BYTES, 2 * len(self.log))
+                files_of[node].append(key)
+        self._release()
+        for node, keys in files_of.items():
+            self._log(node, b"\xff".join(keys))
+        self.fold_at = max(FOLD_MIN_BYTES, 2 * self.size)
 
-    def graph(self, window: str, ids: Sequence[str], index: dict[str, int]) -> CollaborationGraph:
-        """The window's graph over the id table ``ids``, whose index maps id -> node."""
+    def _release(self) -> None:
+        self.log, self.tail, self.devs = [], [], []
+        self.tail_bytes = self.size = 0
+
+    def graph(
+        self, window: str, ids: Sequence[str], index: dict[str, int], firms: Sequence[str]
+    ) -> CollaborationGraph:
+        """The window's graph over the id table ``ids``, whose index maps id -> node.
+
+        ``firms[u]`` is the firm of node ``u``, ``ids[u]``.
+        """
         n = len(ids)
         edges = edge_array(
             u * n + v
@@ -126,9 +161,9 @@ class WindowBuilder:
             for u, v in combinations(sorted(map(index.__getitem__, devs)), 2)
         )
         # the index's own ints are the node keys, so a node costs no new int
-        firms = {index[node]: firm for node, firm in self.firms.items()}
-        self.firms, self.log, self.devs = {}, bytearray(), []
-        return CollaborationGraph(window, ids, firms, edges)
+        nodes = {u: firms[u] for u in map(index.__getitem__, self.devs)}
+        self._release()
+        return CollaborationGraph(window, ids, nodes, edges)
 
 
 # merge_graphs' set holds the edges of one of this many slices of the packed range

@@ -185,16 +185,32 @@ def _render(
     return chain((head, *nodes), _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
 
 
-def _quoted(name: str, g: CollaborationGraph) -> tuple[str, GraphFormat, list[str], dict[str, str]]:
-    """The graph format called name, with g's id table and each of g's firms quoted by it once."""
-    fmt = GRAPH_FORMATS[name]
-    quoted = list(map(fmt.quote_id, g.ids))
-    return name, fmt, quoted, {firm: fmt.quote_firm(firm) for firm in set(g.firms.values())}
+def _quoted(
+    names: Iterable[str], g: CollaborationGraph
+) -> list[tuple[str, GraphFormat, list[str], dict[str, str]]]:
+    """The graph formats called names, each with g's id table and firms quoted by it once.
+
+    The formats share one table of quoted ids: a format that quotes an id as
+    the first format did keeps the first one's string, so it holds only its
+    own references and the ids it quotes otherwise.
+    """
+    formats = []
+    first: list[str] | None = None
+    for name in names:
+        fmt = GRAPH_FORMATS[name]
+        quoted = map(fmt.quote_id, g.ids)
+        if first is None:
+            quoted = first = list(quoted)
+        else:  # each new string is freed at once unless it differs from the first's
+            quoted = [s if s == q else q for s, q in zip(first, quoted)]
+        firms = {firm: fmt.quote_firm(firm) for firm in set(g.firms.values())}
+        formats.append((name, fmt, quoted, firms))
+    return formats
 
 
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
     """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
-    _, f, quoted, firms = _quoted(fmt, g)
+    [(_, f, quoted, firms)] = _quoted([fmt], g)
     return "".join(_render(f, g, quoted, _nodes(f, g, quoted, firms)))
 
 
@@ -380,22 +396,27 @@ def _read_and_fold(cfg: RunConfig) -> tuple:
     else:
         universe = {i.firm for i in resolver.identities.values()} - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
-    return (report, excluded_shas, post_release), universe, streams, sorted(resolver.identities), builders
+    # the run's id table: node i is ids[i], so int order is id order, and its firm is firms[i]
+    ids = sorted(resolver.identities)
+    firms = [resolver.identities[node].firm for node in ids]
+    return (report, excluded_shas, post_release), universe, streams, ids, firms, builders
 
 
-def _build_and_merge(ids: list[str], builders: dict[str, WindowBuilder]) -> tuple:
+def _build_and_merge(ids: list[str], firms: list[str], builders: dict[str, WindowBuilder]) -> tuple:
     """Each window's graph over the id table, in release order, and their merged graph."""
-    # the run's id table: node i is ids[i], so int order is id order
     index = {node: i for i, node in enumerate(ids)}
-    window_graphs = [builder.graph(name, ids, index) for name, builder in builders.items()]
+    window_graphs = [builder.graph(name, ids, index, firms) for name, builder in builders.items()]
     return window_graphs, merge_graphs(window_graphs, MERGED_LABEL)
 
 
 def _analyze_graph(
     cfg: RunConfig, streams: list[RevenueStream], universe: set[str], graph_formats: list,
     write: Callable, g: CollaborationGraph, scope: str, release: str, stem: str,
-) -> tuple[FirmMixing, list[tuple], dict]:
-    """g's firm mixing, comparison rows and communities, once g and its backbone are written as stem."""
+) -> tuple[FirmMixing, list[tuple], dict, tuple]:
+    """g's firm mixing, comparison rows, communities and evolution row.
+
+    They are returned once g and its backbone are written as stem.
+    """
     mixing = firm_mixing(g)
     comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
     bb = extract_backbone(g, cfg.backbone)
@@ -412,23 +433,37 @@ def _analyze_graph(
             for c in communities
         ],
         "firm_overlap": firm_overlap(communities),
-    }
+    }, (g.window, g.node_count, g.edge_count, density(g))
+
+
+def _analyze_windows(analyze: Callable, window_graphs: list[CollaborationGraph]) -> list:
+    """Each window graph's analysis, in release order.
+
+    Each graph is taken out of window_graphs, and so released, once its
+    files and rows are made.
+    """
+    analyses = []
+    for i in range(1, len(window_graphs) + 1):
+        g = window_graphs.pop(0)
+        analyses.append(analyze(g, "window", g.window, f"{i:02d}_{_slug(g.window)}"))
+    return analyses
 
 
 def _write_tables(
     cfg: RunConfig, write: Callable, tally: tuple, universe: set[str], merged: CollaborationGraph,
-    builders: dict[str, WindowBuilder], window_graphs: list[CollaborationGraph], analyses: list,
+    builders: dict[str, WindowBuilder], analyses: list,
 ) -> dict:
     """Write the selected formats' tables from each graph's analysis, and return the run summary."""
     report, excluded_shas, post_release = tally
     evolution_rows, homophily_rows = [], []
-    for g, (mix, _, _) in zip(window_graphs, analyses):  # analyses ends with the merged graph's
-        evolution_rows.append((g.window, g.node_count, g.edge_count, density(g)))
-        homophily_rows.append((g.window, same_firm_edge_fraction(mix), firm_assortativity(mix)))
+    for mix, _, _, row in analyses[:-1]:  # analyses ends with the merged graph's
+        evolution_rows.append(row)
+        homophily_rows.append((row[0], same_firm_edge_fraction(mix), firm_assortativity(mix)))
     if "csv" in cfg.formats:
         write("evolution.csv", [evolution_csv(evolution_rows)])
         write("homophily.csv", [homophily_csv(homophily_rows)])
-        write("comparisons.csv", [comparisons_csv([row for _, rows, _ in analyses for row in rows])])
+        comparison_rows = [row for _, rows, _, _ in analyses for row in rows]
+        write("comparisons.csv", [comparisons_csv(comparison_rows)])
 
     params = cfg.backbone._asdict()  # max_rank_k and min_embeddedness
     summary = {
@@ -458,7 +493,8 @@ def _write_tables(
 
     if "json" in cfg.formats:
         write("communities.json", [_json_text(
-            {"min_size": cfg.community_min_size, "params": params, "windows": [p for *_, p in analyses]}
+            {"min_size": cfg.community_min_size, "params": params,
+             "windows": [p for _, _, p, _ in analyses]}
         )])
         # json writes tuples as arrays
         write("validation_report.json", [_json_text(
@@ -482,8 +518,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     """
     out_dir = Path(cfg.out_dir).resolve()
     _check_replaceable(out_dir)
-    tally, universe, streams, ids, builders = _read_and_fold(cfg)
-    window_graphs, merged = _build_and_merge(ids, builders)
+    tally, universe, streams, ids, firms, builders = _read_and_fold(cfg)
+    window_graphs, merged = _build_and_merge(ids, firms, builders)
 
     with _replacing(out_dir) as staging:
         written: list[str] = []
@@ -495,14 +531,12 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             written.append(rel_path)
 
         # quoted once for the run: the merged graph holds every node of every window
-        graph_formats = [_quoted(name, merged) for name in GRAPH_FORMATS if name in cfg.formats]
+        graph_formats = _quoted([name for name in GRAPH_FORMATS if name in cfg.formats], merged)
         analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, write)
-        analyses = []
-        for i, g in enumerate(window_graphs, 1):
-            analyses.append(analyze(g, "window", g.window, f"{i:02d}_{_slug(g.window)}"))
+        analyses = _analyze_windows(analyze, window_graphs)
         # merged last in every table; scope is passed, as a release may itself be named "merged"
         analyses.append(analyze(merged, MERGED_LABEL, "all", MERGED_LABEL))
-        summary = _write_tables(cfg, write, tally, universe, merged, builders, window_graphs, analyses)
+        summary = _write_tables(cfg, write, tally, universe, merged, builders, analyses)
 
     files_written = [Path(cfg.out_dir) / rel_path for rel_path in sorted(written)]
     return RunResult(files_written=files_written, summary=summary)

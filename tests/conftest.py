@@ -155,10 +155,14 @@ def window_graph(window: str, pairs, firm_filter=None) -> CollaborationGraph:
     built this way cannot be merged with each other.
     """
     builder = WindowBuilder(firm_filter)
+    firm_of = {}
     for identity, files in pairs:
         builder.add(identity, files)
-    ids = sorted(builder.firms)
-    return builder.graph(window, ids, {node: i for i, node in enumerate(ids)})
+        if firm_filter is None or identity.firm in firm_filter:
+            firm_of[identity.canonical_id] = identity.firm
+    ids = sorted(firm_of)
+    index = {node: i for i, node in enumerate(ids)}
+    return builder.graph(window, ids, index, [firm_of[node] for node in ids])
 
 
 def read_graphml(text: str) -> StrGraph:

@@ -245,7 +245,7 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     builder = WindowBuilder(firm_filter)
     for identity, files in pairs:
         builder.add(identity, files)
-    assert (builder.commits, builder.firms) == (len(pairs), firms)
+    assert builder.commits == len(pairs)
 
 
 # names that a lossy encoding, or a terminator a name could hold, would merge
@@ -286,11 +286,52 @@ def test_folded_touch_log_matches_cofile_oracle(monkeypatch, seed, firm_filter):
     for identity, files in pairs:
         builder.add(identity, files)
     assert len(rewrites) >= 3  # the log crossed its fold threshold again and again
-    assert (builder.commits, builder.firms) == (len(pairs), firms)
+    assert builder.commits == len(pairs)
     ids = sorted(firms)
-    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)})
+    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)}, [firms[i] for i in ids])
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
+
+
+def assert_bounded_chunks(builder, bound):
+    """Every chunk of the builder's log is bytes of whole entries, below bound but for its last."""
+    for chunk in builder.log:
+        assert type(chunk) is bytes
+        *_, last, end = chunk.split(b"\xfe")
+        assert end == b"" and len(chunk) - len(last) - 1 < bound
+
+
+@pytest.mark.parametrize("bound", [1, 7, 64])
+@pytest.mark.parametrize("seed", range(2))
+def test_chunked_touch_log_matches_cofile_oracle(monkeypatch, seed, bound):
+    # entries longer than a chunk's bound, entries left in the tail, and
+    # rewrites that follow flushes and flush again themselves
+    monkeypatch.setattr(graph, "LOG_CHUNK_BYTES", bound)
+    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 256)
+    flushed = []
+    rewrite = WindowBuilder._rewrite
+
+    def checking(self):
+        assert_bounded_chunks(self, bound)
+        flushed.append(len(self.log))
+        rewrite(self)
+
+    monkeypatch.setattr(WindowBuilder, "_rewrite", checking)
+    pairs = repeat_heavy_window(seed)
+    firms, edges, _ = cofile_oracle(pairs, None)
+    builder = WindowBuilder()
+    for identity, files in pairs:
+        builder.add(identity, files)
+    assert len(flushed) >= 3 and all(flushed)  # each rewrite followed a flush
+    assert_bounded_chunks(builder, bound)
+    assert builder.log
+    if bound == 64:
+        assert builder.tail  # the fold reads entries not yet chunked too
+    ids = sorted(firms)
+    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)}, [firms[i] for i in ids])
+    assert as_strings(g).firms == firms
+    assert as_strings(g).edges == edges
+    assert (builder.log, builder.tail, builder.devs) == ([], [], [])
 
 
 def test_awkward_names_are_distinct_files():
@@ -370,7 +411,7 @@ def test_edges_are_an_ascending_int_array(windows, k, floor):
         builder = WindowBuilder()
         for dev, files in assignments:
             builder.add(people[node(dev)], files)
-        graphs.append(builder.graph(f"w{w}", ids, index))
+        graphs.append(builder.graph(f"w{w}", ids, index, [people[i].firm for i in ids]))
     merged = merge_graphs(graphs, "merged")
     assert set(merged.edges) == set().union(*(g.edges for g in graphs))
     for g in [*graphs, merged]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -231,25 +232,79 @@ def duplicate_oracle(shas):
     return duplicates, len(seen)
 
 
-# shas of two buckets whose 18-byte tails repeat a short pattern from some
+# shas of two buckets whose 19-byte tails repeat a short pattern from some
 # offset on, so that one sha's tail often stands across two stored tails
 bucket_shas = st.builds(
-    lambda prefix, pattern, offset: prefix + bytes((pattern * 20)[offset:offset + 18]).hex(),
-    st.sampled_from(["abcd", "0000"]),
+    lambda prefix, pattern, offset: prefix + bytes((pattern * 21)[offset:offset + 19]).hex(),
+    st.sampled_from(["ab", "00"]),
     st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3),
     st.integers(min_value=0, max_value=2),
 )
 
 
-# the third sha's tail is found in the first two's tails end to end, at offset 5
-ACROSS = [bytes(range(18)), bytes(range(100, 118)), bytes([*range(5, 18), *range(100, 105)])]
+# three tails of one bucket (a tail's first byte is the sha's second, whose
+# first 6 bits the bucket fixes: here 0); the third is found in the first
+# two's tails end to end, at offset 3
+ACROSS = [bytes(range(19)), bytes([1, *range(100, 118)]), bytes([*range(3, 19), 1, 100, 101])]
+
+
+def bucket_of(sha):
+    """The sha's first 14 bits."""
+    return int(sha[:4], 16) >> 2
 
 
 @given(st.lists(bucket_shas, max_size=60))
-@example(["abcd" + tail.hex() for tail in [*ACROSS, ACROSS[2]]])
+@example(["ab" + tail.hex() for tail in [*ACROSS, ACROSS[2]]])
 def test_duplicate_rejections_match_a_set(shas):
     records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
     duplicates, accepted = duplicate_oracle(shas)
+    assert report.rejected == duplicates
+    assert report.accepted == accepted == len(records)
+
+
+def test_shas_of_one_bucket_are_told_apart_by_their_tails():
+    # the four differ only in the last 2 bits of their second byte, which
+    # the bucket leaves to the tail
+    shas = [f"ab{second:02x}" + "5" * 36 for second in range(0xCC, 0xD0)]
+    assert len({bucket_of(sha) for sha in shas}) == 1
+    log = shas + shas[::-1] + ["ab" + "5" * 38]  # the last one is of another bucket
+    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in log))
+    assert [r.sha for r in records] == [*shas, log[-1]]
+    assert report.rejected == [(line, "duplicate sha") for line in range(5, 9)]
+
+
+def test_a_tail_across_two_stored_tails_is_not_a_duplicate():
+    shas = ["ab" + tail.hex() for tail in ACROSS]
+    assert len({bucket_of(sha) for sha in shas}) == 1
+    assert (ACROSS[0] + ACROSS[1]).find(ACROSS[2]) == 3  # not at a tail's start
+    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas + shas))
+    assert [r.sha for r in records] == shas
+    assert report.rejected == [(line, "duplicate sha") for line in range(4, 7)]
+
+
+def test_a_seeded_stream_with_planted_duplicates_matches_a_set():
+    # one line in ten repeats an earlier sha, one in ten is an earlier sha
+    # with one hex digit changed, and one new sha in four falls in one of
+    # four crowded buckets
+    rng = random.Random(29)
+    crowded = [rng.getrandbits(14) for _ in range(4)]
+    shas = []
+    for _ in range(20_000):
+        draw = rng.random()
+        if shas and draw < 0.1:
+            shas.append(rng.choice(shas))
+        elif shas and draw < 0.2:
+            sha, at = rng.choice(shas), rng.randrange(40)
+            digit = rng.choice("0123456789abcdef".replace(sha[at], ""))
+            shas.append(sha[:at] + digit + sha[at + 1:])
+        elif rng.random() < 0.25:
+            shas.append(f"{rng.choice(crowded) << 146 | rng.getrandbits(146):040x}")
+        else:
+            shas.append(f"{rng.getrandbits(160):040x}")
+    assert sum(bucket_of(sha) in crowded for sha in set(shas)) > 4_000
+    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
+    duplicates, accepted = duplicate_oracle(shas)
+    assert len(duplicates) > 1_500
     assert report.rejected == duplicates
     assert report.accepted == accepted == len(records)
 

@@ -251,6 +251,34 @@ def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch
     assert all(b.commits for b in builders)  # each window held commits before its log was freed
 
 
+class _NodeMap(dict):
+    """A graph's node map that a weakref can follow; a plain dict takes none."""
+
+
+def test_window_graphs_are_released_before_the_merged_graph_is_written(tmp_path, monkeypatch):
+    maps, at_merged = [], []
+    graph = WindowBuilder.graph
+
+    def tracked(self, *args):
+        g = graph(self, *args)
+        node_map = _NodeMap(g.firms)
+        maps.append(weakref.ref(node_map))
+        return g._replace(firms=node_map)
+
+    write_parts = report.write_parts
+
+    def checking(path, parts):
+        if path.stem == report.MERGED_LABEL and not at_merged:
+            gc.collect()
+            at_merged.append([ref() is None for ref in maps])
+        write_parts(path, parts)
+
+    monkeypatch.setattr(WindowBuilder, "graph", tracked)
+    monkeypatch.setattr(report, "write_parts", checking)
+    run_pipeline(run_config(tmp_path))
+    assert at_merged == [[True] * 3]
+
+
 def test_firm_filter_lines_end_only_at_newlines(tmp_path):
     firms = tmp_path / "firms.txt"
     firms.write_bytes("Anvil\r\nBolt\r# comment\nCobalt\nAnn\u2028Co\n".encode())
