@@ -98,7 +98,13 @@ class WindowBuilder:
             return
         # surrogatepass writes a lone surrogate as its three bytes: one-to-one on str
         entry = b"\xff".join([f.encode("utf-8", "surrogatepass") for f in files])
-        self._log(identity.canonical_id, entry)
+        # _log, inlined: add runs once per commit
+        self.devs.append(identity.canonical_id)
+        self.tail.append(entry)
+        self.tail_bytes += len(entry) + 1
+        self.size += len(entry) + 1
+        if self.tail_bytes >= LOG_CHUNK_BYTES:
+            self._flush()
         if self.size > self.fold_at:
             self._rewrite()
 
@@ -108,9 +114,13 @@ class WindowBuilder:
         self.tail_bytes += len(entry) + 1
         self.size += len(entry) + 1
         if self.tail_bytes >= LOG_CHUNK_BYTES:
-            self.tail.append(b"")  # so that the last entry is followed by 0xFE too
-            self.log.append(b"\xfe".join(self.tail))
-            self.tail, self.tail_bytes = [], 0
+            self._flush()
+
+    def _flush(self) -> None:
+        """Join the tail's entries into one chunk of the log, each followed by 0xFE."""
+        self.tail.append(b"")  # so that the last entry is followed by 0xFE too
+        self.log.append(b"\xfe".join(self.tail))
+        self.tail, self.tail_bytes = [], 0
 
     def _entries(self) -> Iterator[bytes]:
         """The logged entries in order, chunked and not."""

@@ -16,6 +16,7 @@ UNAFFILIATED = "Unaffiliated"
 BOT = "<bot>"
 
 _SECTIONS = ("domains", "emails", "aliases", "bots")
+_UNDECIDED = object()  # an address IdentityResolver has not yet decided
 
 
 class AffiliationError(InputError):
@@ -168,9 +169,10 @@ class IdentityResolver:
 
     def resolve(self, email: str) -> DeveloperIdentity | None:
         """The email's identity, or None when its commits are excluded."""
-        if email not in self._outcomes:
-            self._outcomes[email] = self._decide(email)
-        return self._outcomes[email]
+        outcome = self._outcomes.get(email, _UNDECIDED)
+        if outcome is _UNDECIDED:
+            outcome = self._outcomes[email] = self._decide(email)
+        return outcome
 
     def _decide(self, email: str) -> DeveloperIdentity | None:
         amap = self._amap

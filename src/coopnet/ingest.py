@@ -146,11 +146,12 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
 
-def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
-    """Parse one NDJSON line into a record plus applied-fix notes.
+def _parse_line(line: str) -> tuple[str, str, str, datetime, list[str]]:
+    """One NDJSON line's fields as decoded: sha, author name and email, UTC timestamp, files.
 
     Raises ValueError with a rejection reason on any schema violation,
-    including an object, at any depth, that names a field twice.
+    including an object, at any depth, that names a field twice. The email
+    and the files are left as the line gives them.
     """
     try:
         if line.startswith("\ufeff"):  # json.loads checks this before decoding
@@ -190,24 +191,21 @@ def _parse_line(line: str) -> tuple[CommitRecord, list[str]]:
         raise ValueError("no files")
     if "" in files:
         raise ValueError("empty file path")
+    return sha, obj["author_name"], obj["author_email"], timestamp, files
 
-    fixes = []
-    deduped = tuple(sorted(set(files)))
-    if list(deduped) != files:
-        fixes.append("files deduplicated and sorted")
-    email = normalize_email(obj["author_email"])
-    if email != obj["author_email"]:
-        fixes.append("email normalized")
-    if email == "":
-        fixes.append("missing email")
-    record = CommitRecord(
-        sha=sha,
-        author_name=obj["author_name"],
-        author_email=email,
-        timestamp=timestamp,
-        files=deduped,
-    )
-    return record, fixes
+
+# A line in the layout convert_vcs_log writes with json.dumps: ", " and ": "
+# separators, the fields in CANONICAL_FIELDS order, strings holding no '"',
+# no backslash and no C0 character, a Z timestamp to the second and a
+# non-empty list of non-empty files. Each group of such a line is exactly
+# what the decoder returns for its field; the files are one group, split at
+# '", "', which no file holds.
+_TEXT = r'[^"\\\x00-\x1f]'
+CANONICAL_LINE_RE = re.compile(
+    rf'\{{"sha": "([0-9a-f]{{40}})", "author_name": "({_TEXT}*)", "author_email": "({_TEXT}*)", '
+    r'"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z", '
+    rf'"files": \["({_TEXT}+(?:", "{_TEXT}+)*)"\]\}}\n?'
+)
 
 
 def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[CommitRecord]:
@@ -218,29 +216,56 @@ def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[Co
     is rejected as a duplicate. Emails are lowercased and trimmed, file
     lists deduplicated and sorted. The report is complete once the
     generator is exhausted.
+
+    A line that CANONICAL_LINE_RE matches whole, the layout convert_vcs_log
+    writes, is read from the match without the general JSON decoder, its
+    timestamp by ``datetime.fromisoformat``. Every other line, and one whose
+    timestamp fromisoformat refuses, goes to the decoder. The fast path
+    never rejects a line: each line is accepted, rejected and cleaned as the
+    decoder would have it.
     """
     seen = [b""] * SHA_BUCKETS  # an empty bucket is the one shared b""
+    match, fromisoformat = CANONICAL_LINE_RE.fullmatch, datetime.fromisoformat
+    new_record = tuple.__new__  # a record from the tuple of its fields, without a Python call
+    rejected, cleaned = report.rejected, report.cleaned
     for line_number, line in enumerate(stream, start=1):
-        if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
-            continue
-        try:
-            record, fixes = _parse_line(line)
-        except ValueError as exc:
-            # a field name in the reason may hold a lone surrogate, which no
-            # UTF-8 output can hold: it is written as its \u escape
-            reason = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
-            report.rejected.append((line_number, reason))
-            continue
-        key = bytes.fromhex(record.sha)
+        fast = match(line)
+        if fast is not None:
+            sha, name, email, stamp, files = fast.groups()
+            try:
+                timestamp = fromisoformat(stamp + "+00:00")  # as parse_rfc3339 reads it
+            except ValueError:  # a field out of range: the decoder's path rejects the line
+                fast = None
+            else:
+                files = files.split('", "')
+        if fast is None:
+            if not line.strip(" \t\r\n"):  # JSON whitespace; U+00A0, \x0c etc. are rejected
+                continue
+            try:
+                sha, name, email, timestamp, files = _parse_line(line)
+            except ValueError as exc:
+                # a field name in the reason may hold a lone surrogate, which no
+                # UTF-8 output can hold: it is written as its \u escape
+                reason = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+                rejected.append((line_number, reason))
+                continue
+        key = bytes.fromhex(sha)
         bucket, tail = key[0] << 6 | key[1] >> 2, key[1:]
-        if _holds(seen[bucket], tail):
-            report.rejected.append((line_number, "duplicate sha"))
+        held = seen[bucket]
+        if tail in held and _holds(held, tail):  # most tails are in no bucket at all
+            rejected.append((line_number, "duplicate sha"))
             continue
-        seen[bucket] += tail
+        seen[bucket] = held + tail
         report.accepted += 1
-        for fix in fixes:
-            report.cleaned.append((record.sha, fix))
-        yield record
+        ordered = sorted(set(files)) if len(files) > 1 else files
+        normalized = email.strip().lower()  # normalize_email, without the call
+        if ordered != files:
+            cleaned.append((sha, "files deduplicated and sorted"))
+        if normalized != email:
+            cleaned.append((sha, "email normalized"))
+        if not normalized:
+            cleaned.append((sha, "missing email"))
+        yield new_record(CommitRecord, (sha, name, normalized, timestamp, tuple(ordered)))
 
 
 def csv_pairs(

@@ -117,15 +117,16 @@ def _dot_quote(text: str) -> str:
 class GraphFormat(NamedTuple):
     """How one graph file format writes a graph, in id order.
 
-    ``head`` takes the window name as ``quote_id`` quotes it, ``node`` the
-    quoted id and the quoted firm. ``edges`` yields the edge lines from the
-    quoted id table and the (u, v) ends of the ascending edges.
+    ``head`` takes the window name as ``quote_id`` quotes it. ``nodes``
+    yields the node lines from the quoted id table, the quoted firms, the
+    graph's node map and its nodes in id order. ``edges`` yields the edge
+    lines from the quoted id table and the (u, v) ends of the ascending edges.
     """
 
     quote_id: Callable[[str], str]
     quote_firm: Callable[[str], str]
     head: str
-    node: str
+    nodes: Callable[[Sequence[str], dict[str, str], dict[int, str], Iterable[int]], Iterator[str]]
     edges: Callable[[Sequence[str], Iterable[tuple[int, int]]], Iterator[str]]
     tail: str
 
@@ -138,14 +139,17 @@ GRAPH_FORMATS = {
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
         '  <graph id={} edgedefault="undirected">\n',
-        '    <node id={}>\n      <data key="firm">{}</data>\n    </node>\n',
+        lambda q, qf, firms, order: (
+            f'    <node id={q[u]}>\n      <data key="firm">{qf[firms[u]]}</data>\n    </node>\n'
+            for u in order
+        ),
         lambda q, ends: (f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in ends),
         "  </graph>\n</graphml>\n",
     ),
     "dot": GraphFormat(
         _dot_quote, _dot_quote,
         "graph {} {{\n",
-        "  {} [firm={}];\n",
+        lambda q, qf, firms, order: (f"  {q[u]} [firm={qf[firms[u]]}];\n" for u in order),
         lambda q, ends: (f"  {q[u]} -- {q[v]};\n" for u, v in ends),
         "}\n",
     ),
@@ -167,11 +171,11 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _nodes(
-    fmt: GraphFormat, g: CollaborationGraph, ids: Sequence[str], firms: dict[str, str]
+    fmt: GraphFormat, g: CollaborationGraph, order: list[int], ids: Sequence[str],
+    firms: dict[str, str],
 ) -> list[str]:
-    """g's node lines in id order, from its table's quoted ids and its firms quoted, in chunks."""
-    line = fmt.node.format
-    return list(_chunks(line(ids[node], firms[g.firms[node]]) for node in sorted(g.firms)))
+    """g's node lines for its nodes in id order (order), from the quoted ids and firms, in chunks."""
+    return list(_chunks(fmt.nodes(ids, firms, g.firms, order)))
 
 
 def _render(
@@ -211,7 +215,7 @@ def _quoted(
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
     """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
     [(_, f, quoted, firms)] = _quoted([fmt], g)
-    return "".join(_render(f, g, quoted, _nodes(f, g, quoted, firms)))
+    return "".join(_render(f, g, quoted, _nodes(f, g, sorted(g.firms), quoted, firms)))
 
 
 def write_parts(path: Path, parts: Iterable[str]) -> None:
@@ -376,20 +380,24 @@ def _read_and_fold(cfg: RunConfig) -> tuple:
         builders = {w.name: WindowBuilder(firm_filter) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
-        release_of_day: dict[date, str] = {}  # each UTC date is looked up once
+        # each UTC date is looked up once: its window's builder's add, or None past the last release
+        add_of_day: dict[date, Callable | None] = {}
+        resolve = resolver.resolve
         for record in iter_commits(log, report):
-            identity = resolver.resolve(record.author_email)
+            identity = resolve(record.author_email)
             if identity is None:
                 excluded_shas.append(record.sha)
                 continue
             day = record.timestamp.date()  # timestamps are UTC
-            label = release_of_day.get(day)
-            if label is None:
-                label = release_of_day[day] = assign_release(day, windows)
-            if label == POST_RELEASE:
+            try:
+                add = add_of_day[day]
+            except KeyError:
+                label = assign_release(day, windows)
+                add = add_of_day[day] = None if label == POST_RELEASE else builders[label].add
+            if add is None:
                 post_release += 1
             else:
-                builders[label].add(identity, record.files)
+                add(identity, record.files)
 
     if firm_filter is not None:
         universe = set(firm_filter)
@@ -421,9 +429,10 @@ def _analyze_graph(
     comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
     bb = extract_backbone(g, cfg.backbone)
     communities = detect_subcommunities(bb, cfg.community_min_size)
+    order = sorted(g.firms)  # g's nodes in id order, for every format
     for name, fmt, quoted, quoted_firms in graph_formats:
         # the backbone shares g's node map, so it shares g's node lines
-        nodes = _nodes(fmt, g, quoted, quoted_firms)
+        nodes = _nodes(fmt, g, order, quoted, quoted_firms)
         write(f"graphs/{stem}.{name}", _render(fmt, g, quoted, nodes))
         write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
     return mixing, comparisons, {

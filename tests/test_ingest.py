@@ -1,17 +1,22 @@
 import hashlib
 import json
 import random
-from datetime import datetime, timezone
+import re
+from datetime import date, datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import convert_text, parse_commit_log
+from conftest import FIXTURE_DIR, convert_text, parse_commit_log
+from coopnet import ingest
 from coopnet.ingest import (
     RECORD_SENTINEL,
     CommitLogError,
+    ValidationReport,
     is_valid_email,
+    iter_commits,
     normalize_email,
     parse_rfc3339,
 )
@@ -503,3 +508,161 @@ def test_convert_parse_roundtrip_property(commits):
     for (sha, files), record in zip(first.items(), records):
         assert record.sha == sha
         assert set(record.files) == set(files)
+
+
+# ---------------------------------------------------------------------------
+# the fast path: a line in convert's layout is read without the JSON decoder
+
+
+def read_log(lines):
+    """iter_commits' records of the lines, as given, with the finished report's contents."""
+    report = ValidationReport()
+    records = list(iter_commits(lines, report))
+    return records, (report.accepted, report.rejected, report.cleaned)
+
+
+def decoder_calls(monkeypatch):
+    """A list that gains one entry per call of ingest._parse_line from now on."""
+    calls = []
+    parse_line = ingest._parse_line
+
+    def counting(line):
+        calls.append(line)
+        return parse_line(line)
+
+    monkeypatch.setattr(ingest, "_parse_line", counting)
+    return calls
+
+
+def fixture_as_raw_log() -> str:
+    """The fixture log as the extraction recipe prints it, as CI rebuilds it."""
+    records = map(json.loads, (FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8").splitlines())
+    return "".join(
+        "\n".join([RECORD_SENTINEL, o["sha"], o["author_name"], o["author_email"], o["timestamp"],
+                   *o["files"]]) + "\n\n"
+        for o in records
+    )
+
+
+def test_the_fast_path_reads_every_line_convert_writes(monkeypatch):
+    ndjson, merges = convert_text(fixture_as_raw_log())
+    calls = decoder_calls(monkeypatch)
+    _, report = parse_commit_log(ndjson)
+    assert (merges, report.accepted, report.rejected) == (1, 25, [])
+    assert calls == []
+
+
+def test_the_fixture_log_takes_the_decoder_for_its_no_files_line_only(monkeypatch):
+    calls = decoder_calls(monkeypatch)
+    with open(FIXTURE_DIR / "commits.ndjson", encoding="utf-8") as log:
+        _, (accepted, rejected, cleaned) = read_log(log)
+    assert (accepted, rejected, len(cleaned)) == (25, [(25, "no files")], 3)
+    assert [json.loads(line)["files"] for line in calls] == [[]]
+
+
+def now_and_then(usual, other):
+    """usual's values, and other's a sixth of the time: most lines stay in convert's layout."""
+    return st.integers(0, 5).flatmap(lambda k: other if k == 5 else usual)
+
+
+# characters that a string on the fast path holds as they are (printable
+# ASCII, DEL, non-ASCII, U+2028, lone surrogates, U+FFFF), and the ones that
+# json.dumps escapes, sending its line to the decoder
+PLAIN_CHARS = st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+    st.sampled_from("\x7f\xe9\u2028\ud800\udfff\uffff"),
+)
+
+
+def texts(min_size=0):
+    return now_and_then(
+        st.text(PLAIN_CHARS, min_size=min_size, max_size=5),
+        st.text(st.one_of(PLAIN_CHARS, st.sampled_from('"\\\x00\t\x1f')), min_size=1, max_size=5),
+    )
+
+
+shas = now_and_then(
+    st.one_of(st.sampled_from(["a" * 40, "b" * 40]), st.text("0123456789abcdef", min_size=40, max_size=40)),
+    st.sampled_from(["A" * 40, "a" * 39, ""]),
+)
+emails = st.one_of(st.sampled_from(["dev@hp.example", "Dev@HP.example", " dev@hp.example ", ""]), texts())
+# Z timestamps to the second, now and then with a field out of range, and other RFC 3339 forms
+stamps = st.builds(
+    str.format,
+    now_and_then(
+        st.just("{}T{}Z"),
+        st.sampled_from(["{}t{}Z", "{}T{}z", "{}T{}.5Z", "{}T{}.1234567Z", "{}T{}+00:00",
+                         "{}T{}-04:30", "{}T{}+00:60", "{}T{}", "{} {}Z"]),
+    ),
+    now_and_then(
+        st.dates().map(date.isoformat),
+        st.sampled_from(["0000-01-01", "2011-00-10", "2011-13-01", "2011-02-29", "2011-04-31"]),
+    ),
+    now_and_then(
+        st.times().map(lambda t: t.isoformat(timespec="seconds")),
+        st.sampled_from(["24:00:00", "23:60:00", "23:59:60", "99:99:99"]),
+    ),
+)
+files = st.lists(now_and_then(texts(min_size=1), st.sampled_from(["b.py", "a.py", ""])), max_size=4)
+
+
+def json_quoted(text):
+    return json.dumps(text, ensure_ascii=False)
+
+
+def raw_quoted(text):
+    """text between quotes with nothing escaped: a control character stays raw."""
+    return f'"{text}"'
+
+
+# (before, between pairs, between name and value, after) of a line: the
+# layout convert writes, and its mutants
+LAYOUT = ("{", ", ", ": ", "}\n")
+MUTANT_LAYOUTS = [
+    ("{", ", ", ": ", "}"),  # no final newline
+    ("{", ", ", ": ", "}\r\n"),  # as iter_commits gets a file opened with newline=""
+    ("{", ", ", ": ", "}\r"),
+    ("{", ",", ":", "}\n"),  # compact
+    (" { ", " , ", " :\t", " }\n"),  # other whitespace
+    ("\ufeff{", ", ", ": ", "}\n"),  # a byte order mark
+    ("{", ", ", ": ", "} x\n"),  # trailing data
+]
+# other orders of a line's (name, value) pairs: reversed, or the first twice
+MUTANT_ORDERS = [lambda pairs: pairs[::-1], lambda pairs: pairs + pairs[:1]]
+
+
+@st.composite
+def log_lines(draw):
+    quote = draw(st.sampled_from([json_quoted, raw_quoted]))
+    values = [
+        quote(draw(shas)),
+        quote(draw(texts())),
+        quote(draw(emails)),
+        quote(draw(stamps)),
+        "[" + ", ".join(map(quote, draw(files))) + "]",
+    ]
+    if draw(st.integers(0, 9)) == 9:  # a value of another JSON type
+        values[draw(st.integers(0, 4))] = draw(st.sampled_from(["5", "null", '["x"]', "{}"]))
+    pairs = list(zip(map(json_quoted, ingest.CANONICAL_FIELDS), values))
+    pairs = draw(now_and_then(st.just(lambda pairs: pairs), st.sampled_from(MUTANT_ORDERS)))(pairs)
+    before, between, colon, after = draw(now_and_then(st.just(LAYOUT), st.sampled_from(MUTANT_LAYOUTS)))
+    return before + between.join(name + colon + value for name, value in pairs) + after
+
+
+NEVER = re.compile(r"(?!)")
+
+
+@given(st.lists(log_lines(), max_size=8))
+@example(['{"sha": "' + "a" * 40 + '", "author_name": "x\\\\", "author_email": "", '
+          '"timestamp": "2011-03-01T10:00:00Z", "files": ["a.py"]}\n'])
+@example(['{"sha": "' + "a" * 40 + '", "author_name": "\x1f", "author_email": "", '
+          '"timestamp": "2011-03-01T10:00:00Z", "files": ["a.py"]}\n'])
+@example(['{"sha": "' + "a" * 40 + '", "author_name": "", "author_email": "", '
+          '"timestamp": "2011-02-29T10:00:00Z", "files": ["a.py"]}\n'])
+def test_the_fast_path_reads_each_line_as_the_decoder_does(lines):
+    fast_records, fast_report = read_log(lines)
+    with mock.patch.object(ingest, "CANONICAL_LINE_RE", NEVER):
+        records, report = read_log(lines)
+    assert fast_report == report
+    assert fast_records == records
+    assert all(r.timestamp.tzinfo is timezone.utc for r in fast_records + records)
