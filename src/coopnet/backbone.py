@@ -12,7 +12,6 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from collections import Counter, defaultdict
-from itertools import compress
 from typing import NamedTuple
 
 from .graph import CollaborationGraph
@@ -69,8 +68,8 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
     Each node ranks its incident edges by embeddedness descending, ties
     broken by lexicographic neighbor id; an edge survives only if each
     endpoint ranks the other within the top max_rank_k. The backbone
-    shares g's id table and node map, so both graphs have the same nodes;
-    treat it as read-only. Its edges are a subsequence of g's, so ascending.
+    shares g's id table, firms and nodes; treat it as read-only. Its edges
+    are a subsequence of g's, so ascending.
     """
     k, shift = params.max_rank_k, len(g.ids).bit_length()
     embeddedness = edge_embeddedness(g)
@@ -87,13 +86,17 @@ def extract_backbone(g: CollaborationGraph, params: BackboneParams) -> Collabora
         if len(ties) < k or rank | u < ties[-1]:
             insort(ties, rank | u)
             del ties[k:]
-    keep = (
-        strength >= params.min_embeddedness
-        and (-strength << shift | v) <= top[u][-1]
-        and (-strength << shift | u) <= top[v][-1]
-        for (u, v), strength in zip(g.ends(g.edges), embeddedness)
-    )
-    return g._replace(edges=array("q", compress(g.edges, keep)))
+    # an edge is kept iff each end's key is in the other end's top list, so
+    # the kept edges are read off the lists, each from its smaller end
+    n, mask, floor = len(g.ids), (1 << shift) - 1, params.min_embeddedness
+    kept = [
+        u * n + v
+        for u, ties in top.items()
+        for key in ties
+        if (v := key & mask) > u and -(key >> shift) >= floor and key - v + u in top[v]
+    ]
+    kept.sort()
+    return g._replace(edges=array("q", kept))
 
 
 def detect_subcommunities(backbone: CollaborationGraph, min_size: int) -> list[SubCommunity]:
@@ -109,7 +112,7 @@ def detect_subcommunities(backbone: CollaborationGraph, min_size: int) -> list[S
     for u, v in backbone.ends(backbone.edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    components = [[node] for node in firms if node not in adj] if min_size <= 1 else []
+    components = [[u] for u in backbone.nodes if u not in adj] if min_size <= 1 else []
     seen: set[int] = set()
     for start in adj:
         if start in seen:

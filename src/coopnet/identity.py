@@ -30,13 +30,6 @@ class AffiliationMap(NamedTuple):
     bot_emails: frozenset[str]
 
 
-class DeveloperIdentity(NamedTuple):
-    """One developer of a run: the canonical id of their addresses, and their firm."""
-
-    canonical_id: str
-    firm: str
-
-
 def load_affiliation_map(config: str) -> AffiliationMap:
     """Parse the INI-like affiliation config.
 
@@ -150,43 +143,58 @@ def _group_firm(group: Collection[str], amap: AffiliationMap) -> str:
 
 
 class IdentityResolver:
-    """Resolves author emails to identities from the affiliation map alone.
+    """Resolves author emails to developers from the affiliation map alone.
 
     Bot commits are excluded. A missing or invalid email is excluded unless
-    an explicit override exists for that address. Every email of a resolved
-    alias group maps to the same identity, whose canonical id is the group's
-    lexicographically smallest email, a bot's included; a group whose members
-    resolve to two firms raises AffiliationError. ``identities`` maps the
-    canonical id of each developer resolved so far to their identity.
+    an explicit override exists for that address. A developer is a number,
+    given in the order developers are first seen: ``canonical_ids[d]`` is
+    developer ``d``'s canonical id, the lexicographically smallest email of
+    their alias group (a bot's included), and ``firms[d]`` their firm. Every
+    email of a resolved alias group is the same developer; a group whose
+    members resolve to two firms raises AffiliationError.
     """
 
     def __init__(self, amap: AffiliationMap):
         self._amap = amap
         self._group_of = {email: group for group in amap.alias_groups for email in group}
-        self.identities: dict[str, DeveloperIdentity] = {}
-        # each address's outcome, so it is decided once however often it commits
-        self._outcomes: dict[str, DeveloperIdentity | None] = {}
+        self.canonical_ids: list[str] = []
+        self.firms: list[str] = []
+        # each address's developer, so it is decided once however often it commits
+        self._outcomes: dict[str, int | None] = {}
+        self._group_number: dict[str, int] = {}  # an alias group's canonical id -> developer
 
-    def resolve(self, email: str) -> DeveloperIdentity | None:
-        """The email's identity, or None when its commits are excluded."""
+    def resolve(self, email: str) -> int | None:
+        """The email's developer number, or None when its commits are excluded."""
         outcome = self._outcomes.get(email, _UNDECIDED)
         if outcome is _UNDECIDED:
             outcome = self._outcomes[email] = self._decide(email)
         return outcome
 
-    def _decide(self, email: str) -> DeveloperIdentity | None:
+    def _decide(self, email: str) -> int | None:
         amap = self._amap
         if email in amap.bot_emails:
             return None
         # an empty email is invalid too
         if not is_valid_email(email) and email not in amap.email_overrides:
             return None
-        group = self._group_of.get(email, (email,))
+        group = self._group_of.get(email)
+        if group is None:
+            # a group of one, as _group_firm would resolve it, without its sets
+            firm = amap.email_overrides.get(email)
+            if firm is None:
+                firm = amap.domain_rules.get(email.rpartition("@")[2], UNAFFILIATED)
+                if firm == BOT:
+                    firm = UNAFFILIATED
+            return self._number(email, firm)
         canonical = min(group)
-        identity = self.identities.get(canonical)
-        if identity is None:
-            identity = self.identities[canonical] = DeveloperIdentity(
+        number = self._group_number.get(canonical)
+        if number is None:
+            number = self._group_number[canonical] = self._number(
                 canonical, _group_firm(group, amap)
             )
-        return identity
+        return number
 
+    def _number(self, canonical_id: str, firm: str) -> int:
+        self.canonical_ids.append(canonical_id)
+        self.firms.append(firm)
+        return len(self.firms) - 1

@@ -44,7 +44,7 @@ def firm_mixing(g: CollaborationGraph) -> FirmMixing:
     Edges are counted per ordered pair of firm numbers, then named once.
     """
     firms = g.firms
-    nodes = Counter(firms.values())
+    nodes = Counter(map(firms.__getitem__, g.nodes))
     number = {firm: i for i, firm in enumerate(nodes)}
     names, width = list(number), len(number)
     ordered = Counter(number[firms[u]] * width + number[firms[v]] for u, v in g.ends(g.edges))

@@ -14,16 +14,16 @@ import re
 import shutil
 import stat
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import date
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backbone import BackboneParams, detect_subcommunities, extract_backbone, firm_overlap
 from .coopetition import RevenueStream, compare_revenue_stream, load_revenue_models
-from .graph import CollaborationGraph, WindowBuilder, merge_graphs
+from .graph import CollaborationGraph, WindowBuilder, id_table, merge_graphs
 from .identity import UNAFFILIATED, IdentityResolver, load_affiliation_map
 from .ingest import InputError, ValidationReport, iter_commits
 from .metrics import FirmMixing, density, firm_assortativity, firm_mixing, same_firm_edge_fraction
@@ -119,14 +119,15 @@ class GraphFormat(NamedTuple):
 
     ``head`` takes the window name as ``quote_id`` quotes it. ``nodes``
     yields the node lines from the quoted id table, the quoted firms, the
-    graph's node map and its nodes in id order. ``edges`` yields the edge
-    lines from the quoted id table and the (u, v) ends of the ascending edges.
+    run's firm list and the graph's ascending nodes. ``edges`` yields the
+    edge lines from the quoted id table and the (u, v) ends of the
+    ascending edges.
     """
 
     quote_id: Callable[[str], str]
     quote_firm: Callable[[str], str]
     head: str
-    nodes: Callable[[Sequence[str], dict[str, str], dict[int, str], Iterable[int]], Iterator[str]]
+    nodes: Callable[[Sequence[str], dict[str, str], Sequence[str], Iterable[int]], Iterator[str]]
     edges: Callable[[Sequence[str], Iterable[tuple[int, int]]], Iterator[str]]
     tail: str
 
@@ -139,9 +140,9 @@ GRAPH_FORMATS = {
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="firm" for="node" attr.name="firm" attr.type="string"/>\n'
         '  <graph id={} edgedefault="undirected">\n',
-        lambda q, qf, firms, order: (
+        lambda q, qf, firms, nodes: (
             f'    <node id={q[u]}>\n      <data key="firm">{qf[firms[u]]}</data>\n    </node>\n'
-            for u in order
+            for u in nodes
         ),
         lambda q, ends: (f"    <edge source={q[u]} target={q[v]}/>\n" for u, v in ends),
         "  </graph>\n</graphml>\n",
@@ -149,7 +150,7 @@ GRAPH_FORMATS = {
     "dot": GraphFormat(
         _dot_quote, _dot_quote,
         "graph {} {{\n",
-        lambda q, qf, firms, order: (f"  {q[u]} [firm={qf[firms[u]]}];\n" for u in order),
+        lambda q, qf, firms, nodes: (f"  {q[u]} [firm={qf[firms[u]]}];\n" for u in nodes),
         lambda q, ends: (f"  {q[u]} -- {q[v]};\n" for u, v in ends),
         "}\n",
     ),
@@ -170,29 +171,49 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
         yield chunk
 
 
-def _nodes(
-    fmt: GraphFormat, g: CollaborationGraph, order: list[int], ids: Sequence[str],
-    firms: dict[str, str],
-) -> list[str]:
-    """g's node lines for its nodes in id order (order), from the quoted ids and firms, in chunks."""
-    return list(_chunks(fmt.nodes(ids, firms, g.firms, order)))
+def _node_chunks(
+    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], firms: dict[str, str]
+) -> Iterator[str]:
+    """g's node lines in id order, from the quoted ids and firms, in chunks as they are made."""
+    return _chunks(fmt.nodes(quoted, firms, g.firms, g.nodes))
+
+
+def _in_step(parts: Iterable[str]) -> tuple[Iterator[str], Iterator[str]]:
+    """Two readers of parts, for a second reader that takes each part just after the first.
+
+    The second ends where the first did. Unlike ``itertools.tee``, which
+    keeps the parts it hands out in blocks of 57, only the part that the
+    second reader has not yet taken is held.
+    """
+    held: list[str] = []
+
+    def first() -> Iterator[str]:
+        for part in parts:
+            held.append(part)
+            yield part
+
+    def second() -> Iterator[str]:
+        while held:
+            yield held.pop()
+
+    return first(), second()
 
 
 def _render(
-    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: list[str]
+    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: Iterable[str]
 ) -> Iterator[str]:
     """g as fmt's text in parts: the head, the node chunks, the edge lines in chunks, the tail.
 
     The edge lines are made as they are read, in g's edge (id-pair) order.
     """
     head = fmt.head.format(fmt.quote_id(g.window))
-    return chain((head, *nodes), _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
+    return chain((head,), nodes, _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
 
 
 def _quoted(
-    names: Iterable[str], g: CollaborationGraph
+    names: Iterable[str], ids: Sequence[str], firms: Sequence[str]
 ) -> list[tuple[str, GraphFormat, list[str], dict[str, str]]]:
-    """The graph formats called names, each with g's id table and firms quoted by it once.
+    """The graph formats called names, each with the id table and its firms quoted by it once.
 
     The formats share one table of quoted ids: a format that quotes an id as
     the first format did keeps the first one's string, so it holds only its
@@ -202,27 +223,38 @@ def _quoted(
     first: list[str] | None = None
     for name in names:
         fmt = GRAPH_FORMATS[name]
-        quoted = map(fmt.quote_id, g.ids)
+        quoted = map(fmt.quote_id, ids)
         if first is None:
             quoted = first = list(quoted)
         else:  # each new string is freed at once unless it differs from the first's
             quoted = [s if s == q else q for s, q in zip(first, quoted)]
-        firms = {firm: fmt.quote_firm(firm) for firm in set(g.firms.values())}
-        formats.append((name, fmt, quoted, firms))
+        formats.append((name, fmt, quoted, {firm: fmt.quote_firm(firm) for firm in set(firms)}))
     return formats
 
 
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
     """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
-    [(_, f, quoted, firms)] = _quoted([fmt], g)
-    return "".join(_render(f, g, quoted, _nodes(f, g, sorted(g.firms), quoted, firms)))
+    [(_, f, quoted, firms)] = _quoted([fmt], g.ids, g.firms)
+    return "".join(_render(f, g, quoted, _node_chunks(f, g, quoted, firms)))
+
+
+def write_together(paths: Sequence[Path], rows: Iterable[Sequence[str]]) -> None:
+    """Write several files as UTF-8 in one pass: each row holds the next part of each path.
+
+    Part i of a row goes to paths[i] as one write, as the row comes; an
+    empty part writes nothing.
+    """
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
+        for row in rows:
+            for f, part in zip(files, row):
+                if part:
+                    f.write(part)
 
 
 def write_parts(path: Path, parts: Iterable[str]) -> None:
     """Write the concatenated parts to path as UTF-8, one write per part as it comes."""
-    with open(path, "w", encoding="utf-8") as f:
-        for part in parts:
-            f.write(part)
+    write_together([path], zip(parts))
 
 
 def _json_text(payload) -> str:
@@ -255,6 +287,10 @@ class RunConfig(_RunFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.formats, (set, frozenset)):
+            raise ConfigError(
+                f"formats must be a set of format names, not {type(self.formats).__name__}"
+            )
         if not self.formats:
             raise ConfigError("format set must be non-empty")
         unknown = self.formats.difference(FORMATS)
@@ -377,15 +413,15 @@ def _read_and_fold(cfg: RunConfig) -> tuple:
         # commit still fails the run on an alias-group conflict. Each record
         # is logged in its window's builder and dropped.
         report = ValidationReport()
-        builders = {w.name: WindowBuilder(firm_filter) for w in windows}
+        builders = {w.name: WindowBuilder(resolver.firms, firm_filter) for w in windows}
         excluded_shas: list[str] = []
         post_release = 0
         # each UTC date is looked up once: its window's builder's add, or None past the last release
         add_of_day: dict[date, Callable | None] = {}
         resolve = resolver.resolve
         for record in iter_commits(log, report):
-            identity = resolve(record.author_email)
-            if identity is None:
+            dev = resolve(record.author_email)
+            if dev is None:
                 excluded_shas.append(record.sha)
                 continue
             day = record.timestamp.date()  # timestamps are UTC
@@ -397,23 +433,22 @@ def _read_and_fold(cfg: RunConfig) -> tuple:
             if add is None:
                 post_release += 1
             else:
-                add(identity, record.files)
+                add(dev, record.files)
 
     if firm_filter is not None:
         universe = set(firm_filter)
     else:
-        universe = {i.firm for i in resolver.identities.values()} - {UNAFFILIATED}
+        universe = set(resolver.firms) - {UNAFFILIATED}
     streams = load_revenue_models(revenue_text, universe) if revenue_text is not None else []
-    # the run's id table: node i is ids[i], so int order is id order, and its firm is firms[i]
-    ids = sorted(resolver.identities)
-    firms = [resolver.identities[node].firm for node in ids]
-    return (report, excluded_shas, post_release), universe, streams, ids, firms, builders
+    # the run's id table: node u is ids[u], so int order is id order, its firm is
+    # firms[u], and developer d of the log pass is node rank[d]
+    table = id_table(resolver.canonical_ids, resolver.firms)
+    return (report, excluded_shas, post_release), universe, streams, table, builders
 
 
-def _build_and_merge(ids: list[str], firms: list[str], builders: dict[str, WindowBuilder]) -> tuple:
+def _build_and_merge(table: tuple, builders: dict[str, WindowBuilder]) -> tuple:
     """Each window's graph over the id table, in release order, and their merged graph."""
-    index = {node: i for i, node in enumerate(ids)}
-    window_graphs = [builder.graph(name, ids, index, firms) for name, builder in builders.items()]
+    window_graphs = [builder.graph(name, *table) for name, builder in builders.items()]
     return window_graphs, merge_graphs(window_graphs, MERGED_LABEL)
 
 
@@ -423,18 +458,20 @@ def _analyze_graph(
 ) -> tuple[FirmMixing, list[tuple], dict, tuple]:
     """g's firm mixing, comparison rows, communities and evolution row.
 
-    They are returned once g and its backbone are written as stem.
+    They are returned once g and its backbone are written as stem, side by
+    side, so that each node chunk is made once and written to both files.
     """
     mixing = firm_mixing(g)
     comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
     bb = extract_backbone(g, cfg.backbone)
     communities = detect_subcommunities(bb, cfg.community_min_size)
-    order = sorted(g.firms)  # g's nodes in id order, for every format
     for name, fmt, quoted, quoted_firms in graph_formats:
-        # the backbone shares g's node map, so it shares g's node lines
-        nodes = _nodes(fmt, g, order, quoted, quoted_firms)
-        write(f"graphs/{stem}.{name}", _render(fmt, g, quoted, nodes))
-        write(f"backbones/{stem}.{name}", _render(fmt, bb, quoted, nodes))
+        # the backbone shares g's nodes, so it shares g's node lines: the two
+        # files are written in step, each row g's part first
+        g_nodes, bb_nodes = _in_step(_node_chunks(fmt, g, quoted, quoted_firms))
+        write([f"graphs/{stem}.{name}", f"backbones/{stem}.{name}"], zip_longest(
+            _render(fmt, g, quoted, g_nodes), _render(fmt, bb, quoted, bb_nodes), fillvalue=""
+        ))
     return mixing, comparisons, {
         "release": g.window,
         "communities": [
@@ -527,21 +564,30 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     """
     out_dir = Path(cfg.out_dir).resolve()
     _check_replaceable(out_dir)
-    tally, universe, streams, ids, firms, builders = _read_and_fold(cfg)
-    window_graphs, merged = _build_and_merge(ids, firms, builders)
+    tally, universe, streams, table, builders = _read_and_fold(cfg)
+    window_graphs, merged = _build_and_merge(table, builders)
+    del table
 
     with _replacing(out_dir) as staging:
         written: list[str] = []
 
-        def write(rel_path: str, parts: Iterable[str]) -> None:
-            target = staging / rel_path
-            target.parent.mkdir(exist_ok=True)
-            write_parts(target, parts)
+        def target(rel_path: str) -> Path:
+            path = staging / rel_path
+            path.parent.mkdir(exist_ok=True)
             written.append(rel_path)
+            return path
 
-        # quoted once for the run: the merged graph holds every node of every window
-        graph_formats = _quoted([name for name in GRAPH_FORMATS if name in cfg.formats], merged)
-        analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, write)
+        def write(rel_path: str, parts: Iterable[str]) -> None:
+            write_parts(target(rel_path), parts)
+
+        def write_graphs(rel_paths: list[str], rows: Iterable[Sequence[str]]) -> None:
+            write_together([target(p) for p in rel_paths], rows)
+
+        # quoted once for the run: the id table holds every node of every graph
+        graph_formats = _quoted(
+            [name for name in GRAPH_FORMATS if name in cfg.formats], merged.ids, merged.firms
+        )
+        analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, write_graphs)
         analyses = _analyze_windows(analyze, window_graphs)
         # merged last in every table; scope is passed, as a release may itself be named "merged"
         analyses.append(analyze(merged, MERGED_LABEL, "all", MERGED_LABEL))

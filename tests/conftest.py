@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 from xml.etree import ElementTree
@@ -69,29 +71,35 @@ def as_strings(g: CollaborationGraph) -> StrGraph:
     """g's nodes and edges named by id, through its id table."""
     return StrGraph(
         g.window,
-        {g.ids[u]: firm for u, firm in g.firms.items()},
+        {g.ids[u]: g.firms[u] for u in g.nodes},
         frozenset(id_pair(g, e) for e in g.edges),
     )
 
 
-def make_graph(firms: dict[str, str], edges=(), window: str = "w", ids=None) -> CollaborationGraph:
-    """Build a graph from a node->firm map and edge pairs, over the id table ``ids``.
+def shared_table(firm_of: dict[str, str]) -> tuple[list[str], list[str]]:
+    """An id table and its firm list, as a run's graphs share them: the sorted ids of firm_of."""
+    ids = sorted(firm_of)
+    return ids, [firm_of[node] for node in ids]
 
-    The table defaults to the sorted ids of ``firms``; pass one list to
-    give several graphs the same table.
+
+def make_graph(firms: dict[str, str], edges=(), window: str = "w", table=None) -> CollaborationGraph:
+    """Build a graph from a node->firm map and edge pairs, over an id table and its firms.
+
+    The table defaults to ``shared_table(firms)``; pass one (ids, firms)
+    pair to give several graphs the same table.
     """
-    ids = sorted(firms) if ids is None else ids
+    ids, table_firms = shared_table(firms) if table is None else table
     assert ids == sorted(set(ids)), "id table must be sorted and distinct"
     index = {node: i for i, node in enumerate(ids)}
+    assert all(table_firms[index[node]] == firm for node, firm in firms.items())
     packed = []
     for e in edges:
         u, v = sorted(index[node] for node in e)
         assert ids[u] in firms and ids[v] in firms, "edge endpoint missing from node map"
         assert u != v, "self-loop in test input"
         packed.append(u * len(ids) + v)
-    return CollaborationGraph(
-        window, ids, {index[node]: firm for node, firm in firms.items()}, edge_array(packed)
-    )
+    nodes = array("i", sorted(map(index.__getitem__, firms)))
+    return CollaborationGraph(window, ids, table_firms, nodes, edge_array(packed))
 
 
 def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
@@ -127,19 +135,29 @@ def convert_text(raw: str):
     return ndjson, merges
 
 
-def canonicalize_identities(records, amap):
-    """Fold aliases and attach firms; returns (email -> identity, excluded shas).
+class Developer(NamedTuple):
+    """A resolved developer named by id: what the graph helpers take."""
 
-    The map holds each address that committed and resolved.
+    canonical_id: str
+    firm: str
+
+
+def canonicalize_identities(records, amap):
+    """Fold aliases and attach firms; returns (email -> Developer, excluded shas).
+
+    The map holds each address that committed and resolved. The addresses
+    the resolver gives one number share one Developer object.
     """
     resolver = IdentityResolver(amap)
-    identities, excluded = {}, []
+    developers, identities, excluded = {}, {}, []
     for r in records:
-        identity = resolver.resolve(r.author_email)
-        if identity is None:
+        d = resolver.resolve(r.author_email)
+        if d is None:
             excluded.append(r.sha)
         else:
-            identities[r.author_email] = identity
+            if d not in developers:
+                developers[d] = Developer(resolver.canonical_ids[d], resolver.firms[d])
+            identities[r.author_email] = developers[d]
     return identities, excluded
 
 
@@ -148,21 +166,56 @@ def identity_pairs(records, identities) -> list:
     return [(identities[r.author_email], r.files) for r in records if r.author_email in identities]
 
 
+def brute_force_graph(window: str, pairs, firm_filter=None) -> StrGraph:
+    """The graph of a window's (Developer, files) pairs by nested loops over developer pairs.
+
+    Its nodes are the developers the firm filter keeps, and its edges every
+    two of them whose file sets meet.
+    """
+    firm_of: dict[str, str] = {}
+    files_of: dict[str, set[str]] = {}
+    for developer, files in pairs:
+        if firm_filter is None or developer.firm in firm_filter:
+            firm_of[developer.canonical_id] = developer.firm
+            files_of.setdefault(developer.canonical_id, set()).update(files)
+    edges = [(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]]
+    return StrGraph(window, firm_of, frozenset(edges))
+
+
+def window_builder(pairs, firm_filter=None) -> tuple[WindowBuilder, dict[str, int]]:
+    """A builder that logged a window's (Developer, files) pairs, and its developer numbers.
+
+    Developers are numbered as they are first seen, as a run numbers them,
+    and the builder's firm list grows as they are.
+    """
+    number: dict[str, int] = {}
+    builder = WindowBuilder([], firm_filter)
+    for developer, files in pairs:
+        if developer.canonical_id not in number:
+            number[developer.canonical_id] = len(builder.firms)
+            builder.firms.append(developer.firm)
+        builder.add(number[developer.canonical_id], files)
+    return builder, number
+
+
+def builder_graph(builder: WindowBuilder, number: dict[str, int], window: str = "w"):
+    """The builder's graph over the sorted ids of its kept developers.
+
+    Graphs built this way cannot be merged with each other.
+    """
+    kept = builder.firm_filter
+    ids = sorted(c for c, d in number.items() if kept is None or builder.firms[d] in kept)
+    rank = {number[c]: u for u, c in enumerate(ids)}
+    return builder.graph(window, ids, [builder.firms[number[c]] for c in ids], rank)
+
+
 def window_graph(window: str, pairs, firm_filter=None) -> CollaborationGraph:
-    """The graph of a window's (identity, files) pairs, over the window's own id table.
+    """The graph of a window's (Developer, files) pairs, over the window's own id table.
 
     The table is the sorted ids of the window's kept developers, so graphs
     built this way cannot be merged with each other.
     """
-    builder = WindowBuilder(firm_filter)
-    firm_of = {}
-    for identity, files in pairs:
-        builder.add(identity, files)
-        if firm_filter is None or identity.firm in firm_filter:
-            firm_of[identity.canonical_id] = identity.firm
-    ids = sorted(firm_of)
-    index = {node: i for i, node in enumerate(ids)}
-    return builder.graph(window, ids, index, [firm_of[node] for node in ids])
+    return builder_graph(*window_builder(pairs, firm_filter), window)
 
 
 def read_graphml(text: str) -> StrGraph:

@@ -22,6 +22,7 @@ import pytest
 from conftest import (
     FIXTURE_DIR,
     GOLDEN_DIR,
+    Developer,
     as_strings,
     id_pair,
     canonicalize_identities,
@@ -124,10 +125,8 @@ def test_criterion_1_metric_oracle_equivalence():
 # -- criterion 2: graph construction vs nested-loop oracle -----------------
 
 def _identity_map(dev_count):
-    from coopnet.identity import DeveloperIdentity
-
     return {
-        f"d{i}@x.example": DeveloperIdentity(
+        f"d{i}@x.example": Developer(
             canonical_id=f"d{i}@x.example", firm="HP" if i % 2 else "IBM"
         )
         for i in range(dev_count)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StrGraph, as_strings, id_pair, make_graph, window_graph
+from conftest import Developer, StrGraph, as_strings, id_pair, make_graph, shared_table, window_graph
 from coopnet.backbone import (
     BackboneParams,
     detect_subcommunities,
@@ -17,7 +17,6 @@ from coopnet.backbone import (
     extract_backbone,
     firm_overlap,
 )
-from coopnet.identity import DeveloperIdentity
 from coopnet.report import export_graph
 
 
@@ -118,7 +117,7 @@ def test_star_backbone_is_empty():
     g = make_graph({"c": "HP", **leaves}, [("c", leaf) for leaf in leaves])
     backbone = extract_backbone(g, BackboneParams())
     assert set(backbone.edges) == set()
-    assert backbone.firms.keys() == g.firms.keys()  # node set preserved
+    assert backbone.nodes is g.nodes and backbone.firms is g.firms  # node set preserved
 
 
 def test_k4_survives_with_k_at_least_three():
@@ -187,7 +186,7 @@ def test_communities_sorted_by_size_then_member():
 def test_every_community_is_connected_in_backbone():
     g = graph_from_mask(6, 0b101011011101011)
     backbone = extract_backbone(g, BackboneParams())
-    adj = {node: set() for node in backbone.firms}
+    adj = {node: set() for node in backbone.nodes}
     for u, v in (divmod(e, len(backbone.ids)) for e in backbone.edges):
         adj[u].add(v)
         adj[v].add(u)
@@ -264,7 +263,7 @@ def test_backbone_is_subgraph(mask, params):
     g = graph_from_mask(6, mask)
     backbone = extract_backbone(g, params)
     assert set(backbone.edges) <= set(g.edges)
-    assert backbone.firms.keys() == g.firms.keys()
+    assert backbone.nodes is g.nodes and backbone.firms is g.firms
 
 
 @settings(max_examples=60)
@@ -325,10 +324,10 @@ def test_int_ids_follow_id_order(data, params, min_size):
     pairs = star + data.draw(st.lists(st.sampled_from(list(combinations(ids[1:], 2))), unique=True))
     # one commit per developer in insertion order, then one per edge, so the
     # graph's id table is `sorted` of the window's developers, as a run sorts its ids
-    commits = [(DeveloperIdentity(i, firms[i]), (f"own-{i}",)) for i in ids]
+    commits = [(Developer(i, firms[i]), (f"own-{i}",)) for i in ids]
     for u, v in pairs:
         file = f"{u}+{v}"
-        commits += [(DeveloperIdentity(x, firms[x]), (file,)) for x in (u, v)]
+        commits += [(Developer(x, firms[x]), (file,)) for x in (u, v)]
     g = window_graph("w", commits)
     expected = StrGraph("w", firms, frozenset(tuple(sorted(p)) for p in pairs))
     assert as_strings(g) == expected
@@ -350,12 +349,12 @@ def test_rank_key_spans_a_wide_id_table():
     # 17 bits, and in these dense graphs many ties share a strength and are
     # broken by neighbour id; a rank key that shifts the strength by 16 bits
     # would let the neighbour's top bit change the strength's order
-    table = [f"d{i:05d}" for i in range(70_000)]
-    nodes = table[-12:]
+    table = shared_table({f"d{i:05d}": "HP" for i in range(70_000)})
+    nodes = table[0][-12:]
     rng = random.Random(7)
     for _ in range(4):
         edges = [e for e in combinations(nodes, 2) if rng.random() < 0.6]
-        g = make_graph(dict.fromkeys(nodes, "HP"), edges, ids=table)
+        g = make_graph(dict.fromkeys(nodes, "HP"), edges, table=table)
         for k in range(1, 6):
             params = BackboneParams(max_rank_k=k, min_embeddedness=1)
             assert backbone_pairs(g, params) == oracle_backbone(as_strings(g), params)

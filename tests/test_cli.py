@@ -544,19 +544,34 @@ def test_convert_failed_write_leaves_old_target(tmp_path):
 # a python -S launcher that spawns an import-only child and a convert child
 # in turn and prints each one's exit code and peak RSS (KiB) from wait4; a
 # child's ru_maxrss starts from its spawner's peak, which pytest's would hide
+# spawns an import-only child, then `coopnet ARGS...`, and prints each one's
+# exit code and peak RSS; run with -S, so that its own peak stays below theirs
 PEAK_RSS_LAUNCHER = """
 import os, sys
-raw, out = sys.argv[1:]
-for argv in (["-c", "import coopnet.cli"], ["-m", "coopnet.cli", "convert", "--raw", raw, "--out", out]):
+for argv in (["-c", "import coopnet.cli"], ["-m", "coopnet.cli", *sys.argv[1:]]):
     pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ)
     _, status, usage = os.wait4(pid, 0)
     print("peak", os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_convert_peak_rss_does_not_grow_with_the_log(tmp_path):
+def spawned_peaks(*args) -> tuple[str, float, float]:
+    """`coopnet ARGS...` spawned from a launcher: its stdout, and the peak RSS in MiB of an
+    import-only child and of the command's child."""
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_maxrss is in KiB on Linux")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, *map(str, args)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    peaks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("peak ")]
+    assert [code for code, _ in peaks] == ["0", "0"], result.stderr
+    import_only, running = (int(kib) / 1024 for _, kib in peaks)
+    return result.stdout, import_only, running
+
+
+def test_convert_peak_rss_does_not_grow_with_the_log(tmp_path):
     raw = tmp_path / "raw.log"
     with open(raw, "w", encoding="utf-8") as f:
         for i in range(27_000):  # about 4 MB
@@ -567,16 +582,40 @@ def test_convert_peak_rss_does_not_grow_with_the_log(tmp_path):
             ]) + "\n\n")
     assert 3_500_000 < raw.stat().st_size < 4_500_000
     out = tmp_path / "log.ndjson"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, str(raw), str(out)],
-        env=child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "wrote 27000 records (0 merge commits dropped)" in result.stdout
-    peaks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("peak ")]
-    assert [code for code, _ in peaks] == ["0", "0"], result.stderr
-    import_only, converting = (int(kib) / 1024 for _, kib in peaks)
+    stdout, import_only, converting = spawned_peaks("convert", "--raw", raw, "--out", out)
+    assert "wrote 27000 records (0 merge commits dropped)" in stdout
     assert converting < import_only + 4, (import_only, converting)
+
+
+def test_analyze_peak_rss_grows_less_than_its_touch_logs(tmp_path):
+    # 40,000 commits of three long, distinct paths each over eight releases:
+    # the touch logs are most of what a run holds, every window's at once
+    # until the graphs are built, and no file is shared, so there is no edge
+    log = tmp_path / "commits.ndjson"
+    touch_bytes = 0
+    with open(log, "w", encoding="utf-8") as f:
+        for i in range(40_000):
+            files = [f"openstack/service{i % 40:02d}/module_{i:06d}/{part}_implementation.py"
+                     for part in ("api", "db", "tests")]
+            touch_bytes += sum(len(path) + 1 for path in files)
+            f.write(json.dumps({
+                "sha": f"{i:040x}", "author_name": f"Dev {i % 50}",
+                "author_email": f"dev{i % 50}@hp.example",
+                "timestamp": f"2011-{1 + i // 5000:02d}-10T10:00:00Z", "files": files,
+            }) + "\n")
+    releases = tmp_path / "releases.csv"
+    releases.write_text("name,date\n" + "".join(f"r{m},2011-{m:02d}-28\n" for m in range(1, 9)))
+    affiliations = tmp_path / "affiliations.ini"
+    affiliations.write_text("[domains]\nhp.example = HP\n")
+    stdout, import_only, analyzing = spawned_peaks(
+        "analyze", "--log", log, "--releases", releases, "--affiliations", affiliations,
+        "--out", tmp_path / "out",
+    )
+    assert "analyzed 40000 commits across 8 releases" in stdout
+    # the logs are held compressed: the run grows by less than their raw bytes
+    touch_mib = touch_bytes / 2**20
+    assert touch_mib > 6
+    assert analyzing - import_only < touch_mib, (import_only, analyzing, touch_mib)
 
 
 def test_import_loads_no_third_party_or_dataclasses():

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import zlib
 from array import array
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -10,11 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_strings, identity_pairs, make_graph, window_graph
+from conftest import (
+    Developer,
+    as_strings,
+    brute_force_graph,
+    builder_graph,
+    identity_pairs,
+    make_graph,
+    shared_table,
+    window_builder,
+    window_graph,
+)
 from coopnet.backbone import BackboneParams, extract_backbone
 from coopnet import graph
-from coopnet.graph import GraphError, WindowBuilder, merge_graphs
-from coopnet.identity import DeveloperIdentity
+from coopnet.graph import GraphError, WindowBuilder, id_table, merge_graphs
 from coopnet.ingest import CommitRecord
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
@@ -24,7 +34,7 @@ FIRM_OF = {"a": "HP", "b": "HP", "c": "IBM", "d": "IBM", "e": "RedHat", "f": "Ci
 
 def identity_map(devs=FIRM_OF):
     return {
-        f"{dev}@x.example": DeveloperIdentity(canonical_id=f"{dev}@x.example", firm=firm)
+        f"{dev}@x.example": Developer(canonical_id=f"{dev}@x.example", firm=firm)
         for dev, firm in devs.items()
     }
 
@@ -88,12 +98,13 @@ def test_empty_input_gives_empty_graph():
 
 
 def test_merge_graphs_unions_nodes_and_edges():
-    ids = ["a", "b", "c"]
-    g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1", ids=ids)
-    g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2", ids=ids)
+    table = shared_table({"a": "HP", "b": "HP", "c": "IBM"})
+    g1 = make_graph({"a": "HP", "b": "HP"}, [("a", "b")], window="w1", table=table)
+    g2 = make_graph({"b": "HP", "c": "IBM"}, [("b", "c")], window="w2", table=table)
     merged = merge_graphs([g1, g2], "merged")
     assert merged.window == "merged"
-    assert merged.ids is ids
+    assert merged.ids is table[0] and merged.firms is table[1]
+    assert list(merged.nodes) == [0, 1, 2] and merged.nodes.typecode == "i"
     assert as_strings(merged).firms == {"a": "HP", "b": "HP", "c": "IBM"}
     assert as_strings(merged).edges == {("a", "b"), ("b", "c")}
 
@@ -103,11 +114,11 @@ def test_merge_graphs_unions_edges_across_slices(monkeypatch, slices):
     # 5000 slices of a 1600-value packed range leave most slices empty
     monkeypatch.setattr(graph, "MERGE_SLICES", slices)
     rng = random.Random(slices)
-    ids = [f"d{i:02d}" for i in range(40)]
-    firms = dict.fromkeys(ids, "HP")
-    pairs = list(combinations(ids, 2))
-    graphs = [make_graph(firms, rng.sample(pairs, 200), window=f"w{w}", ids=ids) for w in range(4)]
-    graphs.append(make_graph({"d00": "HP"}, window="empty", ids=ids))
+    firms = {f"d{i:02d}": "HP" for i in range(40)}
+    table = shared_table(firms)
+    pairs = list(combinations(table[0], 2))
+    graphs = [make_graph(firms, rng.sample(pairs, 200), window=f"w{w}", table=table) for w in range(4)]
+    graphs.append(make_graph({"d00": "HP"}, window="empty", table=table))
     merged = merge_graphs(graphs, "merged")
     union = set().union(*(g.edges for g in graphs))
     assert list(merged.edges) == sorted(union)
@@ -126,26 +137,18 @@ def test_merge_graphs_refuses_another_id_table():
         merge_graphs([g1, g2], "merged")
 
 
-def test_merge_graphs_refuses_conflicting_firms():
-    ids = ["a", "b"]
-    g1 = make_graph({"a": "HP", "b": "HP"}, window="w1", ids=ids)
-    g2 = make_graph({"b": "IBM"}, window="w2", ids=ids)
-    with pytest.raises(GraphError, match="node b has conflicting firms"):
-        merge_graphs([g1, g2], "merged")
-
-
-def held_by_builder(touches):
-    """The builder of (identity, files) touches, and the bytes it holds once they are added.
+def held_by_builder(touches, developers):
+    """The builder of (developer, files) touches, and the bytes it holds once they are added.
 
     Each file name is made anew for its commit, as a parsed record makes it,
     so a builder that keeps a name's string is charged for it.
     """
-    builder = WindowBuilder()
+    builder = WindowBuilder(["HP"] * developers)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for identity, files in touches:
-            builder.add(identity, ["".join(["src/", name]) for name in files])
+        for dev, files in touches:
+            builder.add(dev, ["".join(["src/", name]) for name in files])
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -154,25 +157,23 @@ def held_by_builder(touches):
 
 def test_a_wide_window_holds_each_touch_in_a_few_bytes_beyond_its_name():
     # 20,000 files touched once each by 500 developers: no file has two
-    people = {d: DeveloperIdentity(f"d{d}@x.example", "HP") for d in range(500)}
-    touches = [(people[i % 500], [f"pkg{i // 100:04d}/module_{i:06d}.py"]) for i in range(20_000)]
-    _, held = held_by_builder(touches)
+    touches = [(i % 500, [f"pkg{i // 100:04d}/module_{i:06d}.py"]) for i in range(20_000)]
+    _, held = held_by_builder(touches, 500)
     name_bytes = sum(len("src/" + files[0]) for _, files in touches)
-    # a one-file commit is its name's bytes, a 0xFE and a list slot; a kept
-    # str and a dict entry per file cost about 120 bytes a touch
+    # a one-file commit is at most its name's bytes, a 0xFE and an array
+    # slot; a kept str and a dict entry per file cost about 120 bytes a touch
     assert held < name_bytes + 24 * len(touches)
 
 
 def test_a_repeat_heavy_window_holds_each_distinct_pair_in_a_few_bytes(monkeypatch):
     monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 4096)
     rng = random.Random(3)
-    people = [DeveloperIdentity(f"d{d}@x.example", "HP") for d in range(100)]
     pairs = {(d, f"d{d:03d}/f{k}.py") for d in range(100) for k in range(10)}
     touches = [
-        (people[d], [f"d{d:03d}/f{k}.py" for k in rng.sample(range(10), rng.randint(1, 4))])
+        (d, [f"d{d:03d}/f{k}.py" for k in rng.sample(range(10), rng.randint(1, 4))])
         for d in (rng.randrange(100) for _ in range(20_000))
     ]
-    builder, held = held_by_builder(touches)
+    builder, held = held_by_builder(touches, 100)
     assert builder.commits == 20_000
     pair_bytes = sum(len("src/" + path) + 9 for _, path in pairs)
     # rewrites keep the log within twice its distinct pairs; without them
@@ -242,9 +243,7 @@ def test_build_matches_cofile_oracle_on_seeded_windows(seed, firm_filter):
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
     assert all(u < v for u, v in (divmod(e, len(g.ids)) for e in g.edges))  # no self-loop
-    builder = WindowBuilder(firm_filter)
-    for identity, files in pairs:
-        builder.add(identity, files)
+    builder, _ = window_builder(pairs, firm_filter)
     assert builder.commits == len(pairs)
 
 
@@ -282,21 +281,19 @@ def test_folded_touch_log_matches_cofile_oracle(monkeypatch, seed, firm_filter):
     pairs = repeat_heavy_window(seed)
     assert set(AWKWARD_NAMES) <= cofile_oracle(pairs, None)[2].keys()  # each is shared
     firms, edges, _ = cofile_oracle(pairs, firm_filter)
-    builder = WindowBuilder(firm_filter)
-    for identity, files in pairs:
-        builder.add(identity, files)
+    builder, number = window_builder(pairs, firm_filter)
     assert len(rewrites) >= 3  # the log crossed its fold threshold again and again
     assert builder.commits == len(pairs)
-    ids = sorted(firms)
-    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)}, [firms[i] for i in ids])
+    g = builder_graph(builder, number)
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
 
 
 def assert_bounded_chunks(builder, bound):
-    """Every chunk of the builder's log is bytes of whole entries, below bound but for its last."""
-    for chunk in builder.log:
-        assert type(chunk) is bytes
+    """Every chunk of the builder's log compresses whole entries, below bound but for its last."""
+    for packed in builder.log:
+        assert type(packed) is bytes
+        chunk = zlib.decompress(packed)
         *_, last, end = chunk.split(b"\xfe")
         assert end == b"" and len(chunk) - len(last) - 1 < bound
 
@@ -319,19 +316,69 @@ def test_chunked_touch_log_matches_cofile_oracle(monkeypatch, seed, bound):
     monkeypatch.setattr(WindowBuilder, "_rewrite", checking)
     pairs = repeat_heavy_window(seed)
     firms, edges, _ = cofile_oracle(pairs, None)
-    builder = WindowBuilder()
-    for identity, files in pairs:
-        builder.add(identity, files)
+    builder, number = window_builder(pairs)
     assert len(flushed) >= 3 and all(flushed)  # each rewrite followed a flush
     assert_bounded_chunks(builder, bound)
     assert builder.log
     if bound == 64:
         assert builder.tail  # the fold reads entries not yet chunked too
-    ids = sorted(firms)
-    g = builder.graph("w", ids, {node: i for i, node in enumerate(ids)}, [firms[i] for i in ids])
+    g = builder_graph(builder, number)
     assert as_strings(g).firms == firms
     assert as_strings(g).edges == edges
-    assert (builder.log, builder.tail, builder.devs) == ([], [], [])
+    assert (builder.log, builder.tail, list(builder.devs)) == ([], [], [])
+
+
+def long_window(commits, seed):
+    """(Developer, files) pairs of 30 developers: commits of no files, of the awkward names and
+    of shared files, between commits of one to three long, mostly distinct non-ASCII paths."""
+    rng = random.Random(seed)
+    developers = [Developer(f"d{i:02d}@x.example", ("HP", "IBM", "RedHat")[i % 3]) for i in range(30)]
+    shared = AWKWARD_NAMES + [f"shared/m\u00f3dulo_{k}.py" for k in range(40)]
+    pairs = []
+    for i in range(commits):
+        if i % 97 == 0:
+            files = ()
+        else:
+            files = {f"src/paquete_{i % 50:02d}/m\u00f3dulo_{i:06d}_{k}.py" for k in range(rng.randint(1, 3))}
+            if i % 7 == 0:
+                files.add(rng.choice(shared))
+        pairs.append((rng.choice(developers), tuple(sorted(files))))
+    return pairs
+
+
+@pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
+def test_touch_log_round_trips_through_compressed_chunks(monkeypatch, firm_filter):
+    rewrites = []
+    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1))
+    pairs = long_window(3000, 1)
+    builder, number = window_builder(pairs, firm_filter)
+    kept = [(d, files) for d, files in pairs if firm_filter is None or d.firm in firm_filter]
+    entries = [b"\xff".join(f.encode("utf-8", "surrogatepass") for f in files) for _, files in kept]
+    assert len(builder.log) >= 3 and rewrites == []  # past LOG_CHUNK_BYTES, short of a rewrite
+    assert all(type(chunk) is bytes for chunk in builder.log)
+    raw = sum(len(zlib.decompress(chunk)) for chunk in builder.log)
+    assert raw + builder.tail_bytes == builder.size == sum(len(e) + 1 for e in entries)
+    assert sum(map(len, builder.log)) < raw / 2  # held compressed
+    assert list(builder._entries()) == entries
+    assert list(builder.devs) == [number[d.canonical_id] for d, _ in kept]
+    assert any(not files for _, files in kept)
+    assert as_strings(builder_graph(builder, number)) == brute_force_graph("w", pairs, firm_filter)
+
+
+@pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
+def test_builder_past_fold_min_bytes_matches_brute_force(monkeypatch, firm_filter):
+    rewrites = []
+    rewrite = WindowBuilder._rewrite
+    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1) or rewrite(self))
+    pairs = long_window(24_000, 2)
+    kept = [files for d, files in pairs if firm_filter is None or d.firm in firm_filter]
+    touched = sum(len(f.encode("utf-8", "surrogatepass")) + 1 for files in kept for f in files)
+    assert touched > graph.FOLD_MIN_BYTES
+    builder, number = window_builder(pairs, firm_filter)
+    assert rewrites and builder.log  # rewritten, and logged in compressed chunks again
+    g = builder_graph(builder, number)
+    assert g.edge_count
+    assert as_strings(g) == brute_force_graph("w", pairs, firm_filter)
 
 
 def test_awkward_names_are_distinct_files():
@@ -380,7 +427,7 @@ def test_graph_is_simple_and_symmetric(assignments):
     for e in g.edges:
         u, v = divmod(e, len(g.ids))
         assert u < v  # canonical unordered representation, no self-loop
-        assert u in g.firms and v in g.firms
+        assert u in g.nodes and v in g.nodes
 
 
 @given(commit_lists, st.tuples(dev_names, st.lists(file_names, min_size=1, max_size=3)))
@@ -395,6 +442,8 @@ def test_adding_a_commit_is_monotone(assignments, extra):
 
 
 def assert_ascending_edges(g):
+    assert isinstance(g.nodes, array) and g.nodes.typecode == "i"
+    assert all(a < b for a, b in zip(g.nodes, g.nodes[1:]))
     assert isinstance(g.edges, array) and g.edges.typecode == "q"
     assert all(a < b for a, b in zip(g.edges, g.edges[1:]))  # strictly: no duplicate
     assert all(u < v for u, v in g.ends(g.edges))
@@ -404,16 +453,18 @@ def assert_ascending_edges(g):
        st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2))
 def test_edges_are_an_ascending_int_array(windows, k, floor):
     people = identity_map()
-    ids = sorted(people)
-    index = {i: n for n, i in enumerate(ids)}
+    number = {email: d for d, email in enumerate(people)}
+    firms = [people[email].firm for email in number]
+    table = id_table(list(number), firms)
     graphs = []
     for w, assignments in enumerate(windows):
-        builder = WindowBuilder()
+        builder = WindowBuilder(firms)
         for dev, files in assignments:
-            builder.add(people[node(dev)], files)
-        graphs.append(builder.graph(f"w{w}", ids, index, [people[i].firm for i in ids]))
+            builder.add(number[node(dev)], files)
+        graphs.append(builder.graph(f"w{w}", *table))
     merged = merge_graphs(graphs, "merged")
     assert set(merged.edges) == set().union(*(g.edges for g in graphs))
+    assert set(merged.nodes) == set().union(*(g.nodes for g in graphs))
     for g in [*graphs, merged]:
         assert_ascending_edges(g)
         backbone = extract_backbone(g, BackboneParams(k, floor))

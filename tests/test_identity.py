@@ -173,7 +173,24 @@ def test_resolver_classifies_each_address_once(monkeypatch):
     assert [resolver.resolve(e) for e in emails * 3] == first * 3
     # the bot is excluded before its address is classified
     assert sorted(calls) == sorted(emails[:4])
-    assert first[0] is first[3] and first[2] is None and first[4] is None
+    assert first[0] == first[3] and first[2] is None and first[4] is None
+
+
+def test_resolver_numbers_developers_in_first_seen_order():
+    amap = load_affiliation_map(
+        "[domains]\nhp.example = HP\n[emails]\nodd_at_hp = IBM\n"
+        "[aliases]\nb@hp.example, b@ibm.example, b-bot@hp.example\n"
+        "[bots]\nci@hp.example\nb-bot@hp.example\n"
+    )
+    resolver = IdentityResolver(amap)
+    emails = [
+        "c@hp.example", "b@ibm.example", "ci@hp.example", "no-at-sign", "a@hp.example",
+        "b@hp.example", "odd_at_hp", "", "b-bot@hp.example", "a\x01@hp.example", "c@hp.example",
+    ]
+    assert [resolver.resolve(e) for e in emails] == [0, 1, None, None, 2, 1, 3, None, None, None, 0]
+    # an alias group is one developer, named by its smallest address, a bot's included
+    assert resolver.canonical_ids == ["c@hp.example", "b-bot@hp.example", "a@hp.example", "odd_at_hp"]
+    assert resolver.firms == ["HP", "HP", "HP", "IBM"]
 
 
 def test_bot_address_in_alias_group_stays_excluded():
@@ -187,7 +204,7 @@ def test_bot_address_in_alias_group_stays_excluded():
         outcomes = {e: resolver.resolve(e) for e in order}
         assert outcomes["bot@hp.example"] is None
         assert resolver.resolve("bot@hp.example") is None
-        assert outcomes["a@hp.example"].firm == "HP"
+        assert resolver.firms[outcomes["a@hp.example"]] == "HP"
 
 
 def test_alias_group_conflict_raises_on_every_resolve():
@@ -287,14 +304,15 @@ def test_identities_hold_one_entry_per_developer(tmp_path, seed):
     for order in (addresses, addresses[::-1]):
         resolver = IdentityResolver(amap)
         outcomes = {e: resolver.resolve(e) for e in order}
-        assert resolver.identities.keys() == expected
+        assert sorted(resolver.canonical_ids) == sorted(expected)  # one number per developer
         assert [e for e in addresses if outcomes[e] is not None] == resolved
         for e in resolved:
             key = min(group_of.get(e, [e]))
-            assert outcomes[e] is resolver.identities[key]
-            assert (outcomes[e].canonical_id, outcomes[e].firm) == (key, firm_of(e))
+            assert outcomes[e] == resolver.canonical_ids.index(key)
+            d = outcomes[e]
+            assert (resolver.canonical_ids[d], resolver.firms[d]) == (key, firm_of(e))
         for group in groups:
-            assert len({id(outcomes[e]) for e in group if outcomes[e] is not None}) <= 1
+            assert len({outcomes[e] for e in group if outcomes[e] is not None}) <= 1
 
         log = tmp_path / "commits.ndjson"
         log.write_text("".join(
@@ -359,7 +377,7 @@ def test_resolver_excludes_email_with_control_character():
     assert resolver.resolve("a\x01b@x.example") is None
     assert resolver.resolve("a\ufffeb@x.example") is None
     assert resolver.resolve("a\uffffb@x.example") is None
-    assert resolver.resolve("ab@x.example").firm == "HP"
+    assert resolver.firms[resolver.resolve("ab@x.example")] == "HP"
 
 
 # --- properties -----------------------------------------------------------
@@ -431,3 +449,22 @@ def test_folding_preserves_commit_attribution(raw_commits, amap):
         canonical = identities[r.author_email].canonical_id
         per_identity[canonical] = per_identity.get(canonical, 0) + 1
     assert sum(per_identity.values()) == len(records) - len(excluded)
+
+
+@given(st.lists(emails, min_size=1, max_size=8), st.data())
+def test_unaliased_address_resolves_as_a_group_of_one(addresses, data):
+    # an address in no alias group is decided without _group_firm, which must
+    # agree, for rules that name the Unaffiliated and bot markers too
+    rule_firms = st.sampled_from(["HP", "IBM", UNAFFILIATED, BOT])
+    domains = sorted({a.rpartition("@")[2] for a in addresses})
+    amap = AffiliationMap(
+        domain_rules=data.draw(st.dictionaries(st.sampled_from(domains), rule_firms)),
+        email_overrides=data.draw(st.dictionaries(st.sampled_from(addresses), rule_firms)),
+        alias_groups=(),
+        bot_emails=frozenset(),
+    )
+    resolver = IdentityResolver(amap)
+    for address in addresses:
+        d = resolver.resolve(address)
+        assert resolver.canonical_ids[d] == address
+        assert resolver.firms[d] == identity._group_firm((address,), amap)

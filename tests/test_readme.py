@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 from types import ModuleType
 
 import coopnet
-from conftest import FIXTURE_DIR, GOLDEN_DIR
+from conftest import FIXTURE_DIR, GOLDEN_DIR, parse_commit_log
 from coopnet import cli
+from coopnet.graph import CollaborationGraph
+from coopnet.identity import IdentityResolver, load_affiliation_map
 from coopnet.report import FORMATS, GRAPH_DIRS, GRAPH_SUFFIXES, TABLE_FILES
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -153,3 +156,46 @@ def test_every_qualified_name_resolves():
     names = set(re.findall(r"`(coopnet(?:\.\w+)+)", README))
     assert names
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+def named_tuples() -> dict[str, type]:
+    """Every NamedTuple class that a coopnet module defines, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(coopnet.__path__):
+        module = importlib.import_module(f"coopnet.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields"):
+                if value.__module__ == module.__name__:
+                    found[name] = value
+    return found
+
+
+def test_named_tuple_list_names_the_package_records():
+    text = re.search(r"only reads are `typing.NamedTuple`s:(.*?)\. They are immutable", README, re.S)
+    listed = re.findall(r"`(\w+)`", text.group(1))
+    assert len(listed) == 9
+    records = named_tuples()
+    assert sorted(name for name in listed if name not in records) == []
+
+
+def test_collaboration_graph_fields_are_the_listed_ones():
+    text = re.search(r"A `CollaborationGraph` is (\w+) fields\..*?\n\n(.*?)\n\n", README, re.S)
+    count = ["one", "two", "three", "four", "five", "six"].index(text.group(1)) + 1
+    listed = re.findall(r"^- `(\w+)`", text.group(2), re.M)
+    assert listed == list(CollaborationGraph._fields)
+    assert count == len(listed)
+
+
+def test_resolver_gives_developer_numbers_as_documented():
+    attributes = re.findall(r"`resolver\.(\w+)\[d\]`", README)
+    assert attributes == ["canonical_ids", "firms"]
+    config = (FIXTURE_DIR / "affiliations.ini").read_text(encoding="utf-8")
+    resolver = IdentityResolver(load_affiliation_map(config))
+    records, _ = parse_commit_log((FIXTURE_DIR / "commits.ndjson").read_text(encoding="utf-8"))
+    numbers = [resolver.resolve(r.author_email) for r in records]
+    assert None in numbers  # the fixture has an excluded author
+    kept = [d for d in numbers if d is not None]
+    assert all(type(d) is int for d in kept)
+    assert list(dict.fromkeys(kept)) == list(range(len(set(kept))))  # in first-seen order
+    for attribute in attributes:
+        assert len(getattr(resolver, attribute)) == len(set(kept))

@@ -176,6 +176,12 @@ def test_replaced_run_config_is_checked_again(tmp_path, change, message):
         cfg._replace(**change)
 
 
+@pytest.mark.parametrize("formats", [["csv"], ("csv", "json"), "csv"])
+def test_run_config_rejects_formats_that_are_not_a_set(tmp_path, formats):
+    with pytest.raises(ConfigError, match="formats must be a set of format names"):
+        run_config(tmp_path, formats=formats)
+
+
 @pytest.mark.parametrize("size", [0, -2])
 def test_run_config_rejects_community_min_size_below_1(tmp_path, size):
     with pytest.raises(ConfigError, match="community minimum size .* below 1"):
@@ -230,21 +236,21 @@ def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch
         resolvers.append(weakref.ref(resolver))
         return resolver
 
-    def tracked_builder(firm_filter):
-        builders.append(WindowBuilder(firm_filter))
+    def tracked_builder(firms, firm_filter):
+        builders.append(WindowBuilder(firms, firm_filter))
         return builders[-1]
 
-    write_parts = report.write_parts
+    write_together = report.write_together
 
-    def checking(path, parts):
+    def checking(paths, rows):
         if not first_write:
             freed = [ref() is None for ref in resolvers]
-            first_write.append((freed, [(bytes(b.log), b.devs) for b in builders]))
-        write_parts(path, parts)
+            first_write.append((freed, [(b.log, b.tail, list(b.devs)) for b in builders]))
+        write_together(paths, rows)
 
     monkeypatch.setattr(report, "IdentityResolver", tracked_resolver)
     monkeypatch.setattr(report, "WindowBuilder", tracked_builder)
-    monkeypatch.setattr(report, "write_parts", checking)
+    monkeypatch.setattr(report, "write_together", checking)
     gc.disable()
     try:
         run_pipeline(run_config(tmp_path))
@@ -252,34 +258,29 @@ def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch
         gc.enable()
     [(freed, logs)] = first_write
     assert freed == [True]
-    assert logs == [(b"", [])] * 3
+    assert logs == [([], [], [])] * 3
     assert all(b.commits for b in builders)  # each window held commits before its log was freed
 
 
-class _NodeMap(dict):
-    """A graph's node map that a weakref can follow; a plain dict takes none."""
-
-
 def test_window_graphs_are_released_before_the_merged_graph_is_written(tmp_path, monkeypatch):
-    maps, at_merged = [], []
+    node_arrays, at_merged = [], []
     graph = WindowBuilder.graph
 
     def tracked(self, *args):
         g = graph(self, *args)
-        node_map = _NodeMap(g.firms)
-        maps.append(weakref.ref(node_map))
-        return g._replace(firms=node_map)
+        node_arrays.append(weakref.ref(g.nodes))  # each window graph's own array
+        return g
 
-    write_parts = report.write_parts
+    write_together = report.write_together
 
-    def checking(path, parts):
-        if path.stem == report.MERGED_LABEL and not at_merged:
+    def checking(paths, rows):
+        if paths[0].stem == report.MERGED_LABEL and not at_merged:
             gc.collect()
-            at_merged.append([ref() is None for ref in maps])
-        write_parts(path, parts)
+            at_merged.append([ref() is None for ref in node_arrays])
+        write_together(paths, rows)
 
     monkeypatch.setattr(WindowBuilder, "graph", tracked)
-    monkeypatch.setattr(report, "write_parts", checking)
+    monkeypatch.setattr(report, "write_together", checking)
     run_pipeline(run_config(tmp_path))
     assert at_merged == [[True] * 3]
 
@@ -472,16 +473,18 @@ def test_failed_write_leaves_previous_tree(tmp_path, monkeypatch, first_run, fai
     if not first_run:
         run_pipeline(run_config(tmp_path, formats=frozenset({"dot", "csv"})))
     before = tree(out) if out.exists() else None
-    original_write = report.write_parts
+    original_write = report.write_together
     calls = []
 
-    def failing_write(path, parts):
-        calls.append(path)
-        if len(calls) == fail_at:
+    def failing_write(paths, rows):
+        # every file is written through write_together, a graph and its backbone in one call
+        if len(calls) + len(paths) >= fail_at:
+            calls.extend(paths[:fail_at - len(calls)])
             raise OSError("disk full")
-        return original_write(path, parts)
+        calls.extend(paths)
+        return original_write(paths, rows)
 
-    monkeypatch.setattr(report, "write_parts", failing_write)
+    monkeypatch.setattr(report, "write_together", failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(run_config(tmp_path))
     monkeypatch.undo()
@@ -579,7 +582,10 @@ def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "_render", counting)
     run_pipeline(run_config(tmp_path))
     assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
-    assert all(a < b for a, b in zip(on_disk, on_disk[1:]))
+    # a graph and its backbone are rendered together and written side by side
+    graphs, backbones = on_disk[::2], on_disk[1::2]
+    assert backbones == graphs
+    assert all(a < b for a, b in zip(graphs, graphs[1:]))
 
 
 def test_graph_files_written_in_chunks_equal_export(tmp_path, monkeypatch):
@@ -799,7 +805,7 @@ def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
         assert len(graphs) == 2 * len(names)  # a graph, then its backbone
         assert [g.node_count for g in graphs] == [4, 4, 5, 5, 5, 5]
         for name, g, bb in zip(names, graphs[::2], graphs[1::2]):
-            assert bb.ids is g.ids and bb.firms is g.firms
+            assert bb.ids is g.ids and bb.firms is g.firms and bb.nodes is g.nodes
             assert (out / "graphs" / name).read_text(encoding="utf-8") == export_graph(g, fmt)
             assert (out / "backbones" / name).read_text(encoding="utf-8") == export_graph(bb, fmt)
     merged = read_graphml((out / "graphs" / "merged.graphml").read_text(encoding="utf-8"))
