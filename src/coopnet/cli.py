@@ -85,8 +85,8 @@ def convert(args: argparse.Namespace) -> None:
     if not out_path.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "--out is not in a directory", str(out_path))
     with open(raw_path, encoding="utf-8", newline="") as raw, _write_replacing(out_path) as out:
-        records, merges_dropped = convert_vcs_log(raw, out)
-    print(f"wrote {records} records ({merges_dropped} merge commits dropped)")
+        records, empty_dropped = convert_vcs_log(raw, out)
+    print(f"wrote {records} records ({empty_dropped} commits without files dropped)")
 
 
 def validate(args: argparse.Namespace) -> None:

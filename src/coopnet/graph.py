@@ -64,10 +64,6 @@ def id_table(
     return [canonical_ids[d] for d in order], [firms[d] for d in order], rank
 
 
-# a window's touch log is rewritten as its distinct (file, developer) pairs
-# once it is past this many bytes and twice its size after its last rewrite
-FOLD_MIN_BYTES = 1 << 20
-
 # a touch log's entries are joined into one chunk once they reach this many bytes
 LOG_CHUNK_BYTES = 1 << 14
 
@@ -90,13 +86,10 @@ class WindowBuilder:
     behind in the heap. A touch costs its name's bytes plus one before
     compression, and a file that one developer touches costs no dict entry.
     A commit of no files is an empty entry, which the fold skips (the parser
-    refuses an empty file name). A log past FOLD_MIN_BYTES and twice its
-    size after its last rewrite, counted before compression, is rewritten as
-    its distinct (file, developer) pairs, one entry per developer, so a
-    history that touches the same files again and again holds each pair
-    once. :meth:`graph` folds the log (each file's first developer, then a
-    set once a second, different developer touches it), packs each set's
-    pairs through the rank of the run's id table and releases the log.
+    refuses an empty file name). The log is only appended: :meth:`graph`
+    folds it once (each file's first developer, then a set once a second,
+    different developer touches it), packs each set's pairs through the rank
+    of the run's id table and releases the log.
     """
 
     def __init__(self, firms: Sequence[str], firm_filter: frozenset[str] | None = None):
@@ -106,9 +99,7 @@ class WindowBuilder:
         self.log: list[bytes] = []  # compressed chunks of whole entries, each followed by 0xFE
         self.tail: list[bytes] = []  # the entries logged since the last chunk
         self.tail_bytes = 0  # the tail's size as a chunk
-        self.size = 0  # the whole log's size before compression, chunks and tail
         self.devs = array("i")  # the developer of each entry, chunked or not
-        self.fold_at = FOLD_MIN_BYTES  # the log's size that triggers a rewrite
 
     def add(self, dev: int, files: Sequence[str]) -> None:
         self.commits += 1
@@ -116,21 +107,9 @@ class WindowBuilder:
             return
         # surrogatepass writes a lone surrogate as its three bytes: one-to-one on str
         entry = b"\xff".join([f.encode("utf-8", "surrogatepass") for f in files])
-        # _log, inlined: add runs once per commit
         self.devs.append(dev)
         self.tail.append(entry)
         self.tail_bytes += len(entry) + 1
-        self.size += len(entry) + 1
-        if self.tail_bytes >= LOG_CHUNK_BYTES:
-            self._flush()
-        if self.size > self.fold_at:
-            self._rewrite()
-
-    def _log(self, dev: int, entry: bytes) -> None:
-        self.devs.append(dev)
-        self.tail.append(entry)
-        self.tail_bytes += len(entry) + 1
-        self.size += len(entry) + 1
         if self.tail_bytes >= LOG_CHUNK_BYTES:
             self._flush()
 
@@ -160,21 +139,6 @@ class WindowBuilder:
                     devs_of[key] = {devs, dev}
         return devs_of
 
-    def _rewrite(self) -> None:
-        """Rewrite the log as one entry per developer: the distinct files it touched."""
-        files_of: dict[int, list[bytes]] = {dev: [] for dev in self.devs}
-        for key, devs in self._fold().items():
-            for dev in devs if type(devs) is set else (devs,):
-                files_of[dev].append(key)
-        self._release()
-        for dev, keys in files_of.items():
-            self._log(dev, b"\xff".join(keys))
-        self.fold_at = max(FOLD_MIN_BYTES, 2 * self.size)
-
-    def _release(self) -> None:
-        self.log, self.tail, self.devs = [], [], array("i")
-        self.tail_bytes = self.size = 0
-
     def graph(
         self, window: str, ids: Sequence[str], firms: Sequence[str], rank: Sequence[int]
     ) -> CollaborationGraph:
@@ -189,7 +153,7 @@ class WindowBuilder:
             for u, v in combinations(sorted(map(rank.__getitem__, devs)), 2)
         )
         nodes = array("i", sorted(set(map(rank.__getitem__, self.devs))))
-        self._release()
+        self.log, self.tail, self.tail_bytes, self.devs = [], [], 0, array("i")
         return CollaborationGraph(window, ids, firms, nodes, edges)
 
 

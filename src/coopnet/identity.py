@@ -179,12 +179,12 @@ class IdentityResolver:
             return None
         group = self._group_of.get(email)
         if group is None:
-            # a group of one, as _group_firm would resolve it, without its sets
-            firm = amap.email_overrides.get(email)
-            if firm is None:
-                firm = amap.domain_rules.get(email.rpartition("@")[2], UNAFFILIATED)
-                if firm == BOT:
-                    firm = UNAFFILIATED
+            # a group of one, as _group_firm would resolve it, without its sets:
+            # an override pins the firm, and a domain rule's bot marker counts
+            # as no firm
+            firm = resolve_affiliation(email, amap)
+            if firm == BOT and email not in amap.email_overrides:
+                firm = UNAFFILIATED
             return self._number(email, firm)
         canonical = min(group)
         number = self._group_number.get(canonical)

@@ -61,19 +61,19 @@ class CommitRecord(NamedTuple):
     files: tuple[str, ...]  # deduplicated, lexicographically sorted
 
 
-# a sha's first 14 bits pick one of SHA_BUCKETS buckets; a bucket is its
-# shas' bytes 1-19 (SHA_TAIL bytes: the second byte whole, though the bucket
-# fixes 6 of its bits, and the 18 after it) end to end, so the check is exact,
-# a seen sha costs 19 bytes, and at 120k shas about 7 share a bucket's header
+# a sha's hash picks one of SHA_BUCKETS buckets, so shas that share a prefix
+# spread too; a bucket is its shas' 20 bytes (SHA_TAIL) end to end, so the
+# check is exact, a seen sha costs 20 bytes, and at 120k shas about 7 share a
+# bucket's header
 SHA_BUCKETS = 1 << 14
-SHA_TAIL = 19
+SHA_TAIL = 20
 
 
-def _holds(bucket: bytes, tail: bytes) -> bool:
-    """Whether bucket holds tail as one of its SHA_TAIL-byte entries, not across two."""
-    at = bucket.find(tail)
+def _holds(bucket: bytes, key: bytes) -> bool:
+    """Whether bucket holds key as one of its SHA_TAIL-byte entries, not across two."""
+    at = bucket.find(key)
     while at > 0 and at % SHA_TAIL:  # a match across two entries: look from the next one on
-        at = bucket.find(tail, at + SHA_TAIL - at % SHA_TAIL)
+        at = bucket.find(key, at + SHA_TAIL - at % SHA_TAIL)
     return at != -1
 
 
@@ -250,12 +250,12 @@ def iter_commits(stream: Iterable[str], report: ValidationReport) -> Iterator[Co
                 rejected.append((line_number, reason))
                 continue
         key = bytes.fromhex(sha)
-        bucket, tail = key[0] << 6 | key[1] >> 2, key[1:]
+        bucket = hash(key) & (SHA_BUCKETS - 1)
         held = seen[bucket]
-        if tail in held and _holds(held, tail):  # most tails are in no bucket at all
+        if key in held and _holds(held, key):  # most keys are in no bucket at all
             rejected.append((line_number, "duplicate sha"))
             continue
-        seen[bucket] = held + tail
+        seen[bucket] = held + key
         report.accepted += 1
         ordered = sorted(set(files)) if len(files) > 1 else files
         normalized = email.strip().lower()  # normalize_email, without the call
@@ -308,8 +308,9 @@ def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
     author email and the committer ISO-8601 date on separate lines, then
     the name-only file list. Each record's line is written once the next
     sentinel, or the end of input, closes it, so only the open record is
-    held. Merge records (zero file lines) are dropped. Returns (records
-    written, merge records dropped).
+    held. A record of zero file lines, an empty commit (the recipe passes
+    ``--no-merges``), is dropped. Returns (records written, records without
+    files dropped).
 
     Raises CommitLogError, naming the byte offset of the offending record,
     when the sentinel is missing, a record is truncated or its date is
@@ -317,7 +318,7 @@ def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
     as read, so open a file with newline="".
     """
     lines = iter(raw)
-    written = merges_dropped = at = start = 0
+    written = empty_dropped = at = start = 0
     body: list[str] | None = None  # the open record's lines; it starts at byte start
     for line in chain(lines, [RECORD_SENTINEL]):  # a last sentinel closes the last record
         text = line.rstrip("\r\n")
@@ -326,7 +327,7 @@ def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
                 body.pop()
             fault = "unterminated record" if len(body) < 4 else None
             if fault is None:
-                try:  # a merge record's date is checked too
+                try:  # the date of a record without files is checked too
                     timestamp = parse_rfc3339(body[3])
                 except ValueError:
                     fault = "unparseable committer date in record"
@@ -340,7 +341,7 @@ def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
                 out.write(json.dumps(obj, ensure_ascii=False) + "\n")
                 written += 1
             else:
-                merges_dropped += 1
+                empty_dropped += 1
         if text == RECORD_SENTINEL:
             start, body = at, []
         elif body is not None:
@@ -348,4 +349,4 @@ def convert_vcs_log(raw: Iterable[str], out: TextIO) -> tuple[int, int]:
         elif text.strip():
             raise CommitLogError(f"missing sentinel before content at byte {at}")
         at += len(line.encode("utf-8"))
-    return written, merges_dropped
+    return written, empty_dropped

@@ -123,16 +123,16 @@ def parse_commit_log(text: str):
 
 
 def convert_text(raw: str):
-    """`convert_vcs_log` on raw into memory: the NDJSON text and the merge records dropped.
+    """`convert_vcs_log` on raw into memory: the NDJSON text and the records without files dropped.
 
     raw is read with its line endings kept, as convert opens its input.
     The records it says it wrote are checked against the lines written.
     """
     out = io.StringIO()
-    written, merges = convert_vcs_log(io.StringIO(raw, newline=""), out)
+    written, empty = convert_vcs_log(io.StringIO(raw, newline=""), out)
     ndjson = out.getvalue()
     assert written == ndjson.count("\n")  # json.dumps escapes every newline inside a record
-    return ndjson, merges
+    return ndjson, empty
 
 
 class Developer(NamedTuple):

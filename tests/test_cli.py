@@ -295,8 +295,8 @@ def test_convert_and_validate(tmp_path):
     out = tmp_path / "log.ndjson"
     result = run_cli(["convert", "--raw", str(raw), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert "1 merge commits dropped" in result.output
-    assert result.stdout == "wrote 1 records (1 merge commits dropped)\n"
+    assert "1 commits without files dropped" in result.output
+    assert result.stdout == "wrote 1 records (1 commits without files dropped)\n"
     assert len(out.read_text().splitlines()) == 1
     umask = os.umask(0)
     os.umask(umask)
@@ -583,7 +583,7 @@ def test_convert_peak_rss_does_not_grow_with_the_log(tmp_path):
     assert 3_500_000 < raw.stat().st_size < 4_500_000
     out = tmp_path / "log.ndjson"
     stdout, import_only, converting = spawned_peaks("convert", "--raw", raw, "--out", out)
-    assert "wrote 27000 records (0 merge commits dropped)" in stdout
+    assert "wrote 27000 records (0 commits without files dropped)" in stdout
     assert converting < import_only + 4, (import_only, converting)
 
 

@@ -165,20 +165,18 @@ def test_a_wide_window_holds_each_touch_in_a_few_bytes_beyond_its_name():
     assert held < name_bytes + 24 * len(touches)
 
 
-def test_a_repeat_heavy_window_holds_each_distinct_pair_in_a_few_bytes(monkeypatch):
-    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 4096)
+def test_a_repeat_heavy_window_holds_each_touch_in_a_few_bytes():
     rng = random.Random(3)
-    pairs = {(d, f"d{d:03d}/f{k}.py") for d in range(100) for k in range(10)}
     touches = [
         (d, [f"d{d:03d}/f{k}.py" for k in rng.sample(range(10), rng.randint(1, 4))])
         for d in (rng.randrange(100) for _ in range(20_000))
     ]
     builder, held = held_by_builder(touches, 100)
     assert builder.commits == 20_000
-    pair_bytes = sum(len("src/" + path) + 9 for _, path in pairs)
-    # rewrites keep the log within twice its distinct pairs; without them
-    # it would hold all of about 50,000 touches
-    assert held < 3 * pair_bytes
+    name_bytes = sum(len("src/" + path) for _, files in touches for path in files)
+    # every touch is logged, compressed in chunks, and each commit's
+    # developer takes an array slot
+    assert held < name_bytes / 2 + 4 * len(touches)
 
 
 def seeded_window(seed):
@@ -273,16 +271,11 @@ def repeat_heavy_window(seed):
 
 @pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
 @pytest.mark.parametrize("seed", range(3))
-def test_folded_touch_log_matches_cofile_oracle(monkeypatch, seed, firm_filter):
-    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 256)
-    rewrites = []
-    rewrite = WindowBuilder._rewrite
-    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1) or rewrite(self))
+def test_folded_touch_log_matches_cofile_oracle(seed, firm_filter):
     pairs = repeat_heavy_window(seed)
     assert set(AWKWARD_NAMES) <= cofile_oracle(pairs, None)[2].keys()  # each is shared
     firms, edges, _ = cofile_oracle(pairs, firm_filter)
     builder, number = window_builder(pairs, firm_filter)
-    assert len(rewrites) >= 3  # the log crossed its fold threshold again and again
     assert builder.commits == len(pairs)
     g = builder_graph(builder, number)
     assert as_strings(g).firms == firms
@@ -301,25 +294,13 @@ def assert_bounded_chunks(builder, bound):
 @pytest.mark.parametrize("bound", [1, 7, 64])
 @pytest.mark.parametrize("seed", range(2))
 def test_chunked_touch_log_matches_cofile_oracle(monkeypatch, seed, bound):
-    # entries longer than a chunk's bound, entries left in the tail, and
-    # rewrites that follow flushes and flush again themselves
+    # entries longer than a chunk's bound, and entries left in the tail
     monkeypatch.setattr(graph, "LOG_CHUNK_BYTES", bound)
-    monkeypatch.setattr(graph, "FOLD_MIN_BYTES", 256)
-    flushed = []
-    rewrite = WindowBuilder._rewrite
-
-    def checking(self):
-        assert_bounded_chunks(self, bound)
-        flushed.append(len(self.log))
-        rewrite(self)
-
-    monkeypatch.setattr(WindowBuilder, "_rewrite", checking)
     pairs = repeat_heavy_window(seed)
     firms, edges, _ = cofile_oracle(pairs, None)
     builder, number = window_builder(pairs)
-    assert len(flushed) >= 3 and all(flushed)  # each rewrite followed a flush
     assert_bounded_chunks(builder, bound)
-    assert builder.log
+    assert len(builder.log) >= 3
     if bound == 64:
         assert builder.tail  # the fold reads entries not yet chunked too
     g = builder_graph(builder, number)
@@ -347,17 +328,15 @@ def long_window(commits, seed):
 
 
 @pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
-def test_touch_log_round_trips_through_compressed_chunks(monkeypatch, firm_filter):
-    rewrites = []
-    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1))
+def test_touch_log_round_trips_through_compressed_chunks(firm_filter):
     pairs = long_window(3000, 1)
     builder, number = window_builder(pairs, firm_filter)
     kept = [(d, files) for d, files in pairs if firm_filter is None or d.firm in firm_filter]
     entries = [b"\xff".join(f.encode("utf-8", "surrogatepass") for f in files) for _, files in kept]
-    assert len(builder.log) >= 3 and rewrites == []  # past LOG_CHUNK_BYTES, short of a rewrite
+    assert len(builder.log) >= 3  # past LOG_CHUNK_BYTES
     assert all(type(chunk) is bytes for chunk in builder.log)
     raw = sum(len(zlib.decompress(chunk)) for chunk in builder.log)
-    assert raw + builder.tail_bytes == builder.size == sum(len(e) + 1 for e in entries)
+    assert raw + builder.tail_bytes == sum(len(e) + 1 for e in entries)
     assert sum(map(len, builder.log)) < raw / 2  # held compressed
     assert list(builder._entries()) == entries
     assert list(builder.devs) == [number[d.canonical_id] for d, _ in kept]
@@ -366,16 +345,13 @@ def test_touch_log_round_trips_through_compressed_chunks(monkeypatch, firm_filte
 
 
 @pytest.mark.parametrize("firm_filter", [None, frozenset({"HP", "RedHat"})])
-def test_builder_past_fold_min_bytes_matches_brute_force(monkeypatch, firm_filter):
-    rewrites = []
-    rewrite = WindowBuilder._rewrite
-    monkeypatch.setattr(WindowBuilder, "_rewrite", lambda self: rewrites.append(1) or rewrite(self))
+def test_builder_past_fold_min_bytes_matches_brute_force(firm_filter):
     pairs = long_window(24_000, 2)
     kept = [files for d, files in pairs if firm_filter is None or d.firm in firm_filter]
     touched = sum(len(f.encode("utf-8", "surrogatepass")) + 1 for files in kept for f in files)
-    assert touched > graph.FOLD_MIN_BYTES
+    assert touched > 1 << 20  # past a MiB of raw touches, only appended
     builder, number = window_builder(pairs, firm_filter)
-    assert rewrites and builder.log  # rewritten, and logged in compressed chunks again
+    assert builder.log
     g = builder_graph(builder, number)
     assert g.edge_count
     assert as_strings(g) == brute_force_graph("w", pairs, firm_filter)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from datetime import date, datetime, timezone
 from unittest import mock
 
@@ -237,8 +238,8 @@ def duplicate_oracle(shas):
     return duplicates, len(seen)
 
 
-# shas of two buckets whose 19-byte tails repeat a short pattern from some
-# offset on, so that one sha's tail often stands across two stored tails
+# shas whose 20 bytes repeat a short pattern from some offset on, so that
+# in one bucket one sha often stands across two stored shas
 bucket_shas = st.builds(
     lambda prefix, pattern, offset: prefix + bytes((pattern * 21)[offset:offset + 19]).hex(),
     st.sampled_from(["ab", "00"]),
@@ -247,52 +248,60 @@ bucket_shas = st.builds(
 )
 
 
-# three tails of one bucket (a tail's first byte is the sha's second, whose
-# first 6 bits the bucket fixes: here 0); the third is found in the first
-# two's tails end to end, at offset 3
-ACROSS = [bytes(range(19)), bytes([1, *range(100, 118)]), bytes([*range(3, 19), 1, 100, 101])]
+# three shas; the third is found in the first two's bytes end to end, at
+# offset 3, so one bucket of all three holds it across two entries
+ACROSS = [bytes(range(20)), bytes([1, *range(100, 119)]), bytes([*range(3, 20), 1, 100, 101])]
 
 
 def bucket_of(sha):
-    """The sha's first 14 bits."""
-    return int(sha[:4], 16) >> 2
+    """The sha's bucket: its bytes' hash, cut to SHA_BUCKETS."""
+    return hash(bytes.fromhex(sha)) & (ingest.SHA_BUCKETS - 1)
+
+
+def one_bucket():
+    """Every sha in one bucket, so that a bucket holds many and its entries meet end to end."""
+    return mock.patch.object(ingest, "SHA_BUCKETS", 1)
 
 
 @given(st.lists(bucket_shas, max_size=60))
-@example(["ab" + tail.hex() for tail in [*ACROSS, ACROSS[2]]])
+@example([key.hex() for key in [*ACROSS, ACROSS[2]]])
 def test_duplicate_rejections_match_a_set(shas):
-    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
+    with one_bucket():
+        records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
     duplicates, accepted = duplicate_oracle(shas)
     assert report.rejected == duplicates
     assert report.accepted == accepted == len(records)
 
 
 def test_shas_of_one_bucket_are_told_apart_by_their_tails():
-    # the four differ only in the last 2 bits of their second byte, which
-    # the bucket leaves to the tail
-    shas = [f"ab{second:02x}" + "5" * 36 for second in range(0xCC, 0xD0)]
-    assert len({bucket_of(sha) for sha in shas}) == 1
-    log = shas + shas[::-1] + ["ab" + "5" * 38]  # the last one is of another bucket
-    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in log))
-    assert [r.sha for r in records] == [*shas, log[-1]]
-    assert report.rejected == [(line, "duplicate sha") for line in range(5, 9)]
+    # the five differ only in the last 2 bits of their second byte, or in the last sha's case,
+    # only in its first byte
+    shas = [f"ab{second:02x}" + "5" * 36 for second in range(0xCC, 0xD0)] + ["ac" + "cc" + "5" * 36]
+    with one_bucket():
+        assert len({bucket_of(sha) for sha in shas}) == 1
+        log = shas + shas[::-1]
+        records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in log))
+    assert [r.sha for r in records] == shas
+    assert report.rejected == [(line, "duplicate sha") for line in range(6, 11)]
 
 
 def test_a_tail_across_two_stored_tails_is_not_a_duplicate():
-    shas = ["ab" + tail.hex() for tail in ACROSS]
-    assert len({bucket_of(sha) for sha in shas}) == 1
-    assert (ACROSS[0] + ACROSS[1]).find(ACROSS[2]) == 3  # not at a tail's start
-    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas + shas))
+    shas = [key.hex() for key in ACROSS]
+    assert (ACROSS[0] + ACROSS[1]).find(ACROSS[2]) == 3  # not at an entry's start
+    with one_bucket():
+        assert len({bucket_of(sha) for sha in shas}) == 1
+        records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas + shas))
     assert [r.sha for r in records] == shas
     assert report.rejected == [(line, "duplicate sha") for line in range(4, 7)]
 
 
 def test_a_seeded_stream_with_planted_duplicates_matches_a_set():
     # one line in ten repeats an earlier sha, one in ten is an earlier sha
-    # with one hex digit changed, and one new sha in four falls in one of
-    # four crowded buckets
+    # with one hex digit changed, and one new sha in four shares its first
+    # 14 bits with many others: read with the run's buckets, which that
+    # prefix does not crowd, and with 16 buckets, each crowded
     rng = random.Random(29)
-    crowded = [rng.getrandbits(14) for _ in range(4)]
+    prefixes = [rng.getrandbits(14) for _ in range(4)]
     shas = []
     for _ in range(20_000):
         draw = rng.random()
@@ -303,15 +312,18 @@ def test_a_seeded_stream_with_planted_duplicates_matches_a_set():
             digit = rng.choice("0123456789abcdef".replace(sha[at], ""))
             shas.append(sha[:at] + digit + sha[at + 1:])
         elif rng.random() < 0.25:
-            shas.append(f"{rng.choice(crowded) << 146 | rng.getrandbits(146):040x}")
+            shas.append(f"{rng.choice(prefixes) << 146 | rng.getrandbits(146):040x}")
         else:
             shas.append(f"{rng.getrandbits(160):040x}")
-    assert sum(bucket_of(sha) in crowded for sha in set(shas)) > 4_000
-    records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
     duplicates, accepted = duplicate_oracle(shas)
     assert len(duplicates) > 1_500
-    assert report.rejected == duplicates
-    assert report.accepted == accepted == len(records)
+    for buckets, crowded in ((ingest.SHA_BUCKETS, False), (16, True)):
+        with mock.patch.object(ingest, "SHA_BUCKETS", buckets):
+            sizes = Counter(map(bucket_of, set(shas))).values()
+            assert min(sizes) > 500 if crowded else max(sizes) < 50
+            records, report = parse_commit_log("\n".join(make_line(sha=sha) for sha in shas))
+        assert report.rejected == duplicates
+        assert report.accepted == accepted == len(records)
 
 
 def test_every_line_of_a_repeated_log_is_a_duplicate():
@@ -401,8 +413,8 @@ def raw_record(sha=SHA_A, name="Dev One", email="dev1@hp.example",
 
 
 def test_convert_transcribes_record():
-    ndjson, merges = convert_text(raw_record())
-    assert merges == 0
+    ndjson, empty = convert_text(raw_record())
+    assert empty == 0
     obj = json.loads(ndjson)
     assert obj == {
         "sha": SHA_A,
@@ -413,10 +425,10 @@ def test_convert_transcribes_record():
     }
 
 
-def test_convert_drops_merge_records():
+def test_convert_drops_records_without_files():
     raw = raw_record() + raw_record(sha=SHA_B, files=())
-    ndjson, merges = convert_text(raw)
-    assert merges == 1
+    ndjson, empty = convert_text(raw)
+    assert empty == 1
     assert len(ndjson.splitlines()) == 1
 
 
@@ -495,8 +507,8 @@ def test_convert_parse_roundtrip_property(commits):
     raw = "".join(
         raw_record(sha=sha, files=files) for sha, files in commits
     )
-    ndjson, merges = convert_text(raw)
-    assert merges == 0
+    ndjson, empty = convert_text(raw)
+    assert empty == 0
     records, report = parse_commit_log(ndjson)
     # a repeated sha is rejected; its first occurrence is the one kept
     first: dict[str, list[str]] = {}
@@ -545,10 +557,10 @@ def fixture_as_raw_log() -> str:
 
 
 def test_the_fast_path_reads_every_line_convert_writes(monkeypatch):
-    ndjson, merges = convert_text(fixture_as_raw_log())
+    ndjson, empty = convert_text(fixture_as_raw_log())
     calls = decoder_calls(monkeypatch)
     _, report = parse_commit_log(ndjson)
-    assert (merges, report.accepted, report.rejected) == (1, 25, [])
+    assert (empty, report.accepted, report.rejected) == (1, 25, [])
     assert calls == []
 
 
