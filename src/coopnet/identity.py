@@ -39,7 +39,7 @@ def load_affiliation_map(config: str) -> AffiliationMap:
     ``normalize_email``, as commit emails are, so the two always agree. A
     key, firm or email holding a C0 control character is refused, as
     ``is_valid_email`` refuses such an address: it could become a node id
-    or firm that GraphML cannot hold.
+    or firm that GraphML cannot hold. The firm name BOT is reserved.
     """
     domain_rules: dict[str, str] = {}
     email_overrides: dict[str, str] = {}
@@ -65,6 +65,8 @@ def load_affiliation_map(config: str) -> AffiliationMap:
                 raise AffiliationError(f"line {line_number}: expected key=firm")
             key, firm = normalize_email(key), firm.strip()
             _check_no_control(line_number, key, firm)
+            if firm == BOT:  # the marker of an excluded address, which [bots] lists
+                raise AffiliationError(f"line {line_number}: firm name {BOT} is reserved")
             rules = domain_rules if section == "domains" else email_overrides
             if key in rules and rules[key] != firm:
                 raise AffiliationError(

@@ -14,10 +14,10 @@ import re
 import shutil
 import stat
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from datetime import date
 from functools import partial
-from itertools import chain, islice, zip_longest
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -159,7 +159,7 @@ FORMATS = (*GRAPH_FORMATS, "csv", "json")
 GRAPH_SUFFIXES = frozenset(f".{name}" for name in GRAPH_FORMATS)
 
 
-# lines joined per part of a graph file, and so per write: a file's whole
+# lines joined per chunk of a graph file, and so per write: a file's whole
 # text is never held, and a few thousand lines per write keep the writes few
 CHUNK_PARTS = 4096
 
@@ -169,45 +169,6 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
     lines = iter(lines)
     while chunk := "".join(islice(lines, CHUNK_PARTS)):
         yield chunk
-
-
-def _node_chunks(
-    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], firms: dict[str, str]
-) -> Iterator[str]:
-    """g's node lines in id order, from the quoted ids and firms, in chunks as they are made."""
-    return _chunks(fmt.nodes(quoted, firms, g.firms, g.nodes))
-
-
-def _in_step(parts: Iterable[str]) -> tuple[Iterator[str], Iterator[str]]:
-    """Two readers of parts, for a second reader that takes each part just after the first.
-
-    The second ends where the first did. Unlike ``itertools.tee``, which
-    keeps the parts it hands out in blocks of 57, only the part that the
-    second reader has not yet taken is held.
-    """
-    held: list[str] = []
-
-    def first() -> Iterator[str]:
-        for part in parts:
-            held.append(part)
-            yield part
-
-    def second() -> Iterator[str]:
-        while held:
-            yield held.pop()
-
-    return first(), second()
-
-
-def _render(
-    fmt: GraphFormat, g: CollaborationGraph, quoted: Sequence[str], nodes: Iterable[str]
-) -> Iterator[str]:
-    """g as fmt's text in parts: the head, the node chunks, the edge lines in chunks, the tail.
-
-    The edge lines are made as they are read, in g's edge (id-pair) order.
-    """
-    head = fmt.head.format(fmt.quote_id(g.window))
-    return chain((head,), nodes, _chunks(fmt.edges(quoted, g.ends(g.edges))), (fmt.tail,))
 
 
 def _quoted(
@@ -235,26 +196,36 @@ def _quoted(
 def export_graph(g: CollaborationGraph, fmt: str) -> str:
     """g alone as the text of the graph format named fmt, a key of GRAPH_FORMATS."""
     [(_, f, quoted, firms)] = _quoted([fmt], g.ids, g.firms)
-    return "".join(_render(f, g, quoted, _node_chunks(f, g, quoted, firms)))
+    return (
+        f.head.format(f.quote_id(g.window))
+        + "".join(f.nodes(quoted, firms, g.firms, g.nodes))
+        + "".join(f.edges(quoted, g.ends(g.edges)))
+        + f.tail
+    )
 
 
-def write_together(paths: Sequence[Path], rows: Iterable[Sequence[str]]) -> None:
-    """Write several files as UTF-8 in one pass: each row holds the next part of each path.
+def _write_graph(
+    paths: Sequence[Path], fmt: GraphFormat, quoted: Sequence[str], quoted_firms: dict[str, str],
+    g: CollaborationGraph, bb: CollaborationGraph,
+) -> None:
+    """g and its backbone bb as fmt's text, in paths[0] and paths[1], as UTF-8.
 
-    Part i of a row goes to paths[i] as one write, as the row comes; an
-    empty part writes nothing.
+    bb shares g's nodes, so each node chunk is made once and written to
+    both files as it is made. Then each file takes its own graph's edge
+    lines, in chunks in id-pair order, and the tail.
     """
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
-        for row in rows:
-            for f, part in zip(files, row):
-                if part:
-                    f.write(part)
-
-
-def write_parts(path: Path, parts: Iterable[str]) -> None:
-    """Write the concatenated parts to path as UTF-8, one write per part as it comes."""
-    write_together([path], zip(parts))
+    with open(paths[0], "w", encoding="utf-8") as g_file, \
+            open(paths[1], "w", encoding="utf-8") as bb_file:
+        head = fmt.head.format(fmt.quote_id(g.window))
+        g_file.write(head)
+        bb_file.write(head)
+        for chunk in _chunks(fmt.nodes(quoted, quoted_firms, g.firms, g.nodes)):
+            g_file.write(chunk)
+            bb_file.write(chunk)
+        for f, h in ((g_file, g), (bb_file, bb)):
+            for chunk in _chunks(fmt.edges(quoted, h.ends(h.edges))):
+                f.write(chunk)
+            f.write(fmt.tail)
 
 
 def _json_text(payload) -> str:
@@ -454,24 +425,21 @@ def _build_and_merge(table: tuple, builders: dict[str, WindowBuilder]) -> tuple:
 
 def _analyze_graph(
     cfg: RunConfig, streams: list[RevenueStream], universe: set[str], graph_formats: list,
-    write: Callable, g: CollaborationGraph, scope: str, release: str, stem: str,
+    target: Callable, g: CollaborationGraph, scope: str, release: str, stem: str,
 ) -> tuple[FirmMixing, list[tuple], dict, tuple]:
     """g's firm mixing, comparison rows, communities and evolution row.
 
-    They are returned once g and its backbone are written as stem, side by
-    side, so that each node chunk is made once and written to both files.
+    They are returned once g and its backbone are written as stem in each
+    graph format, by _write_graph, which makes each node chunk once for
+    both files.
     """
     mixing = firm_mixing(g)
     comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
     bb = extract_backbone(g, cfg.backbone)
     communities = detect_subcommunities(bb, cfg.community_min_size)
     for name, fmt, quoted, quoted_firms in graph_formats:
-        # the backbone shares g's nodes, so it shares g's node lines: the two
-        # files are written in step, each row g's part first
-        g_nodes, bb_nodes = _in_step(_node_chunks(fmt, g, quoted, quoted_firms))
-        write([f"graphs/{stem}.{name}", f"backbones/{stem}.{name}"], zip_longest(
-            _render(fmt, g, quoted, g_nodes), _render(fmt, bb, quoted, bb_nodes), fillvalue=""
-        ))
+        paths = [target(f"graphs/{stem}.{name}"), target(f"backbones/{stem}.{name}")]
+        _write_graph(paths, fmt, quoted, quoted_firms, g, bb)
     return mixing, comparisons, {
         "release": g.window,
         "communities": [
@@ -506,10 +474,10 @@ def _write_tables(
         evolution_rows.append(row)
         homophily_rows.append((row[0], same_firm_edge_fraction(mix), firm_assortativity(mix)))
     if "csv" in cfg.formats:
-        write("evolution.csv", [evolution_csv(evolution_rows)])
-        write("homophily.csv", [homophily_csv(homophily_rows)])
+        write("evolution.csv", evolution_csv(evolution_rows))
+        write("homophily.csv", homophily_csv(homophily_rows))
         comparison_rows = [row for _, rows, _, _ in analyses for row in rows]
-        write("comparisons.csv", [comparisons_csv(comparison_rows)])
+        write("comparisons.csv", comparisons_csv(comparison_rows))
 
     params = cfg.backbone._asdict()  # max_rank_k and min_embeddedness
     summary = {
@@ -538,15 +506,15 @@ def _write_tables(
     }
 
     if "json" in cfg.formats:
-        write("communities.json", [_json_text(
+        write("communities.json", _json_text(
             {"min_size": cfg.community_min_size, "params": params,
              "windows": [p for _, _, p, _ in analyses]}
-        )])
+        ))
         # json writes tuples as arrays
-        write("validation_report.json", [_json_text(
+        write("validation_report.json", _json_text(
             {"accepted": report.accepted, "rejected": report.rejected, "cleaned": report.cleaned}
-        )])
-        write("run_summary.json", [_json_text(summary)])
+        ))
+        write("run_summary.json", _json_text(summary))
     return summary
 
 
@@ -556,11 +524,12 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     The run is four stages, each returning only what the later ones read:
     _read_and_fold, _build_and_merge, _analyze_graph on each graph, and
     _write_tables. Raises the originating module's error on bad inputs
-    (the CLI maps these to exit codes). Each artifact is written as soon
-    as it is rendered, into a staging directory that replaces cfg.out_dir
-    only when the whole run succeeds; on any error cfg.out_dir is left as
-    it was. An existing cfg.out_dir holding anything a run does not write
-    is refused with ConfigError before any work.
+    (the CLI maps these to exit codes). A graph and its backbone are
+    written by _write_graph chunk by chunk, as the text is made, and each
+    table as one string, into a staging directory that replaces
+    cfg.out_dir only when the whole run succeeds; on any error cfg.out_dir
+    is left as it was. An existing cfg.out_dir holding anything a run does
+    not write is refused with ConfigError before any work.
     """
     out_dir = Path(cfg.out_dir).resolve()
     _check_replaceable(out_dir)
@@ -577,17 +546,15 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             written.append(rel_path)
             return path
 
-        def write(rel_path: str, parts: Iterable[str]) -> None:
-            write_parts(target(rel_path), parts)
-
-        def write_graphs(rel_paths: list[str], rows: Iterable[Sequence[str]]) -> None:
-            write_together([target(p) for p in rel_paths], rows)
+        def write(rel_path: str, text: str) -> None:
+            with open(target(rel_path), "w", encoding="utf-8") as f:
+                f.write(text)
 
         # quoted once for the run: the id table holds every node of every graph
         graph_formats = _quoted(
             [name for name in GRAPH_FORMATS if name in cfg.formats], merged.ids, merged.firms
         )
-        analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, write_graphs)
+        analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, target)
         analyses = _analyze_windows(analyze, window_graphs)
         # merged last in every table; scope is passed, as a release may itself be named "merged"
         analyses.append(analyze(merged, MERGED_LABEL, "all", MERGED_LABEL))

@@ -132,6 +132,21 @@ def test_analyze_alias_conflict_after_last_release_is_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_bot_marker_as_firm_is_exit_2(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(analyze_args(tmp_path)).exit_code == 0
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    affiliations = tmp_path / "affiliations.ini"
+    affiliations.write_text(
+        (FIXTURE_DIR / "affiliations.ini").read_text() + "[emails]\nd@anvil.io = <bot>\n"
+    )
+    result = run_cli(analyze_args(tmp_path, affiliations=affiliations))
+    assert result.exit_code == 2, result.output
+    assert "error: line 16: firm name <bot> is reserved\n" in result.output
+    assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+    assert sorted(tmp_path.glob(".out.*")) == []
+
+
 def test_analyze_firm_filter_of_only_comments_is_exit_2(tmp_path):
     out = tmp_path / "out"
     assert run_cli(analyze_args(tmp_path)).exit_code == 0

@@ -366,6 +366,17 @@ def test_load_rejects_control_characters_with_line_number(config, bad):
     assert str(excinfo.value) == f"line 3: {bad!r} holds a control character"
 
 
+@pytest.mark.parametrize("config", [
+    "[emails]\nx@y.example = <bot>\n",
+    "[domains]\nz.example=<bot>  # a bot domain\n",
+])
+def test_load_refuses_the_bot_marker_as_a_firm(config):
+    # the marker would make a node of firm <bot>, or an Unaffiliated one, not exclude the commits
+    with pytest.raises(AffiliationError, match="^line 3: firm name <bot> is reserved$"):
+        load_affiliation_map("# header\n" + config)
+    assert load_affiliation_map(config.replace("<bot>", "<bot> Inc")).bot_emails == frozenset()
+
+
 def test_load_allows_tabs_around_keys_and_firms():
     amap = load_affiliation_map("[domains]\n\thp.example\t=\tHP\t\n[aliases]\na@x.example,\ta@y.example\n")
     assert amap.domain_rules == {"hp.example": "HP"}

@@ -224,6 +224,16 @@ def test_inputs_are_read_in_order(tmp_path, first_missing):
     assert not (tmp_path / "out").exists() and siblings(tmp_path) == []
 
 
+def hook_write_opens(monkeypatch, hook):
+    """Call hook(path) before report opens path to write; the log is opened only to read."""
+    def hooked(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            hook(Path(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(report, "open", hooked, raising=False)
+
+
 def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch):
     # by the first file written, the identity resolver has been freed by
     # reference counting alone (the cyclic collector is off for the run, so a
@@ -240,17 +250,14 @@ def test_log_pass_leaves_nothing_behind_at_the_first_write(tmp_path, monkeypatch
         builders.append(WindowBuilder(firms, firm_filter))
         return builders[-1]
 
-    write_together = report.write_together
-
-    def checking(paths, rows):
+    def checking(path):
         if not first_write:
             freed = [ref() is None for ref in resolvers]
             first_write.append((freed, [(b.log, b.tail, list(b.devs)) for b in builders]))
-        write_together(paths, rows)
 
     monkeypatch.setattr(report, "IdentityResolver", tracked_resolver)
     monkeypatch.setattr(report, "WindowBuilder", tracked_builder)
-    monkeypatch.setattr(report, "write_together", checking)
+    hook_write_opens(monkeypatch, checking)
     gc.disable()
     try:
         run_pipeline(run_config(tmp_path))
@@ -271,16 +278,16 @@ def test_window_graphs_are_released_before_the_merged_graph_is_written(tmp_path,
         node_arrays.append(weakref.ref(g.nodes))  # each window graph's own array
         return g
 
-    write_together = report.write_together
+    write_graph = report._write_graph
 
-    def checking(paths, rows):
+    def checking(paths, *args):
         if paths[0].stem == report.MERGED_LABEL and not at_merged:
             gc.collect()
             at_merged.append([ref() is None for ref in node_arrays])
-        write_together(paths, rows)
+        write_graph(paths, *args)
 
     monkeypatch.setattr(WindowBuilder, "graph", tracked)
-    monkeypatch.setattr(report, "write_together", checking)
+    monkeypatch.setattr(report, "_write_graph", checking)
     run_pipeline(run_config(tmp_path))
     assert at_merged == [[True] * 3]
 
@@ -376,16 +383,16 @@ def test_graph_exports_roundtrip_from_pipeline(tmp_path):
 def test_pipeline_rolls_back_partial_outputs(tmp_path, monkeypatch):
     target = tmp_path / "out"
     cfg = run_config(tmp_path, out_dir=target)
-    original_write = report.write_parts
     calls = {"n": 0}
 
-    def failing_write(path, parts):
-        calls["n"] += 1
-        if calls["n"] > 3:
-            raise OSError("disk full")
-        return original_write(path, parts)
+    def failing_write(path):
+        # the fourth table fails, after every graph file and three tables are written
+        if path.name in report.TABLE_FILES:
+            calls["n"] += 1
+            if calls["n"] > 3:
+                raise OSError("disk full")
 
-    monkeypatch.setattr(report, "write_parts", failing_write)
+    hook_write_opens(monkeypatch, failing_write)
     with pytest.raises(OSError):
         run_pipeline(cfg)
     monkeypatch.undo()
@@ -473,18 +480,15 @@ def test_failed_write_leaves_previous_tree(tmp_path, monkeypatch, first_run, fai
     if not first_run:
         run_pipeline(run_config(tmp_path, formats=frozenset({"dot", "csv"})))
     before = tree(out) if out.exists() else None
-    original_write = report.write_together
     calls = []
 
-    def failing_write(paths, rows):
-        # every file is written through write_together, a graph and its backbone in one call
-        if len(calls) + len(paths) >= fail_at:
-            calls.extend(paths[:fail_at - len(calls)])
+    def failing_write(path):
+        # every file is opened to write once, a graph's just before its backbone's
+        calls.append(path)
+        if len(calls) == fail_at:
             raise OSError("disk full")
-        calls.extend(paths)
-        return original_write(paths, rows)
 
-    monkeypatch.setattr(report, "write_together", failing_write)
+    hook_write_opens(monkeypatch, failing_write)
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(run_config(tmp_path))
     monkeypatch.undo()
@@ -542,7 +546,7 @@ def test_foreign_content_in_output_is_exit_2(tmp_path, monkeypatch, foreign):
     path.write_text("mine\n")
     before = tree(out)
     rendered = []
-    monkeypatch.setattr(report, "_render", lambda fmt, g, *args: rendered.append(g) or "")
+    monkeypatch.setattr(report, "_write_graph", lambda *args: rendered.append(args))
     result = run_cli(analyze_args(tmp_path))
     assert result.exit_code == 2, result.output
     assert "does not write" in result.output
@@ -569,23 +573,26 @@ def test_output_path_that_is_a_file_is_refused(tmp_path):
 
 
 def test_files_reach_disk_while_rendering(tmp_path, monkeypatch):
-    original = report._render
+    original = report._write_graph
     graphml = report.GRAPH_FORMATS["graphml"]
     on_disk = []
 
-    def counting(fmt, *args):
-        if fmt is graphml:
-            (staging,) = siblings(tmp_path)
-            on_disk.append(sum(p.is_file() for p in staging.rglob("*")))
-        return original(fmt, *args)
+    def files_in_staging():
+        (staging,) = siblings(tmp_path)
+        return sum(p.is_file() for p in staging.rglob("*"))
 
-    monkeypatch.setattr(report, "_render", counting)
+    def counting(paths, fmt, *args):
+        before = files_in_staging()
+        original(paths, fmt, *args)
+        if fmt is graphml:
+            on_disk.append((before, files_in_staging()))
+
+    monkeypatch.setattr(report, "_write_graph", counting)
     run_pipeline(run_config(tmp_path))
-    assert len(on_disk) == 2 * 4  # graph and backbone, 3 releases + merged
-    # a graph and its backbone are rendered together and written side by side
-    graphs, backbones = on_disk[::2], on_disk[1::2]
-    assert backbones == graphs
-    assert all(a < b for a, b in zip(graphs, graphs[1:]))
+    assert len(on_disk) == 4  # 3 releases + merged
+    # a graph and its backbone are written side by side, and are on disk before the next graph
+    assert all(after == before + 2 for before, after in on_disk)
+    assert all(a[1] <= b[0] for a, b in zip(on_disk, on_disk[1:]))
 
 
 def test_graph_files_written_in_chunks_equal_export(tmp_path, monkeypatch):
@@ -629,16 +636,6 @@ def test_graph_files_written_in_chunks_equal_export(tmp_path, monkeypatch):
             assert (out / "backbones" / f"{stem}.{fmt}").read_bytes() == (
                 export_graph(backbone, fmt).encode()
             )
-
-
-@pytest.mark.parametrize("empty_chunks, lines", [(0, 0), (0, 1), (0, 9000), (1, 1), (2, 9000)])
-def test_write_parts_writes_every_part(tmp_path, empty_chunks, lines):
-    # whole chunks of empty parts must not end the file early
-    parts = [""] * (report.CHUNK_PARTS * empty_chunks)
-    parts += [f"line {i} \u00e9\n" for i in range(lines)] + [""]
-    path = tmp_path / "f.txt"
-    report.write_parts(path, iter(parts))
-    assert path.read_bytes() == "".join(parts).encode("utf-8")
 
 
 def write_log(path: Path, commits) -> Path:
@@ -789,22 +786,22 @@ def awkward_run_config(tmp_path):
 def test_each_graph_file_equals_its_export_alone(tmp_path, monkeypatch):
     rendered = {"graphml": [], "dot": []}
     name_of = {fmt: name for name, fmt in report.GRAPH_FORMATS.items()}
-    original = report._render
+    original = report._write_graph
 
-    def recording(fmt, g, *args):
-        rendered[name_of[fmt]].append(g)
-        return original(fmt, g, *args)
+    def recording(paths, fmt, quoted, quoted_firms, g, bb):
+        rendered[name_of[fmt]].append((g, bb))
+        original(paths, fmt, quoted, quoted_firms, g, bb)
 
-    monkeypatch.setattr(report, "_render", recording)
+    monkeypatch.setattr(report, "_write_graph", recording)
     run_pipeline(awkward_run_config(tmp_path))
     out = tmp_path / "out"
     for fmt in rendered:
         names = sorted(p.name for p in (out / "graphs").glob(f"*.{fmt}"))
         assert names == [f"01_r1.{fmt}", f"02_r2.{fmt}", f"merged.{fmt}"]
-        graphs = rendered[fmt]
-        assert len(graphs) == 2 * len(names)  # a graph, then its backbone
-        assert [g.node_count for g in graphs] == [4, 4, 5, 5, 5, 5]
-        for name, g, bb in zip(names, graphs[::2], graphs[1::2]):
+        pairs = rendered[fmt]
+        assert len(pairs) == len(names)  # a graph with its backbone
+        assert [(g.node_count, bb.node_count) for g, bb in pairs] == [(4, 4), (5, 5), (5, 5)]
+        for name, (g, bb) in zip(names, pairs):
             assert bb.ids is g.ids and bb.firms is g.firms and bb.nodes is g.nodes
             assert (out / "graphs" / name).read_text(encoding="utf-8") == export_graph(g, fmt)
             assert (out / "backbones" / name).read_text(encoding="utf-8") == export_graph(bb, fmt)
@@ -829,6 +826,36 @@ def test_export_quotes_each_id_and_firm_once_per_run(tmp_path, monkeypatch):
     for quote in ("quoteattr", "_dot_quote"):
         assert all(calls[quote, email] == 1 for email in AWKWARD_EMAILS)
     assert calls["escape", "H&P <x>"] == calls["_dot_quote", "H&P <x>"] == 1
+
+
+def test_node_lines_are_made_once_for_a_graph_and_its_backbone(tmp_path, monkeypatch):
+    made = {name: [] for name in report.GRAPH_FORMATS}
+
+    def recording(name, nodes):
+        def wrapper(*args):
+            lines = "".join(nodes(*args))
+            made[name].append(lines)
+            return iter([lines])
+        return wrapper
+
+    for name, fmt in list(report.GRAPH_FORMATS.items()):
+        monkeypatch.setitem(report.GRAPH_FORMATS, name, fmt._replace(
+            nodes=recording(name, fmt.nodes)
+        ))
+    run_pipeline(run_config(tmp_path))
+    out = tmp_path / "out"
+    for name, node_sections in made.items():
+        # one call per graph, in run order: 3 releases, then merged
+        assert len(node_sections) == 4
+        stems = sorted(p.name for p in (out / "graphs").glob(f"*.{name}"))
+        for stem, nodes in zip(stems, node_sections):
+            graph = (out / "graphs" / stem).read_text(encoding="utf-8")
+            backbone = (out / "backbones" / stem).read_text(encoding="utf-8")
+            head, found, _ = graph.partition(nodes)
+            assert nodes and found
+            # the backbone's node section is its graph's, after the same head
+            assert backbone.startswith(head + nodes)
+            assert graph != backbone  # the fixture's backbones drop edges
 
 
 def test_every_graphml_file_parses_as_xml(tmp_path):
