@@ -23,6 +23,8 @@ class GraphError(Exception):
 
 
 class CollaborationGraph(NamedTuple):
+    """One graph of a run: its five fields, with ``len(nodes)`` nodes and ``len(edges)`` edges."""
+
     window: str
     ids: Sequence[str]  # the run's sorted id table, shared by its graphs
     firms: Sequence[str]  # the run's firm of each id, aligned with ids
@@ -32,14 +34,6 @@ class CollaborationGraph(NamedTuple):
     def ends(self, edges: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The (u, v) nodes of each packed edge, in the order given."""
         return map(divmod, edges, repeat(len(self.ids)))
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 def edge_array(packed: Iterable[int]) -> array:

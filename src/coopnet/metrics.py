@@ -35,7 +35,7 @@ def pair_density(nodes: int, edges: int) -> float | None:
 
 def density(g: CollaborationGraph) -> float | None:
     """2|E| / (|V| (|V|-1)); None when fewer than 2 nodes."""
-    return pair_density(g.node_count, g.edge_count)
+    return pair_density(len(g.nodes), len(g.edges))
 
 
 def firm_mixing(g: CollaborationGraph) -> FirmMixing:

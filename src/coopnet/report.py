@@ -417,21 +417,13 @@ def _read_and_fold(cfg: RunConfig) -> tuple:
     return (report, excluded_shas, post_release), universe, streams, table, builders
 
 
-def _build_and_merge(table: tuple, builders: dict[str, WindowBuilder]) -> tuple:
-    """Each window's graph over the id table, in release order, and their merged graph."""
-    window_graphs = [builder.graph(name, *table) for name, builder in builders.items()]
-    return window_graphs, merge_graphs(window_graphs, MERGED_LABEL)
-
-
 def _analyze_graph(
     cfg: RunConfig, streams: list[RevenueStream], universe: set[str], graph_formats: list,
     target: Callable, g: CollaborationGraph, scope: str, release: str, stem: str,
 ) -> tuple[FirmMixing, list[tuple], dict, tuple]:
     """g's firm mixing, comparison rows, communities and evolution row.
 
-    They are returned once g and its backbone are written as stem in each
-    graph format, by _write_graph, which makes each node chunk once for
-    both files.
+    They are returned once g and its backbone are written as stem in each graph format.
     """
     mixing = firm_mixing(g)
     comparisons = [(scope, release, *compare_revenue_stream(mixing, s, universe)) for s in streams]
@@ -447,25 +439,12 @@ def _analyze_graph(
             for c in communities
         ],
         "firm_overlap": firm_overlap(communities),
-    }, (g.window, g.node_count, g.edge_count, density(g))
-
-
-def _analyze_windows(analyze: Callable, window_graphs: list[CollaborationGraph]) -> list:
-    """Each window graph's analysis, in release order.
-
-    Each graph is taken out of window_graphs, and so released, once its
-    files and rows are made.
-    """
-    analyses = []
-    for i in range(1, len(window_graphs) + 1):
-        g = window_graphs.pop(0)
-        analyses.append(analyze(g, "window", g.window, f"{i:02d}_{_slug(g.window)}"))
-    return analyses
+    }, (g.window, len(g.nodes), len(g.edges), density(g))
 
 
 def _write_tables(
-    cfg: RunConfig, write: Callable, tally: tuple, universe: set[str], merged: CollaborationGraph,
-    builders: dict[str, WindowBuilder], analyses: list,
+    cfg: RunConfig, write: Callable, tally: tuple, universe: set[str], identities: int,
+    window_commits: list[int], analyses: list,
 ) -> dict:
     """Write the selected formats' tables from each graph's analysis, and return the run summary."""
     report, excluded_shas, post_release = tally
@@ -473,6 +452,7 @@ def _write_tables(
     for mix, _, _, row in analyses[:-1]:  # analyses ends with the merged graph's
         evolution_rows.append(row)
         homophily_rows.append((row[0], same_firm_edge_fraction(mix), firm_assortativity(mix)))
+    _, merged_nodes, merged_edges, merged_density = analyses[-1][3]
     if "csv" in cfg.formats:
         write("evolution.csv", evolution_csv(evolution_rows))
         write("homophily.csv", homophily_csv(homophily_rows))
@@ -486,20 +466,16 @@ def _write_tables(
             "rejected": len(report.rejected),
             "excluded": len(excluded_shas),
             "post_release": post_release,
-            "analyzed": sum(b.commits for b in builders.values()),
+            "analyzed": sum(window_commits),
         },
         "excluded_shas": sorted(excluded_shas),
-        "identities": len(merged.ids),  # the run's id table
+        "identities": identities,
         "firms": sorted(universe),
         "windows": [
-            {"release": r, "commits": builders[r].commits, "nodes": n, "edges": e, "density": d}
-            for r, n, e, d in evolution_rows
+            {"release": r, "commits": c, "nodes": n, "edges": e, "density": d}
+            for c, (r, n, e, d) in zip(window_commits, evolution_rows)
         ],
-        "merged": {
-            "nodes": merged.node_count,
-            "edges": merged.edge_count,
-            "density": density(merged),
-        },
+        "merged": {"nodes": merged_nodes, "edges": merged_edges, "density": merged_density},
         "backbone": {**params, "community_min_size": cfg.community_min_size},
         "time_field": TIME_FIELD,
         "formats": sorted(cfg.formats),
@@ -521,21 +497,24 @@ def _write_tables(
 def run_pipeline(cfg: RunConfig) -> RunResult:
     """Run the full analysis and write all artifacts under cfg.out_dir.
 
-    The run is four stages, each returning only what the later ones read:
-    _read_and_fold, _build_and_merge, _analyze_graph on each graph, and
-    _write_tables. Raises the originating module's error on bad inputs
-    (the CLI maps these to exit codes). A graph and its backbone are
-    written by _write_graph chunk by chunk, as the text is made, and each
-    table as one string, into a staging directory that replaces
-    cfg.out_dir only when the whole run succeeds; on any error cfg.out_dir
-    is left as it was. An existing cfg.out_dir holding anything a run does
-    not write is refused with ConfigError before any work.
+    The run is three stages, each returning only what the later ones read:
+    _read_and_fold, _analyze_graph on each window graph and then on their
+    merged graph, and _write_tables. Raises the originating module's error
+    on bad inputs (the CLI maps these to exit codes). Each file is written
+    as it is made, into a staging directory that replaces cfg.out_dir only
+    when the whole run succeeds; on any error cfg.out_dir is left as it
+    was. An existing cfg.out_dir holding anything a run does not write is
+    refused with ConfigError before any work.
     """
     out_dir = Path(cfg.out_dir).resolve()
     _check_replaceable(out_dir)
     tally, universe, streams, table, builders = _read_and_fold(cfg)
-    window_graphs, merged = _build_and_merge(table, builders)
-    del table
+    # each window's graph over the id table, in release order; of the builders only their
+    # commit counts outlive the build, so the resolver's firm list goes before the merge
+    window_graphs = [builder.graph(name, *table) for name, builder in builders.items()]
+    window_commits = [builder.commits for builder in builders.values()]
+    del table, builders
+    merged = merge_graphs(window_graphs, MERGED_LABEL)
 
     with _replacing(out_dir) as staging:
         written: list[str] = []
@@ -555,10 +534,11 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
             [name for name in GRAPH_FORMATS if name in cfg.formats], merged.ids, merged.firms
         )
         analyze = partial(_analyze_graph, cfg, streams, universe, graph_formats, target)
-        analyses = _analyze_windows(analyze, window_graphs)
+        analyses = [analyze(g, "window", g.window, f"{i:02d}_{_slug(g.window)}")
+                    for i, g in enumerate(window_graphs, 1)]
         # merged last in every table; scope is passed, as a release may itself be named "merged"
         analyses.append(analyze(merged, MERGED_LABEL, "all", MERGED_LABEL))
-        summary = _write_tables(cfg, write, tally, universe, merged, builders, analyses)
+        summary = _write_tables(cfg, write, tally, universe, len(merged.ids), window_commits, analyses)
 
     files_written = [Path(cfg.out_dir) / rel_path for rel_path in sorted(written)]
     return RunResult(files_written=files_written, summary=summary)

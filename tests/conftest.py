@@ -104,7 +104,7 @@ def make_graph(firms: dict[str, str], edges=(), window: str = "w", table=None) -
 
 def degree_centrality(g: CollaborationGraph) -> dict[str, tuple[int, float | None]]:
     """Per node id: raw degree and degree/(n-1) (None when n < 2)."""
-    n = g.node_count
+    n = len(g.nodes)
     s = as_strings(g)
     degree = dict.fromkeys(s.firms, 0)
     for u, v in s.edges:

@@ -424,6 +424,6 @@ def test_criterion_7_openstack_nova_trend(tmp_path):
             for name in per_window
         }
         mature = ["Bexar", "Cactus", "Diablo", "Essex", "Folsom", "Grizzly", "Havana"]
-        edge_counts = [graphs[name].edge_count for name in mature]
+        edge_counts = [len(graphs[name].edges) for name in mature]
         assert edge_counts == sorted(edge_counts), "edge growth not monotone"
-        assert graphs["Icehouse"].node_count < graphs["Havana"].node_count
+        assert len(graphs["Icehouse"].nodes) < len(graphs["Havana"].nodes)

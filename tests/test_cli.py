@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from datetime import date, timedelta
 
 import pytest
 
@@ -663,3 +665,69 @@ def test_import_loads_no_web_stack():
     assert "coopnet.cli" in loaded
     web = {"xml.sax", "urllib.request", "http.client", "email.parser", "ssl", "socket"}
     assert not loaded & web
+
+
+def seeded_history(tmp_path) -> list[str]:
+    """`analyze` options over a seeded history: a dozen firms, alias groups, bots,
+    mixed-case emails, revenue streams and a firm filter."""
+    rng = random.Random(34)
+    firms = [f"Firm {c}" for c in "ABCDEFGHIJKL"]
+    domain_of = {firm: f"{firm[-1].lower()}.example" for firm in firms}
+    devs = [f"dev{i:03d}@{domain_of[rng.choice(firms)]}" for i in range(120)]
+    # a personal address in each alias group is Unaffiliated, so the group keeps its firm
+    aliases = {f"home{i:03d}@mail.example": dev for i, dev in enumerate(rng.sample(devs, 12))}
+    authors = devs + list(aliases) + ["ci@bots.example"]
+    files = [f"pkg{i % 9}/mod{i:03d}.py" for i in range(150)]
+    lines = []
+    for i in range(1500):
+        email = rng.choice(authors)
+        if rng.random() < 0.2:
+            email = email.capitalize()
+        day = date(2021, 1, 1) + timedelta(days=rng.randrange(140))
+        touched = rng.choices(files, weights=[1 / (k + 1) for k in range(len(files))], k=3)
+        lines.append(json.dumps({
+            "sha": f"{rng.getrandbits(160):040x}", "author_name": "Dev", "author_email": email,
+            "timestamp": f"{day.isoformat()}T{rng.randrange(24):02d}:00:00Z", "files": touched,
+        }) + "\n")
+    inputs = {
+        "log": "".join(lines),
+        "releases": "name,date\nr1,2021-02-01\nr2,2021-03-01\nr3,2021-04-01\nr4,2021-05-01\n",
+        "affiliations": "[domains]\n" + "".join(f"{d} = {f}\n" for f, d in domain_of.items())
+        + "[aliases]\n" + "".join(f"{dev}, {home}\n" for home, dev in aliases.items())
+        + "[bots]\nci@bots.example\n",
+        "firms": "".join(f"{firm}\n" for firm in firms[:9]),
+        "revenue-models": "stream,firm\n" + "".join(
+            f"s{s},{firm}\n" for s in range(6) for firm in rng.sample(firms[:9], rng.randint(2, 5))
+        ),
+    }
+    args = ["analyze"]
+    for option, text in inputs.items():
+        path = tmp_path / option
+        path.write_text(text, encoding="utf-8")
+        args += [f"--{option}", str(path)]
+    return args
+
+
+def test_analyze_tree_does_not_depend_on_the_hash_seed(tmp_path):
+    args = seeded_history(tmp_path)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "coopnet.cli", *args, "--out", str(tmp_path / f"out{seed}")],
+            env={**child_env(), "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    for child in children:
+        _, stderr = child.communicate(timeout=60)
+        assert child.returncode == 0, stderr
+    trees = [
+        {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for out in (tmp_path / "out0", tmp_path / "out1")
+    ]
+    assert trees[0] == trees[1]
+    summary = json.loads(trees[0]["run_summary.json"])
+    assert summary["commits"]["excluded"] > 0 and len(summary["firms"]) == 9
+    communities = json.loads(trees[0]["communities.json"])
+    assert any(w["communities"] for w in communities["windows"])
+    assert trees[0]["comparisons.csv"].count(b"\n") == 1 + 6 * 5  # 6 streams, 4 windows and merged

@@ -93,7 +93,7 @@ def test_cross_group_edges_belong_to_neither_side():
         firm_mixing(g), RevenueStream("s", frozenset({"A"})), {"A", "B"}
     )
     assert comparison.n_alpha + comparison.n_beta == 0
-    assert comparison.n_alpha + comparison.n_beta <= g.edge_count
+    assert comparison.n_alpha + comparison.n_beta <= len(g.edges)
 
 
 # --- properties -----------------------------------------------------------

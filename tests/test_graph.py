@@ -89,12 +89,12 @@ def test_repeat_touches_count_once():
         commit(4, "b", ["f.py"]),
     ]
     g = window_graph("w", identity_pairs(records, identity_map()))
-    assert g.edge_count == 1
+    assert len(g.edges) == 1
 
 
 def test_empty_input_gives_empty_graph():
     g = window_graph("w", identity_pairs([], identity_map()))
-    assert g.node_count == 0 and g.edge_count == 0
+    assert len(g.nodes) == 0 and len(g.edges) == 0
 
 
 def test_merge_graphs_unions_nodes_and_edges():
@@ -127,7 +127,7 @@ def test_merge_graphs_unions_edges_across_slices(monkeypatch, slices):
 
 def test_merge_graphs_of_no_graph_is_empty():
     merged = merge_graphs([], "merged")
-    assert merged.node_count == 0 and merged.edge_count == 0
+    assert len(merged.nodes) == 0 and len(merged.edges) == 0
 
 
 def test_merge_graphs_refuses_another_id_table():
@@ -353,7 +353,7 @@ def test_builder_past_fold_min_bytes_matches_brute_force(firm_filter):
     builder, number = window_builder(pairs, firm_filter)
     assert builder.log
     g = builder_graph(builder, number)
-    assert g.edge_count
+    assert len(g.edges)
     assert as_strings(g) == brute_force_graph("w", pairs, firm_filter)
 
 
@@ -363,7 +363,7 @@ def test_awkward_names_are_distinct_files():
     people = identity_map(devs)
     pairs = [(people[node(d)], (name,)) for d, name in zip(devs, AWKWARD_NAMES)]
     g = window_graph("w", pairs)
-    assert g.node_count == len(AWKWARD_NAMES) and g.edge_count == 0
+    assert len(g.nodes) == len(AWKWARD_NAMES) and len(g.edges) == 0
 
 
 # --- properties -----------------------------------------------------------

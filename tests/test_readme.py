@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from types import ModuleType
 
 import coopnet
-from conftest import FIXTURE_DIR, GOLDEN_DIR, parse_commit_log
+from conftest import FIXTURE_DIR, GOLDEN_DIR, StrGraph, parse_commit_log, read_graphml, run_cli
 from coopnet import cli
 from coopnet.graph import CollaborationGraph
 from coopnet.identity import IdentityResolver, load_affiliation_map
@@ -199,3 +204,108 @@ def test_resolver_gives_developer_numbers_as_documented():
     assert list(dict.fromkeys(kept)) == list(range(len(set(kept))))  # in first-seen order
     for attribute in attributes:
         assert len(getattr(resolver, attribute)) == len(set(kept))
+
+
+# the domains of the recipe test's authors, as its affiliations file maps them
+RECIPE_FIRMS = {"anvil.io": "Anvil", "bolt.io": "Bolt", "cobalt.io": "Cobalt"}
+
+
+def test_recipe_run_on_a_git_repository_converts_and_analyzes(tmp_path):
+    # git's own configuration is left out, and so is any GIT_* variable of a
+    # calling process, so the repository is the same on every host; a
+    # missing git fails the test
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env.update(GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=repo, env=env, check=True, capture_output=True, text=True
+        ).stdout
+
+    def edit(*names: str) -> None:
+        for name in names:
+            with open(repo / name, "a", encoding="utf-8") as f:
+                f.write("change\n")
+
+    def sign(name: str, email: str, date: str, author_date: str | None = None) -> None:
+        env.update(GIT_AUTHOR_NAME=name, GIT_AUTHOR_EMAIL=email,
+                   GIT_AUTHOR_DATE=author_date or date, GIT_COMMITTER_NAME=name,
+                   GIT_COMMITTER_EMAIL=email, GIT_COMMITTER_DATE=date)
+
+    # what each commit with files should become: (sha, email, UTC instant, files, window)
+    committed = []
+
+    def commit(files: list[str], window: str, utc: str | None = None) -> None:
+        """Commit the work tree as signed; utc is the committer date in UTC, if it is not."""
+        git("add", "-A")
+        git("commit", "-q", "-m", "change")
+        sha = git("rev-parse", "HEAD").strip()
+        utc = utc or env["GIT_COMMITTER_DATE"]
+        committed.append((sha, env["GIT_AUTHOR_EMAIL"], utc, files, window))
+
+    git("init", "-q", "-b", "main")
+    edit("a.py", "with space.py")
+    sign("Alice", "Alice.Smith@Anvil.io", "2021-03-01T09:00:00Z")
+    commit(["a.py", "with space.py"], "r1")
+    edit("a.py")
+    sign("Bob", "bob@bolt.io", "2021-03-01T10:00:00Z")
+    commit(["a.py"], "r1")
+    sign("Dave", "Dave@Bolt.io", "2021-03-01T11:00:00Z")
+    git("commit", "-q", "--allow-empty", "-m", "empty")
+    git("checkout", "-q", "-b", "side")
+    edit("with space.py")
+    # committed late on 1 March at -02:00, which is 2 March in UTC, and authored in February
+    sign("Carol", "Carol@Cobalt.io", "2021-03-01T23:30:00-02:00", "2021-02-25T10:00:00Z")
+    commit(["with space.py"], "r2", utc="2021-03-02T01:30:00Z")
+    git("checkout", "-q", "main")
+    sign("Bob", "bob@bolt.io", "2021-03-03T09:00:00Z")
+    git("merge", "-q", "--no-ff", "-m", "merge", "side")
+    merge = git("rev-parse", "HEAD").strip()
+    edit("with space.py")
+    sign("Bob", "bob@bolt.io", "2021-03-03T10:00:00Z")
+    commit(["with space.py"], "r2")
+    git("mv", "a.py", "renamed.py")
+    sign("Alice", "Alice.Smith@Anvil.io", "2021-03-04T10:00:00Z")
+    commit(["renamed.py"], "r2")
+
+    # the recipe as the README gives it; it writes git.log in the repository
+    recipe = next(b for b in FENCE_RE.findall(section("### Extraction recipe"))
+                  if b.startswith("git log"))
+    subprocess.run(["bash", "-c", recipe], cwd=repo, env=env, check=True)
+    log = tmp_path / "commits.ndjson"
+    result = run_cli(["convert", "--raw", str(repo / "git.log"), "--out", str(log)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wrote {len(committed)} records (1 commits without files dropped)\n"
+    records = {r["sha"]: (r["author_email"], r["timestamp"], r["files"])
+               for r in map(json.loads, log.read_text(encoding="utf-8").splitlines())}
+    assert records == {sha: (email, utc, files) for sha, email, utc, files, _ in committed}
+    assert merge not in records
+
+    (tmp_path / "releases.csv").write_text("name,date\nr1,2021-03-01\nr2,2021-03-05\n")
+    (tmp_path / "affiliations.ini").write_text(
+        "[domains]\n" + "".join(f"{d} = {f}\n" for d, f in RECIPE_FIRMS.items())
+    )
+    out = tmp_path / "out"
+    result = run_cli(["analyze", "--log", str(log), "--releases", str(tmp_path / "releases.csv"),
+                      "--affiliations", str(tmp_path / "affiliations.ini"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    validation = json.loads((out / "validation_report.json").read_text(encoding="utf-8"))
+    assert validation["accepted"] == len(committed) and validation["rejected"] == []
+    assert sorted(validation["cleaned"]) == sorted(
+        [sha, "email normalized"] for sha, email, *_ in committed if email != email.lower()
+    )
+    # each commit in its window: the commit counts, and each window's developers and edges
+    summary = json.loads((out / "run_summary.json").read_text(encoding="utf-8"))
+    windows = [w for *_, w in committed]
+    assert {w["release"]: w["commits"] for w in summary["windows"]} == Counter(windows)
+    for i, window in enumerate(dict.fromkeys(windows), 1):
+        files_of: dict[str, set[str]] = {}
+        for _, email, _, files, w in committed:
+            if w == window:
+                files_of.setdefault(email.lower(), set()).update(files)
+        firms = {dev: RECIPE_FIRMS[dev.partition("@")[2]] for dev in files_of}
+        edges = {(u, v) for u, v in combinations(sorted(files_of), 2) if files_of[u] & files_of[v]}
+        graph = (out / "graphs" / f"{i:02d}_{window}.graphml").read_text(encoding="utf-8")
+        assert read_graphml(graph) == StrGraph(window, firms, frozenset(edges))
